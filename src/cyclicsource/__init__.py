@@ -14,6 +14,7 @@ from .blocks import (
 from .dade import (
     DadeElement,
     LiftCharacter,
+    OddPrimeRequiredError,
     SignVector,
     dade_add,
     dade_zero,

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import dade
-from .dade import DadeElement, SignVector
+from .dade import DadeElement, OddPrimeRequiredError, SignVector
 from .groups import GroupSpec
 from .modules import ModuleSum, restrict
 from .oracle import cap_part
@@ -28,10 +28,6 @@ PROVENANCE_C4 = "c4-defect"
 
 
 class CharacterValueError(ValueError):
-    pass
-
-
-class OddPrimeRequiredError(ValueError):
     pass
 
 

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 
 from .blocks import BlockDescriptor
-from .groups import GroupSpec, is_prime
+from .groups import GroupSpec
 from .trees import BrauerTree
 
 FORMAT_VERSION = 1
@@ -100,13 +100,14 @@ class _Validator:
         ell = self.require_int(record.get("ell"), f"{path}.ell")
         if p is None or ell is None:
             return None
-        if not is_prime(p):
-            self.fail(f"{path}.p", "p must be prime")
-            return None
         if ell < 1:
             self.fail(f"{path}.ell", "ell must be at least 1")
             return None
-        return GroupSpec(p, ell)
+        try:
+            return GroupSpec(p, ell)
+        except ValueError as exc:  # with ell >= 1, only p can be at fault
+            self.fail(f"{path}.p", str(exc))
+            return None
 
 
 def _reject_unknown(v: _Validator, record: dict, allowed: set, path: str) -> None:

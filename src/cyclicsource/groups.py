@@ -10,18 +10,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic primality test.  Raises ValueError for n >= PRIME_LIMIT
+    with no factor among the bases, where the test is no longer exact."""
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"p = {n} is too large: primality is decided "
+                         f"below {PRIME_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in _BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

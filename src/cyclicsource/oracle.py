@@ -16,7 +16,6 @@ for the sizes admitted by the capacity check).
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,13 +58,26 @@ def check_capacity(dim: int, cap: int | None = None) -> None:
 # exact linear algebra mod p
 
 
+# Rows eliminated per panel before the rows below see the panel's column
+# transform, in one matmul_mod call.
+PANEL = 64
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # float64 is exact up to 2^53; entries are < p and the inner dimension
-    # is capped, so products never lose precision at oracle sizes.
+    """Product of two matrices with entries in [0, p), reduced mod p.
+
+    Taken in float64 BLAS, exact while every dot product stays below 2^53,
+    and reduced in int64, which is faster than reducing the float64 result.
+    """
     inner = a.shape[1]
-    assert inner * (p - 1) ** 2 < 2**53
-    out = (a.astype(np.float64) @ b.astype(np.float64)) % p
-    return out.astype(np.int64)
+    if inner * (p - 1) ** 2 >= 2**53:
+        raise OverflowError(
+            f"float64 product mod {p} with inner dimension {inner} "
+            f"would exceed 2^53"
+        )
+    out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    out %= p
+    return out
 
 
 def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -79,43 +91,83 @@ def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def column_space(a: np.ndarray, p: int) -> np.ndarray:
-    """A basis (as columns) of the column space of `a` mod p.
+def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The one elimination routine of the oracle: (E, rows) with a = E @
+    a[rows], where rows is the row rank profile of `a` mod p (each row that
+    is independent of the rows above it) and E is in reduced column echelon
+    form: column k is zero above rows[k], and E[rows] is the identity.
 
-    Column elimination sweeping left to right; only columns right of the
-    pivot are cleared, which is enough for a basis and keeps every update on
-    one contiguous slice.
+    Column operations sweep the rows PANEL at a time.  Inside a panel each
+    pivot clears its row in every other column (Gauss-Jordan) with delayed
+    reduction: only the pivot row and column are reduced mod p, the panel
+    itself once per panel.  For the rows below, the panel's column
+    operations are a permutation followed by T = I + [Z; 0], Z on the
+    panel's new pivot positions, and are applied by one matmul_mod call: the
+    FFLAS-FFPACK scheme (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A
+    pivot row ends as a unit row, so its slot in the panel holds its row of
+    T instead.
     """
-    a = a % p
     m, n = a.shape
-    # The 2D slice is never reduced mod p inside the loop: pivot column and
-    # pivot row are reduced as 1D vectors, so each update changes an entry
-    # by less than p^2 and magnitudes stay below m*p^2, well inside int64.
-    col = 0
-    for row in range(m):
-        if col >= n:
+    # between reductions each pivot moves an entry by less than (p-1)^2
+    updates = min(m, n, PANEL)
+    if updates * (p - 1) ** 2 + p >= 2**63:
+        raise OverflowError(
+            f"elimination mod {p}: {updates} unreduced updates would "
+            f"overflow int64"
+        )
+    w = np.remainder(a, p, dtype=np.int64, order="C")
+    rows: list[int] = []
+    r = 0
+    for i0 in range(0, m, PANEL):
+        if r == n:
             break
-        head = a[row, col:] % p
-        nz = np.nonzero(head)[0]
-        if nz.size == 0:
-            continue
-        j = col + nz[0]
-        if j != col:
-            a[:, [col, j]] = a[:, [j, col]]
-            head[[0, j - col]] = head[[j - col, 0]]
-        inv = pow(int(head[0]), p - 2, p)
-        factors = (head[1:] * inv) % p
-        if factors.size:
-            pivot_col = a[:, col] % p
-            np.subtract(
-                a[:, col + 1 :], np.outer(pivot_col, factors), out=a[:, col + 1 :]
-            )
-        col += 1
-    return a[:, :col] % p
+        panel = w[i0 : i0 + PANEL]
+        k = panel.shape[0]
+        panel %= p  # the rows below gained less than p per panel
+        below = i0 + k < m
+        r0 = r
+        for t in range(k):
+            row = panel[t] % p
+            nz = row[r:].nonzero()[0]
+            if nz.size == 0:
+                continue
+            j = r + nz[0]
+            if j != r:
+                # dependent rows above are zero in both columns, pivot
+                # rows are set at the end
+                w[i0:, [r, j]] = w[i0:, [j, r]]
+                row[[r, j]] = row[[j, r]]
+            if below:
+                panel[t] = 0
+                panel[t, r] = 1
+            inv = pow(int(row[r]), p - 2, p)
+            col = panel[:, r] % p * inv % p
+            panel -= col[:, None] * row
+            panel[:, r] = col
+            rows.append(i0 + t)
+            r += 1
+            if r == n:
+                break
+        if below and r > r0:
+            rest = w[i0 + k :]
+            lead = rest[:, r0:r] % p
+            rest[:, r0:r] = 0
+            rest += matmul_mod(lead, panel[[i - i0 for i in rows[r0:]]] % p, p)
+    basis = w[:, :r] % p
+    if m > PANEL:
+        basis[rows] = np.eye(r, dtype=np.int64)
+    return basis, rows
+
+
+def column_space(a: np.ndarray, p: int) -> np.ndarray:
+    """A basis (as columns) of the column space of `a` mod p, in reduced
+    column echelon form: the first non-zero entry of column k is a 1, in
+    the k-th independent row, and is the only non-zero entry of that row."""
+    return _echelon(a, p)[0]
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
-    return column_space(a, p).shape[1]
+    return len(_echelon(a, p)[1])
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -125,34 +177,13 @@ def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     free-column list carry an identity block, so coordinates of any vector in
     the nullspace with respect to this basis can be read off those rows.
     """
-    a = a % p
-    m, n = a.shape
-    a = a.copy()
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + nz[0]
-        if i != row:
-            a[[row, i]] = a[[i, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        others = np.concatenate([np.arange(row), np.arange(row + 1, m)])
-        if others.size:
-            factors = a[others, col]
-            a[others] = (a[others] - np.outer(factors, a[row])) % p
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in set(pivots)]
+    # a = a[:, pivots] @ coeffs.T, with coeffs[pivots] the identity
+    coeffs, pivots = _echelon(a.T, p)
+    n = a.shape[1]
+    free = sorted(set(range(n)) - set(pivots))
     basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[c, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-a[r, c]) % p
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = (-coeffs[free].T) % p
     return basis, free
 
 
@@ -176,13 +207,6 @@ class MatrixModule:
     @property
     def dim(self) -> int:
         return self.action.shape[0]
-
-    def check_wellformed(self, cap: int | None = None) -> None:
-        """(A - I)^(p^ell) must vanish, i.e. A is unipotent of p-power order."""
-        check_capacity(self.dim, cap)
-        n = (self.action - np.eye(self.dim, dtype=np.int64)) % self.group.p
-        if np.any(matpow_mod(n, self.group.order, self.group.p)):
-            raise ValueError("generator action is not unipotent of p-power order")
 
 
 def _shift_block(n: int, p: int) -> np.ndarray:
@@ -211,21 +235,28 @@ def rank_profile(n_mat: np.ndarray, p: int,
                  max_steps: int | None = None) -> list[int]:
     """[rank(N), rank(N^2), ...] down to the last non-zero power.
 
-    Computed through the chain of images N^s(V) = N(N^{s-1}(V)): each step
-    multiplies N into the current column basis and re-reduces, so the cost
-    shrinks with the rank.  A non-nilpotent N never reaches rank zero, so
-    callers that cannot guarantee nilpotency must bound the chain.
+    Computed on N restricted to its image: with N = C @ R, C = column_space
+    (N) and R = N[rows] its independent rows, N^(s+1) = C (R C)^s R, and C
+    and R have full rank, so rank(N^(s+1)) = rank((R C)^s).  Each step thus
+    eliminates an r x r matrix, r the last rank.  A non-nilpotent N never
+    reaches rank zero, so callers that cannot guarantee nilpotency must
+    bound the chain.
     """
     ranks: list[int] = []
-    basis = column_space(n_mat, p)
-    while basis.shape[1] > 0:
+    mat = n_mat
+    while True:
+        basis = column_space(mat, p)
+        if basis.shape[1] == 0:
+            return ranks
         if max_steps is not None and len(ranks) >= max_steps:
             raise ValueError(
                 f"matrix is not nilpotent within {max_steps} steps"
             )
         ranks.append(basis.shape[1])
-        basis = column_space(matmul_mod(n_mat, basis, p), p)
-    return ranks
+        # R: the rows of the leading 1s, taken before the product so that
+        # the previous matrix can be freed
+        mat = mat[(basis != 0).argmax(axis=0)]
+        mat = matmul_mod(mat, basis, p)
 
 
 def jordan_type(m: MatrixModule, cap: int | None = None) -> ModuleSum:
@@ -249,7 +280,8 @@ def jordan_type(m: MatrixModule, cap: int | None = None) -> ModuleSum:
         exactly = at_least - (ranks[s + 1] - ranks[s + 2] if s + 2 < len(ranks) else 0)
         parts.extend([s + 1] * exactly)
     out = ModuleSum(m.group, tuple(parts))
-    assert out.dim == dim
+    if out.dim != dim:
+        raise AssertionError(f"Jordan type of dimension {out.dim}, not {dim}")
     return out
 
 
@@ -263,8 +295,8 @@ def _tensor_pair(p: int, ell: int, n1: int, n2: int, limit: int) -> tuple[int, .
     a = realize(ModuleSum(group, (n1,)), limit)
     b = realize(ModuleSum(group, (n2,)), limit)
     check_capacity(n1 * n2, limit)
-    kron = np.kron(a.action, b.action) % p
-    return jordan_type(MatrixModule(group, kron), limit).parts
+    kron = MatrixModule(group, np.kron(a.action, b.action))
+    return jordan_type(kron, limit).parts
 
 
 def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> ModuleSum:
@@ -325,14 +357,6 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
         mod = induced_action(n, m.group, to, cap)
         parts.extend(jordan_type(mod, cap).parts)
     return ModuleSum(to, tuple(parts))
-
-
-def _counter_subtract(big: Counter, small: Counter) -> tuple[int, ...]:
-    out = big.copy()
-    out.subtract(small)
-    if any(v < 0 for v in out.values()):
-        raise AssertionError("multiset subtraction went negative")
-    return tuple(out.elements())
 
 
 def _uniserial_kernel_type(m: int, n: int, group: GroupSpec,
@@ -398,48 +422,14 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
     return ModuleSum(m.group, tuple(out))
 
 
-class _IncrementalBasis:
-    """Grow a column basis mod p one vector at a time, keeping the pivot
-    rows in identity form so membership reduction is a single matvec."""
-
-    def __init__(self, dim: int, p: int):
-        self.p = p
-        self.cols = np.zeros((dim, 0), dtype=np.int64)
-        self.pivot_rows: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v % self.p
-        if self.pivot_rows:
-            coords = v[self.pivot_rows]
-            v = (v - self.cols @ coords) % self.p
-        return v
-
-    def add(self, v: np.ndarray) -> bool:
-        """Add the vector if independent; return whether it was new."""
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        row = int(nz[0])
-        v = (v * pow(int(v[row]), self.p - 2, self.p)) % self.p
-        if self.cols.shape[1]:
-            self.cols = (self.cols - np.outer(v, self.cols[row, :])) % self.p
-        self.cols = np.hstack([self.cols, v[:, None]])
-        self.pivot_rows.append(row)
-        return True
-
-
 def jordan_chains(n_mat: np.ndarray, p: int) -> list[list[np.ndarray]]:
     """An explicit Jordan basis of a nilpotent matrix, as chains
     [v, Nv, ..., N^(s-1)v] with N^s v = 0.
 
     Works down from the top nilpotency degree: new chain tops at height s
     are vectors of ker(N^s) independent of ker(N^(s-1)) and of the images
-    at height s of the already chosen taller chains.
+    at height s of the already chosen taller chains, found as the
+    independent rows after those in one elimination.
     """
     d = n_mat.shape[0]
     if d == 0:
@@ -452,28 +442,24 @@ def jordan_chains(n_mat: np.ndarray, p: int) -> list[list[np.ndarray]]:
         if basis.shape[1] == d:
             break
         power = matmul_mod(power, n_mat, p)
-    t = len(kernels)
     tops: list[tuple[np.ndarray, int]] = []  # (vector, height)
-    for s in range(t, 0, -1):
-        covered = _IncrementalBasis(d, p)
-        if s >= 2:
-            for col in kernels[s - 2].T:
-                covered.add(col)
-        for top, height in tops:
-            v = top
-            for _ in range(height - s):
-                v = matmul_mod(n_mat, v[:, None], p)[:, 0]
-            covered.add(v)
-        for col in kernels[s - 1].T:
-            if covered.add(col):
-                tops.append((col.copy(), s))
+    images = np.zeros((0, d), dtype=np.int64)  # tops moved down to height s
+    for s in range(len(kernels), 0, -1):
+        below = kernels[s - 2].T if s >= 2 else images[:0]
+        stack = np.vstack([below, images, kernels[s - 1].T])
+        covered = below.shape[0] + images.shape[0]
+        new = [stack[q] for q in _echelon(stack, p)[1] if q >= covered]
+        tops.extend((v, s) for v in new)
+        images = np.vstack([images, *new])
+        images = matmul_mod(images, n_mat.T, p)
     chains = []
     for top, height in tops:
         chain = [top]
         for _ in range(height - 1):
             chain.append(matmul_mod(n_mat, chain[-1][:, None], p)[:, 0])
         chains.append(chain)
-    assert sum(len(c) for c in chains) == d
+    if sum(len(c) for c in chains) != d:
+        raise AssertionError("Jordan chains do not span the space")
     return chains
 
 
@@ -506,9 +492,9 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
     big[0:n, (q - 1) * n : q * n] = a_q
     nilpotent = (big - np.eye(dim, dtype=np.int64)) % p
     chains = jordan_chains(nilpotent, p)
-    lengths = sorted(len(c) for c in chains)
-    assert tuple(sorted(lengths, reverse=True)) == \
-        jordan_type(MatrixModule(group, big), cap).parts
+    lengths = tuple(sorted((len(c) for c in chains), reverse=True))
+    if lengths != jordan_type(MatrixModule(group, big), cap).parts:
+        raise AssertionError("Jordan chains disagree with the rank sequence")
     # counit: g^j (x) v  |->  A^j v
     eps = np.zeros((n, dim), dtype=np.int64)
     a_pow = np.eye(n, dtype=np.int64)
@@ -520,19 +506,18 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
     usable = sorted((c for c in chains if len(c) >= n), key=len)
     for chain in usable:
         span = np.column_stack(chain)
-        if rank_mod(matmul_mod(eps, span, p), p) < n:
+        basis, _ = nullspace_mod(matmul_mod(eps, span, p), p)
+        if len(chain) - basis.shape[1] < n:
             continue
-        basis, free = nullspace_mod(matmul_mod(eps, span, p), p)
         kernel_vecs = matmul_mod(span, basis, p)  # in ambient coordinates
         if kernel_vecs.shape[1] == 0:
             return ModuleSum(group, ())
-        # action of the generator on the kernel, in kernel coordinates
-        coords = _IncrementalBasis(dim, p)
-        for col in kernel_vecs.T:
-            coords.add(col)
-        image = matmul_mod(big, coords.cols, p)
-        action = image[coords.pivot_rows, :] % p
-        if not np.array_equal(matmul_mod(coords.cols, action, p), image):
+        # action of the generator on the kernel, in the coordinates read off
+        # the identity rows of the echelon basis
+        coords, rows = _echelon(kernel_vecs, p)
+        image = matmul_mod(big, coords, p)
+        action = image[rows]
+        if not np.array_equal(matmul_mod(coords, action, p), image):
             raise AssertionError("counit kernel is not invariant under the action")
         return jordan_type(MatrixModule(group, action), cap)
     raise AssertionError("no single chain summand covers the target")

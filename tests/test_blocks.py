@@ -82,6 +82,14 @@ class TestInferW:
         with pytest.raises(OddPrimeRequiredError):
             infer_w(BlockDescriptor(C4, chi_values=(1, 1)))
 
+    def test_p_two_error_is_the_dade_class(self):
+        import cyclicsource
+
+        assert OddPrimeRequiredError is dade.OddPrimeRequiredError
+        assert cyclicsource.OddPrimeRequiredError is dade.OddPrimeRequiredError
+        with pytest.raises(dade.OddPrimeRequiredError):
+            infer_w(BlockDescriptor(GroupSpec(2, 2), chi_values=(1, 1)))
+
     def test_missing_values_rejected(self):
         with pytest.raises(CharacterValueError, match="no character values"):
             infer_w(BlockDescriptor(C9))

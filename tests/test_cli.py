@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report formats, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,21 @@ class TestInfer:
             code, _, err = run(capsys, "infer", fixture(name))
             assert code == EXIT_PARSE_ERROR, name
             assert "parse error" in err or "error" in err.lower()
+
+    @pytest.mark.parametrize("p, code", [(10**18 + 3, EXIT_OK),
+                                         (10**46 + 1, EXIT_PARSE_ERROR)])
+    def test_huge_prime_ends_quickly(self, capsys, tmp_path, p, code):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"version": 1, "blocks": [
+            {"label": "b", "p": p, "ell": 1, "chi_values": [1]}]}))
+        start = time.perf_counter()
+        got, out, err = run(capsys, "--format", "json-lines", "infer", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code == EXIT_PARSE_ERROR:
+            assert "$.blocks[0].p" in err and "too large" in err
+        else:
+            assert json.loads(out)["trivial"] is True
 
     def test_record_error_exit_one_batch_isolated(self, capsys):
         code, out, _ = run(capsys, "--format", "json-lines",

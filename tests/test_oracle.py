@@ -5,6 +5,10 @@ unipotent matrices over F_p and every structural answer is read off rank
 sequences, kernels and chain bases, never off the formulas being checked.
 """
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from cyclicsource.oracle import (
     matpow_mod,
     nullspace_mod,
     rank_mod,
+    rank_profile,
     realize,
     relative_heller_oracle,
     relative_heller_oracle_counit,
@@ -83,6 +88,149 @@ class TestLinearAlgebra:
         for _ in range(e):
             expected = matmul_mod(expected, a, p)
         assert np.array_equal(matpow_mod(a, e, p), expected)
+
+
+def reference_rref(a, p):
+    """Reduced row echelon form of `a` over F_p, by Gauss-Jordan elimination
+    on lists of Python ints: (the non-zero rows, their pivot columns)."""
+    rows = [[int(x) % p for x in row] for row in np.asarray(a)]
+    n = np.asarray(a).shape[1]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def reference_rank(a, p):
+    return len(reference_rref(a, p)[1])
+
+
+def reference_power_ranks(n_mat, p):
+    """[rank(N), rank(N^2), ...] down to the first zero power, with the
+    powers taken in int64 (exact: d * (p-1)^2 < 2^63 at test sizes)."""
+    ranks, power = [], n_mat % p
+    while (r := reference_rank(power, p)) > 0:
+        ranks.append(r)
+        power = (power @ n_mat) % p
+    return ranks
+
+
+PRIMES = [2, 3, 5, 7, 65521]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A p and an m x n matrix of rank at most k, m and n up to 150 so that
+    several panels run and the rank can be reached inside one."""
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(0, 150))
+    n = draw(st.integers(0, 150))
+    k = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
+    if draw(st.booleans()):  # unreduced and negative entries
+        a = a + p * rng.integers(-3, 4, (m, n))
+    return p, a.astype(np.int64)
+
+
+class TestKernelAgainstReference:
+    @given(kernel_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_column_space_nullspace(self, case):
+        p, a = case
+        m, n = a.shape
+        rref, pivots = reference_rref(a, p)
+        assert rank_mod(a, p) == len(pivots)
+        # a = E @ a[rows]: E is the transposed RREF of a.T, whose pivot
+        # columns are the independent rows of a
+        rref_t, rows = reference_rref(a.T, p)
+        expected = np.array(rref_t, dtype=np.int64).reshape(len(rows), m).T
+        assert np.array_equal(column_space(a, p), expected)
+        basis, free = nullspace_mod(a, p)
+        assert free == [c for c in range(n) if c not in pivots]
+        want = np.zeros((n, len(free)), dtype=np.int64)
+        want[free, range(len(free))] = 1
+        for i, c in enumerate(pivots):
+            want[c] = [(-rref[i][f]) % p for f in free]
+        assert np.array_equal(basis, want)
+
+    @given(st.sampled_from(PRIMES), st.lists(st.integers(1, 9), max_size=16),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rank_profile(self, p, sizes, seed):
+        # a nilpotent matrix of known shape, hidden by a random change of
+        # basis s, inverted by the reference elimination
+        d = sum(sizes)
+        nil = np.zeros((d, d), dtype=np.int64)
+        pos = 0
+        for b in sizes:
+            nil[pos + 1 : pos + b, pos : pos + b - 1] += np.eye(b - 1, dtype=np.int64)
+            pos += b
+        rng = np.random.default_rng(seed)
+        while True:
+            s = rng.integers(0, p, (d, d))
+            rref, pivots = reference_rref(
+                np.hstack([s, np.eye(d, dtype=np.int64)]), p)
+            if pivots == list(range(d)):  # s is invertible
+                break
+        s_inv = np.array(rref, dtype=np.int64).reshape(d, 2 * d)[:, d:]
+        n_mat = s @ nil % p @ s_inv % p
+        assert rank_profile(n_mat, p) == reference_power_ranks(n_mat, p)
+
+    def test_rank_profile_stops_on_non_nilpotent(self):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            rank_profile(np.eye(3, dtype=np.int64), 5, max_steps=4)
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_jordan_type_of_kron(self, p, a, b):
+        ell = 1
+        while p**ell < max(a, b):
+            ell += 1
+        group = GroupSpec(p, ell)
+        kron = np.kron(realize(module(group, a)).action,
+                       realize(module(group, b)).action) % p
+        ranks = reference_power_ranks(
+            (kron - np.eye(a * b, dtype=np.int64)) % p, p)
+        seq = [a * b] + ranks + [0, 0]
+        # blocks of size exactly s: r_{s-1} - 2 r_s + r_{s+1}
+        parts = [s for s in range(1, len(seq) - 1)
+                 for _ in range(seq[s - 1] - 2 * seq[s] + seq[s + 1])]
+        assert jordan_type(MatrixModule(group, kron)).parts == \
+            tuple(sorted(parts, reverse=True))
+
+
+class TestExactnessGuards:
+    def test_guards_survive_python_dash_o(self):
+        # a float64 product mod p = 4294967311 (> 2^32) is not exact, and
+        # one unreduced update overflows int64; both must raise even with
+        # asserts stripped
+        code = textwrap.dedent("""
+            import numpy as np
+            from cyclicsource.oracle import column_space, matmul_mod
+            a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+            for call in (lambda: matmul_mod(a, a + 1, 4294967311),
+                         lambda: column_space(a, 4294967311)):
+                try:
+                    call()
+                except OverflowError:
+                    continue
+                raise SystemExit("no OverflowError")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestJordanType:
