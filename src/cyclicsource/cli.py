@@ -9,8 +9,9 @@ Commands:
     dade add|signs|module ...  Dade group arithmetic on bit vectors
 
 Exit codes: 0 success, 1 per-record analysis error or failed check,
-2 parse failure.  Reports render as human-readable text or as one JSON
-object per line (`--format json-lines`), byte-deterministic for fixed input.
+2 parse failure (of a file, or of the group given by --p and --ell).
+Reports render as human-readable text or as one JSON object per line
+(`--format json-lines`), byte-deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def _load(path: str) -> DescriptorFile | None:
         return None
 
 
+def _group(p: int, ell: int) -> GroupSpec | None:
+    try:
+        return GroupSpec(p, ell)
+    except ValueError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_infer(args) -> int:
     doc = _load(args.file)
     if doc is None:
@@ -104,7 +113,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    group = GroupSpec(args.p, args.ell)
+    group = _group(args.p, args.ell)
+    if group is None:
+        return EXIT_PARSE_ERROR
     cap = args.oracle_cap
     try:
         check_capacity(group.order, cap)
@@ -134,7 +145,9 @@ def cmd_verify(args) -> int:
 
 def cmd_tree(args) -> int:
     if args.tree_command == "emit-star":
-        group = GroupSpec(args.p, args.ell)
+        group = _group(args.p, args.ell)
+        if group is None:
+            return EXIT_PARSE_ERROR
         try:
             t = trees.star(args.e, args.m, group)
         except ValueError as exc:
@@ -196,7 +209,9 @@ def _parse_alpha(text: str, group: GroupSpec) -> dade.DadeElement:
 
 
 def cmd_dade(args) -> int:
-    group = GroupSpec(args.p, args.ell)
+    group = _group(args.p, args.ell)
+    if group is None:
+        return EXIT_PARSE_ERROR
     try:
         if args.dade_command == "add":
             a = _parse_alpha(args.a, group)

@@ -25,10 +25,11 @@ offending value.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .blocks import BlockDescriptor
-from .groups import GroupSpec
+from .groups import MAX_ORDER_DIGITS, GroupSpec, order_too_large
 from .trees import BrauerTree
 
 FORMAT_VERSION = 1
@@ -102,6 +103,10 @@ class _Validator:
             return None
         if ell < 1:
             self.fail(f"{path}.ell", "ell must be at least 1")
+            return None
+        if p >= 2 and order_too_large(p, ell):
+            self.fail(f"{path}.ell", f"p^ell must have at most "
+                                     f"{MAX_ORDER_DIGITS} digits")
             return None
         try:
             return GroupSpec(p, ell)
@@ -226,15 +231,36 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
     )
 
 
-def _check_floats(value, path: str, v: _Validator) -> None:
-    if isinstance(value, _Float):
-        v.fail(path, "integer required")
-    elif isinstance(value, dict):
-        for key, entry in value.items():
-            _check_floats(entry, f"{path}.{key}", v)
-    elif isinstance(value, list):
-        for k, entry in enumerate(value):
-            _check_floats(entry, f"{path}[{k}]", v)
+def _check_floats(data, v: _Validator) -> None:
+    """Report every float in document order, walking with an explicit stack
+    so that no nesting depth the JSON parser accepts can exhaust it."""
+    stack = [(data, "$")]
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, _Float):
+            v.fail(path, "integer required")
+        elif isinstance(value, dict):
+            stack.extend((entry, f"{path}.{key}")
+                         for key, entry in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((value[k], f"{path}[{k}]")
+                         for k in reversed(range(len(value))))
+
+
+def _nesting_issue(text: str) -> ParseIssue:
+    """The position of the first bracket at the deepest nesting level."""
+    depth = deepest = offset = 0
+    for token in re.finditer(r'"(?:[^"\\]|\\.)*"|[\[\]{}]', text):
+        if token.group() in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, offset = depth, token.start()
+        elif token.group() in ("]", "}"):
+            depth -= 1
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseIssue(f"line {line} column {column}",
+                      f"nesting too deep to parse ({deepest} levels)")
 
 
 def parse_descriptor(text: str) -> DescriptorFile:
@@ -242,18 +268,29 @@ def parse_descriptor(text: str) -> DescriptorFile:
 
     Raises DescriptorError carrying one positioned issue per problem; a
     syntactically broken document yields a single issue with the line and
-    column reported by the JSON parser.
+    column reported by the JSON parser, and one nested too deep for the
+    parser an issue at its deepest bracket.
     """
     v = _Validator()
+    saw_float = False
+
+    def parse_float(literal: str) -> _Float:
+        nonlocal saw_float
+        saw_float = True
+        return _Float(literal)
+
     try:
-        data = json.loads(text, parse_float=_Float)
+        data = json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise DescriptorError(
             [ParseIssue(f"line {exc.lineno} column {exc.colno}", exc.msg)]
         ) from exc
+    except RecursionError:
+        raise DescriptorError([_nesting_issue(text)]) from None
     if not isinstance(data, dict):
         raise DescriptorError([ParseIssue("$", "top-level object required")])
-    _check_floats(data, "$", v)
+    if saw_float:
+        _check_floats(data, v)
     if v.issues:
         raise DescriptorError(v.issues)
     _reject_unknown(v, data, _TOP_FIELDS, "$")

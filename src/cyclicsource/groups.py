@@ -7,6 +7,7 @@ referred to by their chain index i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -38,6 +39,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# The largest group order, in decimal digits.  CPython converts ints of at
+# most 4,300 digits to and from str (sys.get_int_max_str_digits), so the
+# program could not print a larger order or a module size it computes.
+MAX_ORDER_DIGITS = 4300
+
+
+def order_too_large(p: int, ell: int) -> bool:
+    """True when p^ell (p >= 2) has more than MAX_ORDER_DIGITS digits.
+
+    Decided from ell * log10(p), whose rounding error is far below 1e-6;
+    only that close to the limit, where p^ell has about MAX_ORDER_DIGITS
+    digits, is the power computed to settle the comparison exactly.
+    """
+    estimate = ell * math.log10(p)
+    if abs(estimate - MAX_ORDER_DIGITS) > 1e-6:
+        return estimate > MAX_ORDER_DIGITS
+    return p ** ell >= 10 ** MAX_ORDER_DIGITS
+
+
 @dataclass(frozen=True, order=True)
 class GroupSpec:
     """A cyclic group of order p^ell.
@@ -54,6 +74,9 @@ class GroupSpec:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.ell < 0:
             raise ValueError(f"ell must be non-negative, got {self.ell}")
+        if order_too_large(self.p, self.ell):
+            raise ValueError(f"p^ell must have at most {MAX_ORDER_DIGITS} "
+                             f"digits, got p = {self.p}, ell = {self.ell}")
 
     @property
     def order(self) -> int:

@@ -523,10 +523,6 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
     raise AssertionError("no single chain summand covers the target")
 
 
-def heller_oracle(m: ModuleSum, cap: int | None = None) -> ModuleSum:
-    return relative_heller_oracle(m, 0, cap)
-
-
 def is_endo_permutation(m: ModuleSum, cap: int | None = None) -> bool:
     """True iff End(M) = M (x) M* is a permutation module.  J_n is
     self-dual, so the endomorphism module is the tensor square."""

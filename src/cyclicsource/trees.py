@@ -55,7 +55,8 @@ class TypeFunction:
 
 def validate(t: BrauerTree) -> list[str]:
     """All structural and numerical invariants; each violation is named.
-    An empty list means the tree is valid."""
+    An empty list means the tree is valid.  Runs in time linear in the size
+    of the planar orders."""
     violations: list[str] = []
     vset = set(t.vertices)
     if len(vset) != len(t.vertices):
@@ -66,21 +67,23 @@ def validate(t: BrauerTree) -> list[str]:
     for v in t.planar:
         if v not in vset:
             violations.append(f"planar order for unknown vertex {v!r}")
+    neighbour_sets = {v: set(ns) for v, ns in t.planar.items()}
     for v, neighbours in t.planar.items():
-        if len(set(neighbours)) != len(neighbours):
+        if len(neighbour_sets[v]) != len(neighbours):
             violations.append(f"repeated neighbour in cyclic order at {v!r}")
         for w in neighbours:
             if w not in vset:
                 violations.append(f"edge to unknown vertex {w!r} at {v!r}")
-            elif v not in t.planar.get(w, ()):
+            elif v not in neighbour_sets.get(w, ()):
                 violations.append(f"edge {v!r}-{w!r} not mirrored at {w!r}")
-        if v in neighbours:
+        if v in neighbour_sets[v]:
             violations.append(f"loop at {v!r}")
     if violations:
         return violations
 
-    edges = t.edges
-    e = len(edges)
+    # every edge is mirrored and no order repeats a vertex or holds a loop,
+    # so each edge appears exactly twice
+    e = sum(len(ns) for ns in t.planar.values()) // 2
     if e < 1:
         violations.append("no edges")
     if len(vset) != e + 1:
@@ -164,7 +167,7 @@ def _center(t: BrauerTree) -> list[str]:
     degree = {v: len(t.planar.get(v, ())) for v in t.vertices}
     remaining = set(t.vertices)
     leaves = [v for v in remaining if degree[v] <= 1]
-    while len(remaining) > 2:
+    while len(remaining) > 2 and leaves:  # no leaves: a cycle, not a tree
         next_leaves = []
         for v in leaves:
             remaining.discard(v)
@@ -177,29 +180,83 @@ def _center(t: BrauerTree) -> list[str]:
     return sorted(remaining)
 
 
-def _unordered_code(t: BrauerTree, v: str, parent: str | None):
-    children = [w for w in t.planar.get(v, ()) if w != parent]
-    return tuple(sorted(_unordered_code(t, w, v) for w in children))
+def _least_rotation(seq) -> int:
+    """Start of the lexicographically least rotation of `seq`, in O(len(seq))
+    comparisons (K. S. Booth, Inf. Process. Lett. 10(4), 1980)."""
+    doubled = list(seq) * 2
+    failure = [-1] * len(doubled)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(doubled)):
+        item = doubled[j]
+        i = failure[j - k - 1]
+        while i != -1 and item != doubled[k + i + 1]:
+            if item < doubled[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if item != doubled[k + i + 1]:  # here i == -1
+            if item < doubled[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return k
 
 
-def _min_rotation(seq: tuple) -> tuple:
-    if not seq:
-        return seq
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+def _rooted_code(t: BrauerTree, root: str, planar: bool) -> tuple[int, ...]:
+    """Flat canonical code of `t` rooted at `root`.
 
+    AHU ranks (Aho, Hopcroft and Ullman, 1974), level by level from the
+    deepest: a vertex's key is the tuple of its children's ranks, sorted
+    when `planar` is false and in cyclic order after the parent when it is
+    true, and its rank is the position of its key among the distinct keys of
+    its level.  Rank order is the lexicographic order of keys, so ranks do
+    not depend on the vertex names, and at the root of a planar code the
+    cyclic order is read from its least rotation.  The code lists every
+    level's keys in sorted order, each key ended by -1 and each level by -2;
+    the tree can be rebuilt from it up to isomorphism, so equal codes mean
+    isomorphic rooted trees.  No recursion, and O(E log E) time for the
+    sorts.  Raises ValueError on a graph with a cycle.
+    """
+    # breadth-first levels; a vertex's children follow its parent in its
+    # cyclic order
+    children = {root: t.planar.get(root, ())}
+    levels = [[root]]
+    reached = 1
+    while True:
+        below = []
+        for v in levels[-1]:
+            for w in children[v]:
+                order = t.planar[w]
+                idx = order.index(v)
+                children[w] = order[idx + 1:] + order[:idx]
+            below.extend(children[v])
+        if not below:
+            break
+        reached += len(below)
+        if reached > len(t.vertices):
+            raise ValueError("not a tree: graph has a cycle")
+        levels.append(below)
 
-def _planar_code(t: BrauerTree, v: str, parent: str | None):
-    order = t.planar.get(v, ())
-    if parent is None:
-        children = order
-    else:
-        idx = order.index(parent)
-        children = order[idx + 1 :] + order[:idx]
-    codes = tuple(_planar_code(t, w, v) for w in children)
-    if parent is None:
-        # the embedding fixes only the cyclic order at the root
-        codes = _min_rotation(codes)
-    return codes
+    code: list[int] = []
+    rank: dict[str, int] = {}
+    for level in reversed(levels):
+        if planar:
+            keys = [tuple(map(rank.__getitem__, children[v])) for v in level]
+        else:
+            keys = [tuple(sorted(map(rank.__getitem__, children[v])))
+                    for v in level]
+        if planar and level is levels[0]:
+            # the embedding fixes only the cyclic order at the root
+            start = _least_rotation(keys[0])
+            keys[0] = keys[0][start:] + keys[0][:start]
+        position: dict[tuple[int, ...], int] = {}
+        for key in sorted(keys):
+            position.setdefault(key, len(position))
+            code.extend(key)
+            code.append(-1)
+        code.append(-2)
+        rank.update(zip(level, map(position.__getitem__, keys)))
+    return tuple(code)
 
 
 def _roots(t: BrauerTree) -> list[str]:
@@ -210,15 +267,16 @@ def _roots(t: BrauerTree) -> list[str]:
 
 def canonical_code(t: BrauerTree):
     """Embedding-free canonical form, rooted at the exceptional vertex or at
-    the center; ties between two center vertices resolve to the smaller code."""
-    code = min(_unordered_code(t, r, None) for r in _roots(t))
+    the center; ties between two center vertices resolve to the smaller code.
+    The code is a flat tuple of ints, so comparing two codes never recurses."""
+    code = min(_rooted_code(t, r, planar=False) for r in _roots(t))
     return (t.multiplicity, t.exceptional is not None, code)
 
 
 def canonical_planar_code(t: BrauerTree):
     """Canonical form preserving the oriented embedding (rotations at the
-    root allowed, reflections not)."""
-    code = min(_planar_code(t, r, None) for r in _roots(t))
+    root allowed, reflections not), flat like `canonical_code`."""
+    code = min(_rooted_code(t, r, planar=True) for r in _roots(t))
     return (t.multiplicity, t.exceptional is not None, code)
 
 

@@ -72,6 +72,30 @@ class TestInfer:
         else:
             assert json.loads(out)["trivial"] is True
 
+    @pytest.mark.parametrize("kind", ["blocks", "trees"])
+    def test_huge_ell_ends_quickly(self, capsys, tmp_path, kind):
+        record = {"label": "r", "p": 3, "ell": 10**9}
+        if kind == "blocks":
+            record["chi_values"] = [1]
+        else:
+            record.update(vertices=["a", "b"], planar={"a": ["b"], "b": ["a"]})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"version": 1, kind: [record]}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "infer", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PARSE_ERROR
+        assert f"$.{kind}[0].ell" in err and "4300 digits" in err
+
+    def test_deep_json_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"version": 1, "blocks": ' + "[" * 3000
+                        + "]" * 3000 + "}")
+        code, out, err = run(capsys, "infer", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert "parse error at line 1 column" in err and "nesting" in err
+        assert out == ""
+
     def test_record_error_exit_one_batch_isolated(self, capsys):
         code, out, _ = run(capsys, "--format", "json-lines",
                            "infer", fixture("record_error_zero_chi.json"))
@@ -193,6 +217,44 @@ class TestTree:
         assert code == EXIT_RECORD_ERROR
         assert "not found" in err
 
+    def _compare(self, capsys, tmp_path, first, second):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"version": 1, "trees": [first, second]}))
+        code, out, err = run(capsys, "--format", "json-lines", "tree",
+                             "compare", str(path), first["label"],
+                             second["label"])
+        assert code == EXIT_OK, err
+        record = json.loads(out)
+        return record["similar"], record["planar_isomorphic"]
+
+    @staticmethod
+    def _record(label, edges, names, p, exceptional=None, m=1):
+        planar = {v: [] for v in names}
+        for a, b in edges:
+            planar[names[a]].append(names[b])
+            planar[names[b]].append(names[a])
+        return {"label": label, "p": p, "ell": 1, "vertices": names,
+                "planar": planar, "exceptional": exceptional,
+                "multiplicity": m}
+
+    def test_compare_deep_path(self, capsys, tmp_path):
+        # 1,001 edges deep from the exceptional vertex at one end
+        edges = [(k, k + 1) for k in range(1001)]
+        names = [f"v{k}" for k in range(1002)]
+        other = [f"w{(k * 7) % 1002}" for k in range(1002)]
+        first = self._record("a", edges, names, 2003, names[0], 2)
+        second = self._record("b", edges, other, 2003, other[0], 2)
+        assert self._compare(capsys, tmp_path, first, second) == (True, True)
+
+    def test_compare_star_with_double_star(self, capsys, tmp_path):
+        names = [f"v{k}" for k in range(4001)]
+        star_edges = [(0, k) for k in range(1, 4001)]
+        double_edges = [(0, 1)] + [(0, k) for k in range(2, 2001)] + \
+            [(1, k) for k in range(2001, 4001)]
+        first = self._record("star", star_edges, names, 4001)
+        second = self._record("double", double_edges, names, 4001)
+        assert self._compare(capsys, tmp_path, first, second) == (False, False)
+
     def test_emit_star_round_trip(self, capsys):
         code, out, _ = run(capsys, "tree", "emit-star", "2", "4", "3", "2")
         assert code == EXIT_OK
@@ -230,6 +292,16 @@ class TestDade:
                            "add", "01", "10")
         assert code == EXIT_OK
         assert "alpha=10" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("dade", "--p", "4", "--ell", "1", "add", "0", "1"),
+        ("verify", "--p", "3", "--ell", str(10**9)),
+        ("tree", "emit-star", "2", "1", "3", str(10**9)),
+    ])
+    def test_bad_group_arguments_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE_ERROR
+        assert err.startswith("argument error:") and out == ""
 
     def test_bad_alpha(self, capsys):
         code, _, err = run(capsys, "dade", "--p", "3", "--ell", "2",

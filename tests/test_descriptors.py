@@ -61,6 +61,28 @@ class TestParsing:
         assert any(i.path == "$.blocks[0].chi_values[1]"
                    and i.message == "integer required" for i in issues)
 
+    def test_floats_reported_in_document_order(self):
+        issues = issues_of(
+            '{"version": 1, "blocks": [{"p": 3, "ell": 2, "chi_values": '
+            '[1.0, 2, 3.5]}], "trees": [{"multiplicity": 1e3}]}')
+        assert [i.path for i in issues] == [
+            "$.blocks[0].chi_values[0]", "$.blocks[0].chi_values[2]",
+            "$.trees[0].multiplicity"]
+
+    def test_too_deep_positioned(self):
+        text = '{"version": 1,\n "trees": ' + "[" * 3000 + "]" * 3000 + "}"
+        issues = issues_of(text)
+        assert len(issues) == 1
+        assert issues[0].path == "line 2 column 3010"
+        assert "nesting too deep" in issues[0].message
+
+    def test_ell_bounded_by_order_digits(self):
+        issues = issues_of('{"version": 1, "blocks": [{"p": 2, "ell": 14285}]}')
+        assert [(i.path, i.message) for i in issues] == [
+            ("$.blocks[0].ell", "p^ell must have at most 4300 digits")]
+        doc = parse_descriptor('{"version": 1, "blocks": [{"p": 2, "ell": 14284}]}')
+        assert len(str(doc.blocks[0].group.order)) == 4300
+
     def test_nonprime_p(self):
         issues = issues_of(load("bad_nonprime.json"))
         assert any(i.path == "$.blocks[0].p"

@@ -2,7 +2,13 @@
 
 import pytest
 
-from cyclicsource.groups import PRIME_LIMIT, GroupSpec, is_prime
+from cyclicsource.groups import (
+    MAX_ORDER_DIGITS,
+    PRIME_LIMIT,
+    GroupSpec,
+    is_prime,
+    order_too_large,
+)
 
 
 def sieve(limit):
@@ -36,3 +42,17 @@ class TestIsPrime:
             is_prime(PRIME_LIMIT)  # no factor among the 13 bases
         with pytest.raises(ValueError, match="too large"):
             GroupSpec(10**46 + 1, 1)
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize("p, ell", [(2, 14284), (2, 14285), (3, 9012),
+                                        (3, 9013), (1000003, 716),
+                                        (1000003, 717), (10, 4299), (10, 4300)])
+    def test_agrees_with_the_power(self, p, ell):
+        # (10, 4300) sits exactly on the limit, where the power settles it
+        assert order_too_large(p, ell) == (p**ell >= 10**MAX_ORDER_DIGITS)
+
+    def test_group_rejects_huge_ell(self):
+        with pytest.raises(ValueError, match="4300 digits"):
+            GroupSpec(3, 10**9)
+        assert GroupSpec(3, 9012).ell == 9012

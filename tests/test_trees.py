@@ -1,12 +1,15 @@
 """Planar Brauer trees: validation, type functions, comparison."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicsource.groups import GroupSpec
 from cyclicsource.trees import (
     BrauerTree,
+    _least_rotation,
     canonical_code,
     canonical_planar_code,
     planar_isomorphic,
@@ -243,3 +246,120 @@ class TestStronglySimilar:
         t2 = star(2, 2, GroupSpec(5, 1))
         assert not strongly_similar((t1, self._wresult(1)),
                                     (t2, self._wresult(1)))
+
+
+class TestLeastRotation:
+    @given(st.lists(st.integers(0, 2), max_size=40))
+    def test_agrees_with_min_over_rotations(self, seq):
+        k = _least_rotation(seq)
+        rotations = [seq[i:] + seq[:i] for i in range(len(seq))] or [[]]
+        assert seq[k:] + seq[:k] == min(rotations)
+
+    def test_repeated_blocks(self):
+        for seq in ([1, 1, 1], [2, 1, 2, 1], [0, 1, 0, 0, 1, 0], [3, 0, 3, 0, 0]):
+            k = _least_rotation(seq)
+            assert seq[k:] + seq[:k] == min(seq[i:] + seq[:i]
+                                            for i in range(len(seq)))
+
+
+@st.composite
+def planar_trees(draw, max_vertices=40):
+    """A labelled tree with a drawn cyclic order at every vertex and,
+    sometimes, an exceptional vertex of multiplicity 2."""
+    n = draw(st.integers(1, max_vertices))
+    names = [f"v{k}" for k in range(n)]
+    adj = {v: [] for v in names}
+    for k in range(1, n):
+        parent = names[draw(st.integers(0, k - 1))]
+        adj[parent].append(names[k])
+        adj[names[k]].append(parent)
+    planar = {v: tuple(draw(st.permutations(ns))) for v, ns in adj.items()}
+    exceptional = draw(st.one_of(st.none(), st.sampled_from(names)))
+    return BrauerTree(tuple(names), planar, C7,
+                      multiplicity=2 if exceptional else 1,
+                      exceptional=exceptional)
+
+
+def rotate_orders(t, shifts):
+    return BrauerTree(
+        t.vertices,
+        {v: ns[s % len(ns):] + ns[:s % len(ns)] if ns else ns
+         for (v, ns), s in zip(t.planar.items(), shifts)},
+        t.defect, multiplicity=t.multiplicity, exceptional=t.exceptional,
+    )
+
+
+def brute_force_isomorphic(t1, t2, planar):
+    """A bijection of vertices carrying edges, the exceptional vertex and,
+    when `planar`, every cyclic order (up to rotation) of t1 onto t2."""
+    if (len(t1.vertices) != len(t2.vertices)
+            or t1.multiplicity != t2.multiplicity
+            or (t1.exceptional is None) != (t2.exceptional is None)):
+        return False
+    for image in itertools.permutations(t2.vertices):
+        f = dict(zip(t1.vertices, image))
+        if t1.exceptional is not None and f[t1.exceptional] != t2.exceptional:
+            continue
+        ok = True
+        for v in t1.vertices:
+            mapped = tuple(f[w] for w in t1.planar.get(v, ()))
+            target = t2.planar.get(f[v], ())
+            if planar:
+                doubled = target + target
+                ok = len(mapped) == len(target) and any(
+                    doubled[i:i + len(target)] == mapped
+                    for i in range(max(len(target), 1)))
+            else:
+                ok = sorted(mapped) == sorted(target)
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+class TestCanonicalCodeProperties:
+    @given(planar_trees(), st.randoms(use_true_random=False),
+           st.lists(st.integers(0, 40), min_size=40, max_size=40))
+    def test_invariant_under_relabelling_and_rotation(self, t, rng, shifts):
+        names = list(t.vertices)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        u = rotate_orders(relabel(t, dict(zip(names, shuffled))), shifts)
+        assert canonical_code(u) == canonical_code(t)
+        assert canonical_planar_code(u) == canonical_planar_code(t)
+        assert canonical_code(mirror(t)) == canonical_code(t)
+
+    @given(planar_trees(), planar_trees())
+    def test_planar_isomorphic_implies_similar(self, t1, t2):
+        for u in (t2, mirror(t1)):
+            if planar_isomorphic(t1, u):
+                assert similar(t1, u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planar_trees(max_vertices=7), planar_trees(max_vertices=7),
+           st.booleans())
+    def test_agrees_with_brute_force(self, t1, t2, use_mirror):
+        if use_mirror:  # a pair that is similar, and planar only sometimes
+            t2 = mirror(t1)
+        assert similar(t1, t2) == brute_force_isomorphic(t1, t2, planar=False)
+        assert planar_isomorphic(t1, t2) == \
+            brute_force_isomorphic(t1, t2, planar=True)
+
+    def test_deep_path_compares(self):
+        # 3,000 edges from the root: a nested code would overflow the stack
+        names = [f"p{k}" for k in range(3001)]
+        t = path_tree(names, GroupSpec(3001, 1), exceptional=names[0])
+        u = relabel(t, {v: f"q{k}" for k, v in enumerate(reversed(names))})
+        assert similar(t, u) and planar_isomorphic(t, u)
+        assert not similar(t, path_tree(names, GroupSpec(3001, 1),
+                                        exceptional=names[1]))
+
+    def test_cycle_is_an_error(self):
+        tree = BrauerTree(("a", "b", "c"),
+                          {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
+                          GroupSpec(3, 1))
+        with pytest.raises(ValueError, match="not a tree"):
+            canonical_code(tree)
+        with pytest.raises(ValueError, match="not a tree"):
+            canonical_planar_code(tree)
