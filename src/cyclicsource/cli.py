@@ -9,7 +9,8 @@ Commands:
     dade add|signs|module ...  Dade group arithmetic on bit vectors
 
 Exit codes: 0 success, 1 per-record analysis error or failed check,
-2 parse failure (of a file, or of the group given by --p and --ell).
+2 parse failure (of a file, of the group given by --p and --ell, or of the
+oracle capacity).
 Reports render as human-readable text or as one JSON object per line
 (`--format json-lines`), byte-deterministic for fixed input.
 """
@@ -30,7 +31,7 @@ from .descriptors import (
     tree_record,
 )
 from .groups import GroupSpec
-from .oracle import OracleCapacityError, check_capacity
+from .oracle import OracleCapacityError, capacity_limit, check_capacity
 
 EXIT_OK = 0
 EXIT_RECORD_ERROR = 1
@@ -60,7 +61,7 @@ def _read_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
 
@@ -116,7 +117,11 @@ def cmd_verify(args) -> int:
     group = _group(args.p, args.ell)
     if group is None:
         return EXIT_PARSE_ERROR
-    cap = args.oracle_cap
+    try:
+        cap = capacity_limit(args.oracle_cap, "--oracle-cap")
+    except ValueError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         check_capacity(group.order, cap)
         results = verify.run_suites(group, args.suite or None, cap)

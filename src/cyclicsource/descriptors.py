@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .blocks import BlockDescriptor
@@ -172,6 +173,16 @@ def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
         return None
 
 
+def _strings(v: _Validator, items: list, path: str, key: str) -> bool:
+    """Whether every entry of the array at `path`.`key` is a string; the
+    first one that is not is reported, and only then is its path built."""
+    for k, entry in enumerate(items):
+        if not isinstance(entry, str):
+            v.fail(f"{path}.{key}[{k}]", "string required")
+            return False
+    return True
+
+
 def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
     if not isinstance(record, dict):
         v.fail(path, "object required")
@@ -184,28 +195,20 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
     if not isinstance(raw_vertices, list):
         v.fail(f"{path}.vertices", "array required")
         return None
-    vertices = []
-    for k, entry in enumerate(raw_vertices):
-        name = v.require_str(entry, f"{path}.vertices[{k}]")
-        if name is None:
-            return None
-        vertices.append(name)
+    if not _strings(v, raw_vertices, path, "vertices"):
+        return None
     raw_planar = record.get("planar")
     if not isinstance(raw_planar, dict):
         v.fail(f"{path}.planar", "object required")
         return None
-    planar = {}
+    planar_path = f"{path}.planar"
     for vertex, neighbours in raw_planar.items():
         if not isinstance(neighbours, list):
-            v.fail(f"{path}.planar.{vertex}", "array required")
+            v.fail(f"{planar_path}.{vertex}", "array required")
             return None
-        out = []
-        for k, entry in enumerate(neighbours):
-            name = v.require_str(entry, f"{path}.planar.{vertex}[{k}]")
-            if name is None:
-                return None
-            out.append(name)
-        planar[vertex] = tuple(out)
+        if not _strings(v, neighbours, planar_path, vertex):
+            return None
+    planar = {vertex: tuple(ns) for vertex, ns in raw_planar.items()}
     exceptional = None
     if record.get("exceptional") is not None:
         exceptional = v.require_str(record["exceptional"], f"{path}.exceptional")
@@ -222,7 +225,7 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
         v.fail(f"{path}.label", "string required")
         return None
     return BrauerTree(
-        vertices=tuple(vertices),
+        vertices=tuple(raw_vertices),
         planar=planar,
         defect=group,
         multiplicity=multiplicity,
@@ -247,20 +250,43 @@ def _check_floats(data, v: _Validator) -> None:
                          for k in reversed(range(len(value))))
 
 
+# a JSON string, or a JSON number split into its integer digits and the
+# rest (fraction and exponent, empty for an integer literal)
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_NUMBER = r"-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)"
+
+
+def _position(text: str, offset: int) -> str:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"line {line} column {column}"
+
+
 def _nesting_issue(text: str) -> ParseIssue:
     """The position of the first bracket at the deepest nesting level."""
     depth = deepest = offset = 0
-    for token in re.finditer(r'"(?:[^"\\]|\\.)*"|[\[\]{}]', text):
+    for token in re.finditer(_STRING + r"|[\[\]{}]", text):
         if token.group() in ("[", "{"):
             depth += 1
             if depth > deepest:
                 deepest, offset = depth, token.start()
         elif token.group() in ("]", "}"):
             depth -= 1
-    line = text.count("\n", 0, offset) + 1
-    column = offset - text.rfind("\n", 0, offset)
-    return ParseIssue(f"line {line} column {column}",
+    return ParseIssue(_position(text, offset),
                       f"nesting too deep to parse ({deepest} levels)")
+
+
+def _long_int_issue(text: str) -> ParseIssue:
+    """The position of the first integer literal with more digits than the
+    interpreter converts (sys.get_int_max_str_digits())."""
+    limit = sys.get_int_max_str_digits()
+    for token in re.finditer(f"{_STRING}|{_NUMBER}", text):
+        digits, rest = token.group(1, 2)
+        if digits and not rest and len(digits) > limit:
+            return ParseIssue(_position(text, token.start()),
+                              f"integer literal of {len(digits)} digits, "
+                              f"more than {limit}")
+    raise AssertionError("no integer literal over the digit limit")
 
 
 def parse_descriptor(text: str) -> DescriptorFile:
@@ -268,8 +294,9 @@ def parse_descriptor(text: str) -> DescriptorFile:
 
     Raises DescriptorError carrying one positioned issue per problem; a
     syntactically broken document yields a single issue with the line and
-    column reported by the JSON parser, and one nested too deep for the
-    parser an issue at its deepest bracket.
+    column reported by the JSON parser, one nested too deep for the parser
+    an issue at its deepest bracket, and an integer literal too long to
+    convert an issue at that literal.
     """
     v = _Validator()
     saw_float = False
@@ -287,6 +314,8 @@ def parse_descriptor(text: str) -> DescriptorFile:
         ) from exc
     except RecursionError:
         raise DescriptorError([_nesting_issue(text)]) from None
+    except ValueError:  # an integer literal over the int<->str digit limit
+        raise DescriptorError([_long_int_issue(text)]) from None
     if not isinstance(data, dict):
         raise DescriptorError([ParseIssue("$", "top-level object required")])
     if saw_float:

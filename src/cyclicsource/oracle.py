@@ -36,13 +36,22 @@ class NotCappedError(ValueError):
     pass
 
 
-def capacity_limit(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAPACITY_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAPACITY
+def capacity_limit(cap: int | None = None, source: str = "cap") -> int:
+    """The oracle capacity in matrix entries: `cap` (named `source` in
+    errors) if given, else $CYCLICSOURCE_ORACLE_CAP, else the default.
+    Anything but a positive integer is a ValueError."""
+    if cap is None:
+        env = os.environ.get(CAPACITY_ENV)
+        if env is None:
+            return DEFAULT_CAPACITY
+        source = CAPACITY_ENV
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = env
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {cap!r}")
+    return cap
 
 
 def check_capacity(dim: int, cap: int | None = None) -> None:
@@ -166,27 +175,6 @@ def column_space(a: np.ndarray, p: int) -> np.ndarray:
     return _echelon(a, p)[0]
 
 
-def rank_mod(a: np.ndarray, p: int) -> int:
-    return len(_echelon(a, p)[1])
-
-
-def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Nullspace basis of `a` mod p, as columns.
-
-    The basis is in the standard RREF form: the rows indexed by the returned
-    free-column list carry an identity block, so coordinates of any vector in
-    the nullspace with respect to this basis can be read off those rows.
-    """
-    # a = a[:, pivots] @ coeffs.T, with coeffs[pivots] the identity
-    coeffs, pivots = _echelon(a.T, p)
-    n = a.shape[1]
-    free = sorted(set(range(n)) - set(pivots))
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots] = (-coeffs[free].T) % p
-    return basis, free
-
-
 # ---------------------------------------------------------------------------
 # matrix modules
 
@@ -291,10 +279,10 @@ def jordan_type(m: MatrixModule, cap: int | None = None) -> ModuleSum:
 
 @lru_cache(maxsize=4096)
 def _tensor_pair(p: int, ell: int, n1: int, n2: int, limit: int) -> tuple[int, ...]:
+    check_capacity(n1 * n2, limit)
     group = GroupSpec(p, ell)
     a = realize(ModuleSum(group, (n1,)), limit)
     b = realize(ModuleSum(group, (n2,)), limit)
-    check_capacity(n1 * n2, limit)
     kron = MatrixModule(group, np.kron(a.action, b.action))
     return jordan_type(kron, limit).parts
 
@@ -326,36 +314,28 @@ def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     return jordan_type(MatrixModule(m.group.subgroup(i), power), cap)
 
 
-def induced_action(part: int, sub: GroupSpec, group: GroupSpec,
-                   cap: int | None = None) -> MatrixModule:
-    """Explicit matrix of the induced module Ind_{D_i}^D J_part.
+@lru_cache(maxsize=None)
+def _induced_jordan(p: int, ell: int, i: int, a: int, limit: int) -> tuple[int, ...]:
+    """Jordan type of Ind_{D_i}^D J_a on its explicit matrix.
 
     Basis g^j (x) e_t with j < q = [D : D_i]; the generator shifts j and
-    wraps through the action of g^q = generator of D_i on J_part.
+    wraps through the action of g^q, the generator of D_i, on J_a.
     """
-    if sub.p != group.p or sub.ell > group.ell:
-        raise ValueError(f"{sub} is not a subgroup of {group}")
-    if not 1 <= part <= sub.order:
-        raise ValueError(f"part {part} exceeds subgroup order {sub.order}")
-    q = group.p ** (group.ell - sub.ell)
-    dim = part * q
-    check_capacity(dim, cap)
-    block = _shift_block(part, group.p)
-    a = np.zeros((dim, dim), dtype=np.int64)
-    eye = np.eye(part, dtype=np.int64)
-    for j in range(q - 1):
-        a[(j + 1) * part : (j + 2) * part, j * part : (j + 1) * part] = eye
-    # the wrap-around factor is the action of g^q, the generator of D_i
-    a[0:part, (q - 1) * part : q * part] = block
-    return MatrixModule(group, a)
+    dim = a * p ** (ell - i)
+    check_capacity(dim, limit)
+    action = np.eye(dim, k=-a, dtype=np.int64)
+    action[:a, dim - a :] = _shift_block(a, p)
+    return jordan_type(MatrixModule(GroupSpec(p, ell), action), limit).parts
 
 
 def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> ModuleSum:
     """Induction computed on the explicit block matrices, part by part."""
+    if m.group.p != to.p or m.group.ell > to.ell:
+        raise ValueError(f"{m.group} is not a subgroup of {to}")
+    limit = capacity_limit(cap)
     parts: list[int] = []
     for n in m.parts:
-        mod = induced_action(n, m.group, to, cap)
-        parts.extend(jordan_type(mod, cap).parts)
+        parts.extend(_induced_jordan(to.p, to.ell, m.group.ell, n, limit))
     return ModuleSum(to, tuple(parts))
 
 
@@ -372,13 +352,6 @@ def _uniserial_kernel_type(m: int, n: int, group: GroupSpec,
     mat = realize(ModuleSum(group, (m,)), cap).action
     sub = mat[n:, n:]
     return jordan_type(MatrixModule(group, sub), cap).parts
-
-
-@lru_cache(maxsize=None)
-def _induced_jordan(p: int, ell: int, i: int, a: int, limit: int) -> tuple[int, ...]:
-    group = GroupSpec(p, ell)
-    mod = induced_action(a, group.subgroup(i), group, limit)
-    return jordan_type(mod, limit).parts
 
 
 @lru_cache(maxsize=None)
@@ -422,107 +395,6 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
     return ModuleSum(m.group, tuple(out))
 
 
-def jordan_chains(n_mat: np.ndarray, p: int) -> list[list[np.ndarray]]:
-    """An explicit Jordan basis of a nilpotent matrix, as chains
-    [v, Nv, ..., N^(s-1)v] with N^s v = 0.
-
-    Works down from the top nilpotency degree: new chain tops at height s
-    are vectors of ker(N^s) independent of ker(N^(s-1)) and of the images
-    at height s of the already chosen taller chains, found as the
-    independent rows after those in one elimination.
-    """
-    d = n_mat.shape[0]
-    if d == 0:
-        return []
-    kernels = []
-    power = n_mat % p
-    while True:
-        basis, _ = nullspace_mod(power, p)
-        kernels.append(basis)
-        if basis.shape[1] == d:
-            break
-        power = matmul_mod(power, n_mat, p)
-    tops: list[tuple[np.ndarray, int]] = []  # (vector, height)
-    images = np.zeros((0, d), dtype=np.int64)  # tops moved down to height s
-    for s in range(len(kernels), 0, -1):
-        below = kernels[s - 2].T if s >= 2 else images[:0]
-        stack = np.vstack([below, images, kernels[s - 1].T])
-        covered = below.shape[0] + images.shape[0]
-        new = [stack[q] for q in _echelon(stack, p)[1] if q >= covered]
-        tops.extend((v, s) for v in new)
-        images = np.vstack([images, *new])
-        images = matmul_mod(images, n_mat.T, p)
-    chains = []
-    for top, height in tops:
-        chain = [top]
-        for _ in range(height - 1):
-            chain.append(matmul_mod(n_mat, chain[-1][:, None], p)[:, 0])
-        chains.append(chain)
-    if sum(len(c) for c in chains) != d:
-        raise AssertionError("Jordan chains do not span the space")
-    return chains
-
-
-def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
-                                  cap: int | None = None) -> ModuleSum:
-    """Kernel of the explicit counit Ind_{D_i}^D Res_{D_i} J_n ->> J_n,
-    minimized over direct summands.
-
-    The counit cover is decomposed into explicit Jordan chains; the shortest
-    chain-spanned summand on which the counit stays surjective is the
-    minimized cover, and the kernel of the restricted surjection is
-    decomposed by the rank sequence.  Heavier than `relative_heller_oracle`
-    (the whole nq-dimensional module is decomposed) and used to
-    cross-check it.
-    """
-    if not 0 <= i <= group.ell:
-        raise ValueError(f"subgroup index {i} out of range 0..{group.ell}")
-    p = group.p
-    q = group.p ** (group.ell - i)
-    dim = n * q
-    check_capacity(dim, cap)
-    block = _shift_block(n, p)
-    # induced-restricted module: q blocks of the restricted space, the
-    # generator shifts blocks and wraps through A^q
-    big = np.zeros((dim, dim), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    a_q = matpow_mod(block, q, p)
-    for j in range(q - 1):
-        big[(j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = eye
-    big[0:n, (q - 1) * n : q * n] = a_q
-    nilpotent = (big - np.eye(dim, dtype=np.int64)) % p
-    chains = jordan_chains(nilpotent, p)
-    lengths = tuple(sorted((len(c) for c in chains), reverse=True))
-    if lengths != jordan_type(MatrixModule(group, big), cap).parts:
-        raise AssertionError("Jordan chains disagree with the rank sequence")
-    # counit: g^j (x) v  |->  A^j v
-    eps = np.zeros((n, dim), dtype=np.int64)
-    a_pow = np.eye(n, dtype=np.int64)
-    for j in range(q):
-        eps[:, j * n : (j + 1) * n] = a_pow
-        a_pow = matmul_mod(a_pow, block, p)
-    # minimize: shortest chain summand still covering the target (the
-    # target is uniserial, so some single chain always surjects)
-    usable = sorted((c for c in chains if len(c) >= n), key=len)
-    for chain in usable:
-        span = np.column_stack(chain)
-        basis, _ = nullspace_mod(matmul_mod(eps, span, p), p)
-        if len(chain) - basis.shape[1] < n:
-            continue
-        kernel_vecs = matmul_mod(span, basis, p)  # in ambient coordinates
-        if kernel_vecs.shape[1] == 0:
-            return ModuleSum(group, ())
-        # action of the generator on the kernel, in the coordinates read off
-        # the identity rows of the echelon basis
-        coords, rows = _echelon(kernel_vecs, p)
-        image = matmul_mod(big, coords, p)
-        action = image[rows]
-        if not np.array_equal(matmul_mod(coords, action, p), image):
-            raise AssertionError("counit kernel is not invariant under the action")
-        return jordan_type(MatrixModule(group, action), cap)
-    raise AssertionError("no single chain summand covers the target")
-
-
 def is_endo_permutation(m: ModuleSum, cap: int | None = None) -> bool:
     """True iff End(M) = M (x) M* is a permutation module.  J_n is
     self-dual, so the endomorphism module is the tensor square."""
@@ -531,14 +403,13 @@ def is_endo_permutation(m: ModuleSum, cap: int | None = None) -> bool:
     return is_permutation(tensor_decompose(m, m, cap))
 
 
-def cap_part(m: ModuleSum, check_endo: bool = False,
-             cap: int | None = None) -> int:
+def cap_part(m: ModuleSum) -> int:
     """The unique part with full vertex (size coprime to p), if it exists.
 
     For a capped endo-permutation module this is its cap.  Uniqueness is up
     to isomorphism: repeated copies of one coprime size are fine, two
-    different coprime sizes are not.  The (expensive) endo-permutation check
-    via the tensor oracle is opt-in.
+    different coprime sizes are not.  Whether m is endo-permutation at all
+    is `is_endo_permutation`'s question.
     """
     if not m.parts:
         raise NotCappedError("not capped endo-permutation: zero module")
@@ -547,7 +418,4 @@ def cap_part(m: ModuleSum, check_endo: bool = False,
         raise NotCappedError(
             f"not capped endo-permutation: full-vertex parts {sorted(coprime)}"
         )
-    if check_endo and not is_endo_permutation(m, cap):
-        raise NotCappedError("not capped endo-permutation: tensor square "
-                             "is not a permutation module")
     return coprime.pop()

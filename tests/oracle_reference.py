@@ -1,0 +1,148 @@
+"""Reference implementations that the oracle tests compare against.
+
+`relative_heller_oracle_counit` computes the relative syzygy the long way,
+from the explicit counit Ind_{D_i}^D Res_{D_i} J_n ->> J_n and an explicit
+Jordan basis of its source, independently of the composite
+`oracle.relative_heller_oracle` and of the closed forms in
+`cyclicsource.modules`.  It and its helpers `jordan_chains`,
+`nullspace_mod` and `rank_mod` run on the oracle's one elimination kernel,
+so they also exercise that kernel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cyclicsource.groups import GroupSpec
+from cyclicsource.modules import ModuleSum
+from cyclicsource.oracle import (
+    MatrixModule,
+    _echelon,
+    _shift_block,
+    check_capacity,
+    jordan_type,
+    matmul_mod,
+    matpow_mod,
+)
+
+
+def rank_mod(a: np.ndarray, p: int) -> int:
+    return len(_echelon(a, p)[1])
+
+
+def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Nullspace basis of `a` mod p, as columns.
+
+    The basis is in the standard RREF form: the rows indexed by the returned
+    free-column list carry an identity block, so coordinates of any vector in
+    the nullspace with respect to this basis can be read off those rows.
+    """
+    # a = a[:, pivots] @ coeffs.T, with coeffs[pivots] the identity
+    coeffs, pivots = _echelon(a.T, p)
+    n = a.shape[1]
+    free = sorted(set(range(n)) - set(pivots))
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = (-coeffs[free].T) % p
+    return basis, free
+
+
+def jordan_chains(n_mat: np.ndarray, p: int) -> list[list[np.ndarray]]:
+    """An explicit Jordan basis of a nilpotent matrix, as chains
+    [v, Nv, ..., N^(s-1)v] with N^s v = 0.
+
+    Works down from the top nilpotency degree: new chain tops at height s
+    are vectors of ker(N^s) independent of ker(N^(s-1)) and of the images
+    at height s of the already chosen taller chains, found as the
+    independent rows after those in one elimination.
+    """
+    d = n_mat.shape[0]
+    if d == 0:
+        return []
+    kernels = []
+    power = n_mat % p
+    while True:
+        basis, _ = nullspace_mod(power, p)
+        kernels.append(basis)
+        if basis.shape[1] == d:
+            break
+        power = matmul_mod(power, n_mat, p)
+    tops: list[tuple[np.ndarray, int]] = []  # (vector, height)
+    images = np.zeros((0, d), dtype=np.int64)  # tops moved down to height s
+    for s in range(len(kernels), 0, -1):
+        below = kernels[s - 2].T if s >= 2 else images[:0]
+        stack = np.vstack([below, images, kernels[s - 1].T])
+        covered = below.shape[0] + images.shape[0]
+        new = [stack[q] for q in _echelon(stack, p)[1] if q >= covered]
+        tops.extend((v, s) for v in new)
+        images = np.vstack([images, *new])
+        images = matmul_mod(images, n_mat.T, p)
+    chains = []
+    for top, height in tops:
+        chain = [top]
+        for _ in range(height - 1):
+            chain.append(matmul_mod(n_mat, chain[-1][:, None], p)[:, 0])
+        chains.append(chain)
+    if sum(len(c) for c in chains) != d:
+        raise AssertionError("Jordan chains do not span the space")
+    return chains
+
+
+def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
+                                  cap: int | None = None) -> ModuleSum:
+    """Kernel of the explicit counit Ind_{D_i}^D Res_{D_i} J_n ->> J_n,
+    minimized over direct summands.
+
+    The counit cover is decomposed into explicit Jordan chains; the shortest
+    chain-spanned summand on which the counit stays surjective is the
+    minimized cover, and the kernel of the restricted surjection is
+    decomposed by the rank sequence.  Heavier than `relative_heller_oracle`
+    (the whole nq-dimensional module is decomposed) and used to
+    cross-check it.
+    """
+    if not 0 <= i <= group.ell:
+        raise ValueError(f"subgroup index {i} out of range 0..{group.ell}")
+    p = group.p
+    q = group.p ** (group.ell - i)
+    dim = n * q
+    check_capacity(dim, cap)
+    block = _shift_block(n, p)
+    # induced-restricted module: q blocks of the restricted space, the
+    # generator shifts blocks and wraps through A^q
+    big = np.zeros((dim, dim), dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    a_q = matpow_mod(block, q, p)
+    for j in range(q - 1):
+        big[(j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = eye
+    big[0:n, (q - 1) * n : q * n] = a_q
+    nilpotent = (big - np.eye(dim, dtype=np.int64)) % p
+    chains = jordan_chains(nilpotent, p)
+    lengths = tuple(sorted((len(c) for c in chains), reverse=True))
+    if lengths != jordan_type(MatrixModule(group, big), cap).parts:
+        raise AssertionError("Jordan chains disagree with the rank sequence")
+    # counit: g^j (x) v  |->  A^j v
+    eps = np.zeros((n, dim), dtype=np.int64)
+    a_pow = np.eye(n, dtype=np.int64)
+    for j in range(q):
+        eps[:, j * n : (j + 1) * n] = a_pow
+        a_pow = matmul_mod(a_pow, block, p)
+    # minimize: shortest chain summand still covering the target (the
+    # target is uniserial, so some single chain always surjects)
+    usable = sorted((c for c in chains if len(c) >= n), key=len)
+    for chain in usable:
+        span = np.column_stack(chain)
+        basis, _ = nullspace_mod(matmul_mod(eps, span, p), p)
+        if len(chain) - basis.shape[1] < n:
+            continue
+        kernel_vecs = matmul_mod(span, basis, p)  # in ambient coordinates
+        if kernel_vecs.shape[1] == 0:
+            return ModuleSum(group, ())
+        # action of the generator on the kernel, in the coordinates read off
+        # the identity rows of the echelon basis
+        coords, rows = _echelon(kernel_vecs, p)
+        image = matmul_mod(big, coords, p)
+        action = image[rows]
+        if not np.array_equal(matmul_mod(coords, action, p), image):
+            raise AssertionError("counit kernel is not invariant under the action")
+        return jordan_type(MatrixModule(group, action), cap)
+    raise AssertionError("no single chain summand covers the target")

@@ -96,6 +96,16 @@ class TestInfer:
         assert "parse error at line 1 column" in err and "nesting" in err
         assert out == ""
 
+    def test_long_integer_literal_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"version":1,"blocks":[{"p":' + "1" * 5000
+                        + ',"ell":1}]}')
+        code, out, err = run(capsys, "infer", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert err == ("parse error at line 1 column 29: integer literal of "
+                       "5000 digits, more than 4300\n")
+        assert out == ""
+
     def test_record_error_exit_one_batch_isolated(self, capsys):
         code, out, _ = run(capsys, "--format", "json-lines",
                            "infer", fixture("record_error_zero_chi.json"))
@@ -159,6 +169,33 @@ class TestVerify:
                            "verify", "--p", "3", "--ell", "1")
         assert code == EXIT_RECORD_ERROR
         assert "oracle capacity exceeded" in err
+
+    @pytest.mark.parametrize("env, flag, message", [
+        ("abc", None, "CYCLICSOURCE_ORACLE_CAP must be a positive integer, "
+                      "got 'abc'"),
+        ("0", None, "CYCLICSOURCE_ORACLE_CAP must be a positive integer, got 0"),
+        ("-5", None, "CYCLICSOURCE_ORACLE_CAP must be a positive integer, "
+                     "got -5"),
+        (None, "-3", "--oracle-cap must be a positive integer, got -3"),
+        ("16", "0", "--oracle-cap must be a positive integer, got 0"),
+    ])
+    def test_bad_capacity_is_argument_error(self, capsys, monkeypatch,
+                                            env, flag, message):
+        if env is None:
+            monkeypatch.delenv("CYCLICSOURCE_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("CYCLICSOURCE_ORACLE_CAP", env)
+        argv = ("--oracle-cap", flag) if flag is not None else ()
+        code, out, err = run(capsys, *argv, "verify", "--p", "3", "--ell", "1")
+        assert code == EXIT_PARSE_ERROR
+        assert err == f"argument error: {message}\n"
+        assert out == ""
+
+    def test_oracle_cap_flag_overrides_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLICSOURCE_ORACLE_CAP", "abc")
+        code, _, _ = run(capsys, "--oracle-cap", "81",
+                         "verify", "--p", "3", "--ell", "1")
+        assert code == EXIT_OK
 
     def test_p2_classification_reports_known_mismatch(self, capsys,
                                                       monkeypatch):

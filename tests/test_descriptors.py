@@ -76,6 +76,31 @@ class TestParsing:
         assert issues[0].path == "line 2 column 3010"
         assert "nesting too deep" in issues[0].message
 
+    def test_long_integer_literal_positioned(self):
+        # json.loads cannot convert it (CPython's 4,300-digit limit); longer
+        # floats and strings of digits before it are not at fault
+        text = ('{"version": 1, "label": "' + "9" * 5000 + '",\n "x": [1.'
+                + "2" * 5000 + ', -' + "3" * 4301 + '],\n "p": ' + "1" * 5000 + "}")
+        issues = issues_of(text)
+        assert [(i.path, i.message) for i in issues] == [
+            ("line 2 column 5012", "integer literal of 4301 digits, more than 4300")]
+        issues = issues_of('{"version":1,"blocks":[{"p":' + "1" * 5000 + ',"ell":1}]}')
+        assert [(i.path, i.message) for i in issues] == [
+            ("line 1 column 29", "integer literal of 5000 digits, more than 4300")]
+
+    @pytest.mark.parametrize("vertices, planar, expected", [
+        ('["a", 1]', '{"a": ["b"], "b": ["a"]}',
+         ("$.trees[0].vertices[1]", "string required")),
+        ('["a", "b"]', '{"a": ["b"], "b": ["a", null]}',
+         ("$.trees[0].planar.b[1]", "string required")),
+        ('["a", "b"]', '{"a": "b", "b": ["a"]}',
+         ("$.trees[0].planar.a", "array required")),
+    ])
+    def test_tree_entry_errors_positioned(self, vertices, planar, expected):
+        issues = issues_of('{"version": 1, "trees": [{"p": 3, "ell": 1, '
+                           f'"vertices": {vertices}, "planar": {planar}}}]}}')
+        assert [(i.path, i.message) for i in issues] == [expected]
+
     def test_ell_bounded_by_order_digits(self):
         issues = issues_of('{"version": 1, "blocks": [{"p": 2, "ell": 14285}]}')
         assert [(i.path, i.message) for i in issues] == [

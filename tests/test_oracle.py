@@ -25,18 +25,20 @@ from cyclicsource.oracle import (
     column_space,
     induce_oracle,
     is_endo_permutation,
-    jordan_chains,
     jordan_type,
     matmul_mod,
     matpow_mod,
-    nullspace_mod,
-    rank_mod,
     rank_profile,
     realize,
     relative_heller_oracle,
-    relative_heller_oracle_counit,
     restrict_oracle,
     tensor_decompose,
+)
+from oracle_reference import (
+    jordan_chains,
+    nullspace_mod,
+    rank_mod,
+    relative_heller_oracle_counit,
 )
 
 C3 = GroupSpec(3, 1)
@@ -381,3 +383,17 @@ class TestClosedFormsAgainstOracle:
         # minimized kernel still matches the closed form J_1
         got = relative_heller_oracle_counit(3, 1, C4)
         assert got.parts == (1,)
+
+
+class TestInduceOracle:
+    @pytest.mark.parametrize("sub, to", [(C3, GroupSpec(5, 1)), (C9, C3)])
+    def test_rejects_a_group_that_is_not_a_subgroup(self, sub, to):
+        with pytest.raises(ValueError, match="is not a subgroup"):
+            induce_oracle(ModuleSum(sub, (1,)), to)
+
+    def test_refused_over_the_cap(self):
+        # Ind from D_0 = 1 to C_9 is 9-dimensional: 81 entries
+        with pytest.raises(OracleCapacityError, match="limit is 80"):
+            induce_oracle(ModuleSum(C9.subgroup(0), (1,)), C9, cap=80)
+        assert induce_oracle(ModuleSum(C9.subgroup(0), (1,)), C9, cap=81) \
+            == module(C9, 9)

@@ -56,3 +56,34 @@ class TestRunSuites:
         results = verify.run_suites(GroupSpec(3, 2), ["dade-law"], cap=256)
         assert results[0].skipped > 0
         assert results[0].passed
+
+
+class TestCapacitySkips:
+    @pytest.mark.parametrize("group", [GroupSpec(3, 2), GroupSpec(2, 3)])
+    @pytest.mark.parametrize("cap", [1, 16, 81, 700])
+    def test_skips_are_the_cases_over_the_cap(self, group, cap):
+        # the oracle refuses exactly the cases whose largest matrix, of the
+        # dimension the closed forms predict, has more than `cap` entries
+        def over(dim):
+            return dim * dim > cap
+
+        sizes = [dade.w_module(e) for e in dade.enumerate_elements(group)]
+        law = sum(over(a * b) for a in sizes for b in sizes)
+        classes = sum(over(n * n) for n in sizes)
+        induced = sum(over(a * group.p ** (group.ell - i))
+                      for i in range(group.ell + 1)
+                      for a in range(1, group.subgroup(i).order + 1))
+        results = verify.run_suites(
+            group, ["dade-law", "classification", "induction"], cap=cap)
+        assert [(r.name, r.skipped) for r in results] == [
+            ("dade-law", law), ("classification", classes),
+            ("induction", induced)]
+        assert results[0].cases + law == len(sizes) ** 2
+        assert results[1].cases == 1 + len(sizes) + 2 * (len(sizes) - classes)
+        assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_non_positive_cap_rejected(self, cap):
+        with pytest.raises(ValueError,
+                           match=f"cap must be a positive integer, got {cap}"):
+            verify.run_suites(GroupSpec(3, 1), ["dade-law"], cap=cap)
