@@ -12,7 +12,6 @@ here as Dade-group arithmetic.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from . import dade
@@ -209,22 +208,3 @@ def fong_shift(w_hat: DadeElement, cap_v: int) -> DadeElement:
     shift = dade.element_from_jordan(w_hat.group, cap_v)
     return dade.dade_add(w_hat, shift)
 
-
-def check_layer_magnitudes(values_per_layer: list[list[int]]) -> list[str]:
-    """When several elements of one layer are supplied, signs must agree
-    (guaranteed by theory) and magnitudes are expected to, but only sign
-    constancy is enforced; non-constant magnitudes produce warnings."""
-    notes = []
-    for idx, vals in enumerate(values_per_layer, start=1):
-        if not vals:
-            continue
-        signs = {v > 0 for v in vals}
-        if len(signs) > 1:
-            raise CharacterValueError(
-                f"layer {idx} has values of both signs: {vals}"
-            )
-        if len(set(abs(v) for v in vals)) > 1:
-            msg = f"layer {idx} magnitudes are not constant: {vals}"
-            warnings.warn(msg)
-            notes.append(msg)
-    return notes

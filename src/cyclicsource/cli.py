@@ -10,7 +10,8 @@ Commands:
 
 Exit codes: 0 success, 1 per-record analysis error or failed check,
 2 parse failure (of a file, of the group given by --p and --ell, or of the
-oracle capacity).
+oracle capacity).  The oracle capacity is `--oracle-cap` if given, else the
+oracle's default; nothing is read from the environment.
 Reports render as human-readable text or as one JSON object per line
 (`--format json-lines`), byte-deterministic for fixed input.
 """
@@ -247,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("human", "json-lines"),
                         default="human", help="report rendering")
     parser.add_argument("--oracle-cap", type=int, default=None,
-                        help="oracle capacity in matrix entries "
-                             "(overrides CYCLICSOURCE_ORACLE_CAP)")
+                        help="oracle capacity in matrix entries per "
+                             "matrix built (default 2^20)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_infer = sub.add_parser("infer", help="analyze block descriptors")

@@ -75,10 +75,10 @@ def heller(m: ModuleSum) -> ModuleSum:
     """Kernel-of-projective-cover operator, summand-wise.
 
     Projective parts (n = p^ell) are discarded; J_n goes to J_{p^ell - n}.
-    An involution on projective-free modules.
+    An involution on projective-free modules.  It is the relative syzygy
+    for i = 0, and is computed (and certified) as that.
     """
-    order = m.group.order
-    return ModuleSum(m.group, tuple(order - n for n in m.parts if n != order))
+    return relative_heller(m, 0)
 
 
 def relative_heller(m: ModuleSum, i: int) -> ModuleSum:

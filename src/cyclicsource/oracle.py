@@ -15,17 +15,15 @@ for the sizes admitted by the capacity check).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .groups import GroupSpec
-from .modules import ModuleSum, _check_group
+from .modules import ModuleSum, _check_group, is_permutation
 
 DEFAULT_CAPACITY = 1 << 20  # matrix entries (dim^2)
-CAPACITY_ENV = "CYCLICSOURCE_ORACLE_CAP"
 
 
 class OracleCapacityError(ValueError):
@@ -38,17 +36,10 @@ class NotCappedError(ValueError):
 
 def capacity_limit(cap: int | None = None, source: str = "cap") -> int:
     """The oracle capacity in matrix entries: `cap` (named `source` in
-    errors) if given, else $CYCLICSOURCE_ORACLE_CAP, else the default.
-    Anything but a positive integer is a ValueError."""
+    errors) if given, else DEFAULT_CAPACITY.  Anything but a positive
+    integer is a ValueError."""
     if cap is None:
-        env = os.environ.get(CAPACITY_ENV)
-        if env is None:
-            return DEFAULT_CAPACITY
-        source = CAPACITY_ENV
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = env
+        return DEFAULT_CAPACITY
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ValueError(f"{source} must be a positive integer, got {cap!r}")
     return cap
@@ -214,8 +205,6 @@ def realize(m: ModuleSum, cap: int | None = None) -> MatrixModule:
     for n in m.parts:
         a[pos : pos + n, pos : pos + n] = _shift_block(n, m.group.p)
         pos += n
-    if dim == 0:
-        a = np.zeros((0, 0), dtype=np.int64)
     return MatrixModule(m.group, a)
 
 
@@ -247,9 +236,8 @@ def rank_profile(n_mat: np.ndarray, p: int,
         mat = matmul_mod(mat, basis, p)
 
 
-def jordan_type(m: MatrixModule, cap: int | None = None) -> ModuleSum:
+def jordan_type(m: MatrixModule) -> ModuleSum:
     """Jordan block sizes of the generator action, from the rank sequence."""
-    check_capacity(m.dim, cap)
     dim = m.dim
     if dim == 0:
         return ModuleSum(m.group, ())
@@ -260,13 +248,12 @@ def jordan_type(m: MatrixModule, cap: int | None = None) -> ModuleSum:
         raise ValueError(
             "generator action is not unipotent of p-power order"
         ) from exc
-    ranks = [dim] + profile + [0]
+    # ranks[s] - ranks[s+1] blocks have size > s, so the second difference
+    # counts the blocks of size exactly s+1
+    ranks = [dim] + profile + [0, 0]
     parts: list[int] = []
-    # ranks[s] - ranks[s+1] blocks have size >= s+1
-    for s in range(len(ranks) - 1):
-        at_least = ranks[s] - ranks[s + 1]
-        exactly = at_least - (ranks[s + 1] - ranks[s + 2] if s + 2 < len(ranks) else 0)
-        parts.extend([s + 1] * exactly)
+    for s in range(len(ranks) - 2):
+        parts.extend([s + 1] * (ranks[s] - 2 * ranks[s + 1] + ranks[s + 2]))
     out = ModuleSum(m.group, tuple(parts))
     if out.dim != dim:
         raise AssertionError(f"Jordan type of dimension {out.dim}, not {dim}")
@@ -274,17 +261,18 @@ def jordan_type(m: MatrixModule, cap: int | None = None) -> ModuleSum:
 
 
 # ---------------------------------------------------------------------------
-# oracle operations on ModuleSums
+# oracle operations on ModuleSums: each works part by part, checks the
+# capacity of the matrix that the part needs, then asks a kernel cached on
+# the part's mathematical inputs (p, ell, ...) for its Jordan type
 
 
 @lru_cache(maxsize=4096)
-def _tensor_pair(p: int, ell: int, n1: int, n2: int, limit: int) -> tuple[int, ...]:
-    check_capacity(n1 * n2, limit)
-    group = GroupSpec(p, ell)
-    a = realize(ModuleSum(group, (n1,)), limit)
-    b = realize(ModuleSum(group, (n2,)), limit)
-    kron = MatrixModule(group, np.kron(a.action, b.action))
-    return jordan_type(kron, limit).parts
+def _tensor_pair(p: int, ell: int, n1: int, n2: int) -> tuple[int, ...]:
+    """Jordan type of J_n1 (x) J_n2 on the Kronecker product of the blocks."""
+    # no name holds the unreduced product: it is freed once reduced
+    kron = MatrixModule(GroupSpec(p, ell),
+                        np.kron(_shift_block(n1, p), _shift_block(n2, p)))
+    return jordan_type(kron).parts
 
 
 def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> ModuleSum:
@@ -299,33 +287,43 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
     parts: list[int] = []
     for n1 in a.parts:
         for n2 in b.parts:
+            check_capacity(n1 * n2, limit)
             lo, hi = sorted((n1, n2))
-            parts.extend(_tensor_pair(a.group.p, a.group.ell, lo, hi, limit))
+            parts.extend(_tensor_pair(a.group.p, a.group.ell, lo, hi))
     return ModuleSum(a.group, tuple(parts))
 
 
+@lru_cache(maxsize=None)
+def _restricted_jordan(p: int, ell: int, i: int, n: int) -> tuple[int, ...]:
+    """Jordan type of Res_{D_i} J_n: the generator of D_i acts as the
+    p^(ell-i)-th power of the shift block."""
+    power = matpow_mod(_shift_block(n, p), p ** (ell - i), p)
+    return jordan_type(MatrixModule(GroupSpec(p, i), power)).parts
+
+
 def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
-    """Restriction to D_i computed on explicit matrices: the generator of
-    D_i acts as the p^(ell-i)-th power of the realized action."""
+    """Restriction to D_i computed on explicit matrices, part by part."""
     if not 0 <= i <= m.group.ell:
         raise ValueError(f"subgroup index {i} out of range 0..{m.group.ell}")
-    mat = realize(m, cap)
-    power = matpow_mod(mat.action, m.group.p ** (m.group.ell - i), m.group.p)
-    return jordan_type(MatrixModule(m.group.subgroup(i), power), cap)
+    limit = capacity_limit(cap)
+    parts: list[int] = []
+    for n in m.parts:
+        check_capacity(n, limit)
+        parts.extend(_restricted_jordan(m.group.p, m.group.ell, i, n))
+    return ModuleSum(m.group.subgroup(i), tuple(parts))
 
 
 @lru_cache(maxsize=None)
-def _induced_jordan(p: int, ell: int, i: int, a: int, limit: int) -> tuple[int, ...]:
+def _induced_jordan(p: int, ell: int, i: int, a: int) -> tuple[int, ...]:
     """Jordan type of Ind_{D_i}^D J_a on its explicit matrix.
 
     Basis g^j (x) e_t with j < q = [D : D_i]; the generator shifts j and
     wraps through the action of g^q, the generator of D_i, on J_a.
     """
     dim = a * p ** (ell - i)
-    check_capacity(dim, limit)
     action = np.eye(dim, k=-a, dtype=np.int64)
     action[:a, dim - a :] = _shift_block(a, p)
-    return jordan_type(MatrixModule(GroupSpec(p, ell), action), limit).parts
+    return jordan_type(MatrixModule(GroupSpec(p, ell), action)).parts
 
 
 def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> ModuleSum:
@@ -333,46 +331,24 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
     if m.group.p != to.p or m.group.ell > to.ell:
         raise ValueError(f"{m.group} is not a subgroup of {to}")
     limit = capacity_limit(cap)
+    q = to.p ** (to.ell - m.group.ell)
     parts: list[int] = []
     for n in m.parts:
-        parts.extend(_induced_jordan(to.p, to.ell, m.group.ell, n, limit))
+        check_capacity(n * q, limit)
+        parts.extend(_induced_jordan(to.p, to.ell, m.group.ell, n))
     return ModuleSum(to, tuple(parts))
 
 
-def _uniserial_kernel_type(m: int, n: int, group: GroupSpec,
-                           cap: int | None = None) -> tuple[int, ...]:
-    """Jordan type of the kernel of the quotient surjection J_m -> J_n.
+@lru_cache(maxsize=None)
+def _kernel_jordan(p: int, ell: int, m: int, n: int) -> tuple[int, ...]:
+    """Jordan type of the kernel of the quotient surjection J_m ->> J_n.
 
     With the lower-shift basis e_0..e_{m-1}, the span of e_n..e_{m-1} is the
     kernel submodule; the generator action restricted to it is decomposed by
     the rank sequence.
     """
-    if m == n:
-        return ()
-    mat = realize(ModuleSum(group, (m,)), cap).action
-    sub = mat[n:, n:]
-    return jordan_type(MatrixModule(group, sub), cap).parts
-
-
-@lru_cache(maxsize=None)
-def _restricted_jordan(p: int, ell: int, i: int, n: int, limit: int) -> tuple[int, ...]:
-    group = GroupSpec(p, ell)
-    return restrict_oracle(ModuleSum(group, (n,)), i, limit).parts
-
-
-@lru_cache(maxsize=None)
-def _rel_heller_part(p: int, ell: int, n: int, i: int, limit: int) -> tuple[int, ...]:
-    group = GroupSpec(p, ell)
-    ind_parts: list[int] = []
-    for a in _restricted_jordan(p, ell, i, n, limit):
-        ind_parts.extend(_induced_jordan(p, ell, i, a, limit))
-    candidates = [x for x in ind_parts if x >= n]
-    if not candidates:
-        raise AssertionError("induced-restricted module admits no cover")
-    cover = min(candidates)
-    if cover == n:
-        return ()  # relatively projective part
-    return _uniserial_kernel_type(cover, n, group, limit)
+    kernel = _shift_block(m, p)[n:, n:]
+    return jordan_type(MatrixModule(GroupSpec(p, ell), kernel)).parts
 
 
 def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
@@ -380,26 +356,37 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
 
     Per part J_n: restrict to D_i by explicit matrix power, induce each
     restricted part back up through explicit block matrices, decompose the
-    result by rank sequences, pick the smallest summand J_m admitting a
-    surjection onto J_n (m >= n), and decompose the kernel of the explicit
-    quotient surjection J_m ->> J_n.  Induction over a direct sum is block
+    result by rank sequences, pick the smallest summand J_c admitting a
+    surjection onto J_n (c >= n), and decompose the kernel of the explicit
+    quotient surjection J_c ->> J_n.  Induction over a direct sum is block
     diagonal, so assembling the induced-restricted module summand-wise is
     structural, not a closed form.
     """
     if not 0 <= i <= m.group.ell:
         raise ValueError(f"subgroup index {i} out of range 0..{m.group.ell}")
     limit = capacity_limit(cap)
+    p, ell = m.group.p, m.group.ell
+    q = p ** (ell - i)
     out: list[int] = []
     for n in m.parts:
-        out.extend(_rel_heller_part(m.group.p, m.group.ell, n, i, limit))
+        check_capacity(n, limit)
+        induced: list[int] = []
+        # each distinct restricted part once, largest first
+        for a in dict.fromkeys(_restricted_jordan(p, ell, i, n)):
+            check_capacity(a * q, limit)
+            induced.extend(_induced_jordan(p, ell, i, a))
+        cover = min((c for c in induced if c >= n), default=None)
+        if cover is None:
+            raise AssertionError("induced-restricted module admits no cover")
+        if cover > n:  # cover == n: J_n is relatively projective
+            check_capacity(cover, limit)
+            out.extend(_kernel_jordan(p, ell, cover, n))
     return ModuleSum(m.group, tuple(out))
 
 
 def is_endo_permutation(m: ModuleSum, cap: int | None = None) -> bool:
     """True iff End(M) = M (x) M* is a permutation module.  J_n is
     self-dual, so the endomorphism module is the tensor square."""
-    from .modules import is_permutation
-
     return is_permutation(tensor_decompose(m, m, cap))
 
 

@@ -118,7 +118,7 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
     nilpotent = (big - np.eye(dim, dtype=np.int64)) % p
     chains = jordan_chains(nilpotent, p)
     lengths = tuple(sorted((len(c) for c in chains), reverse=True))
-    if lengths != jordan_type(MatrixModule(group, big), cap).parts:
+    if lengths != jordan_type(MatrixModule(group, big)).parts:
         raise AssertionError("Jordan chains disagree with the rank sequence")
     # counit: g^j (x) v  |->  A^j v
     eps = np.zeros((n, dim), dtype=np.int64)
@@ -144,5 +144,5 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
         action = image[rows]
         if not np.array_equal(matmul_mod(coords, action, p), image):
             raise AssertionError("counit kernel is not invariant under the action")
-        return jordan_type(MatrixModule(group, action), cap)
+        return jordan_type(MatrixModule(group, action))
     raise AssertionError("no single chain summand covers the target")

@@ -17,7 +17,6 @@ from cyclicsource.blocks import (
     OddPrimeRequiredError,
     WResult,
     analyze,
-    check_layer_magnitudes,
     fong_shift,
     infer_w,
     is_trivial_by_signs,
@@ -229,20 +228,6 @@ class TestFongShift:
                 tensor = oracle.tensor_decompose(
                     dade.w_module_sum(w_hat), ModuleSum(c8, (cap_v,)))
                 assert oracle.cap_part(tensor) == dade.w_module(shifted)
-
-
-class TestLayerMagnitudes:
-    def test_constant_magnitudes_quiet(self):
-        assert check_layer_magnitudes([[2, 2], [-1]]) == []
-
-    def test_mixed_signs_rejected(self):
-        with pytest.raises(CharacterValueError, match="both signs"):
-            check_layer_magnitudes([[2, -2]])
-
-    def test_nonconstant_magnitudes_warn(self):
-        with pytest.warns(UserWarning, match="not constant"):
-            notes = check_layer_magnitudes([[2, 5]])
-        assert len(notes) == 1
 
 
 class TestWResultValidation:

@@ -170,32 +170,46 @@ class TestVerify:
         assert code == EXIT_RECORD_ERROR
         assert "oracle capacity exceeded" in err
 
+    # env: a CYCLICSOURCE_ORACLE_CAP set around the flag; it is not read
     @pytest.mark.parametrize("env, flag, message", [
-        ("abc", None, "CYCLICSOURCE_ORACLE_CAP must be a positive integer, "
-                      "got 'abc'"),
-        ("0", None, "CYCLICSOURCE_ORACLE_CAP must be a positive integer, got 0"),
-        ("-5", None, "CYCLICSOURCE_ORACLE_CAP must be a positive integer, "
-                     "got -5"),
         (None, "-3", "--oracle-cap must be a positive integer, got -3"),
         ("16", "0", "--oracle-cap must be a positive integer, got 0"),
     ])
     def test_bad_capacity_is_argument_error(self, capsys, monkeypatch,
                                             env, flag, message):
-        if env is None:
-            monkeypatch.delenv("CYCLICSOURCE_ORACLE_CAP", raising=False)
-        else:
+        if env is not None:
             monkeypatch.setenv("CYCLICSOURCE_ORACLE_CAP", env)
-        argv = ("--oracle-cap", flag) if flag is not None else ()
-        code, out, err = run(capsys, *argv, "verify", "--p", "3", "--ell", "1")
+        code, out, err = run(capsys, "--oracle-cap", flag,
+                             "verify", "--p", "3", "--ell", "1")
         assert code == EXIT_PARSE_ERROR
         assert err == f"argument error: {message}\n"
         assert out == ""
 
-    def test_oracle_cap_flag_overrides_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYCLICSOURCE_ORACLE_CAP", "abc")
-        code, _, _ = run(capsys, "--oracle-cap", "81",
-                         "verify", "--p", "3", "--ell", "1")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("env", ["abc", "0", "4"])
+    def test_environment_does_not_set_the_capacity(self, capsys, monkeypatch,
+                                                   env):
+        argv = ("--format", "json-lines", "verify", "--p", "3", "--ell", "1")
+        expected = run(capsys, *argv)
+        monkeypatch.setenv("CYCLICSOURCE_ORACLE_CAP", env)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == EXIT_OK
+
+    def test_uncapped_module_is_a_reported_mismatch(self, capsys,
+                                                    monkeypatch):
+        # a wrong size formula whose module has no cap ends in a suite
+        # record with witnesses, not in an uncaught NotCappedError
+        monkeypatch.setattr(dade, "w_module",
+                            lambda e: 3 if any(e.alpha) else 1)
+        code, out, err = run(capsys, "--format", "json-lines", "verify",
+                             "--p", "3", "--ell", "1",
+                             "--suite", "classification")
+        assert code == EXIT_RECORD_ERROR
+        assert err == ""
+        record = json.loads(out)
+        assert record["status"] == "error"
+        assert {"alpha": "1", "check": "cap", "jordan": 3, "module": "J_3",
+                "error": "not capped endo-permutation: full-vertex parts []"} \
+            in record["witnesses"]
 
     def test_p2_classification_reports_known_mismatch(self, capsys,
                                                       monkeypatch):

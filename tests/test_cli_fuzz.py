@@ -1,21 +1,18 @@
-"""Fuzzing the command line: whatever the descriptor text, the argv and
-CYCLICSOURCE_ORACLE_CAP, every run ends with exit 0, 1 or 2, prints no
-traceback and stays within a fixed wall-clock bound."""
+"""Fuzzing the command line: whatever the descriptor text and the argv,
+every run ends with exit 0, 1 or 2, prints no traceback and stays within a
+fixed wall-clock bound."""
 
 import contextlib
 import io
 import json
-import os
 import time
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cyclicsource.cli import main
 
 BOUND_S = 3.0
-ENV = "CYCLICSOURCE_ORACLE_CAP"
 FILE = "<file>"  # replaced by the path of the generated descriptor
 
 # Values are generated as JSON text, so that integers over CPython's
@@ -133,8 +130,7 @@ def cases(draw):
         options += ["--format", "json-lines"]
     if draw(st.booleans()):
         options += ["--oracle-cap", draw(CAPS)]
-    env = draw(st.one_of(st.none(), CAPS))
-    return env, options + draw(commands()), draw(TEXTS)
+    return options + draw(commands()), draw(TEXTS)
 
 
 def is_positive_int(text: str) -> bool:
@@ -144,13 +140,9 @@ def is_positive_int(text: str) -> bool:
         return False
 
 
-def run_cli(argv, env):
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
-    environ = {k: v for k, v in os.environ.items() if k != ENV}
-    if env is not None:
-        environ[ENV] = env
-    with mock.patch.dict(os.environ, environ, clear=True), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv
@@ -162,13 +154,11 @@ def run_cli(argv, env):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(case=cases())
-@example(case=("abc", ["verify", "--p", "3", "--ell", "1"], ""))
-@example(case=(None, ["--oracle-cap", "-3", "verify", "--p", "3", "--ell", "1"],
-               ""))
-@example(case=(None, ["infer", FILE],
+@example(case=(["--oracle-cap", "-3", "verify", "--p", "3", "--ell", "1"], ""))
+@example(case=(["infer", FILE],
                '{"version":1,"blocks":[{"p":' + LONG_INT + ',"ell":1}]}'))
 def test_every_run_ends_cleanly(tmp_path_factory, case):
-    env, argv, text = case
+    argv, text = case
     if FILE in argv:
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         if isinstance(text, str):
@@ -176,14 +166,13 @@ def test_every_run_ends_cleanly(tmp_path_factory, case):
         path.write_bytes(text)
         argv = [str(path) if a == FILE else a for a in argv]
     start = time.perf_counter()
-    code, err = run_cli(argv, env)
+    code, err = run_cli(argv)
     assert time.perf_counter() - start < BOUND_S, argv
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
     if "verify" in argv:
-        # the flag wins over the environment; anything but a positive
-        # integer is an argument error
+        # a capacity that is not a positive integer is an argument error
         cap = argv[argv.index("--oracle-cap") + 1] \
-            if "--oracle-cap" in argv else env
+            if "--oracle-cap" in argv else None
         if cap is not None and not is_positive_int(cap):
             assert code == 2, (cap, err)

@@ -5,14 +5,17 @@ unipotent matrices over F_p and every structural answer is read off rank
 sequences, kernels and chain bases, never off the formulas being checked.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclicsource
 from cyclicsource import modules
 from cyclicsource.groups import GroupSpec
 from cyclicsource.modules import ModuleSum, module
@@ -230,7 +233,12 @@ class TestExactnessGuards:
                     continue
                 raise SystemExit("no OverflowError")
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
+        # the child imports the package this process imported, also when
+        # only pytest's `pythonpath` setting put it on sys.path
+        src = str(Path(cyclicsource.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -288,11 +296,28 @@ class TestCapacity:
         with pytest.raises(OracleCapacityError, match="oracle capacity exceeded"):
             check_capacity(2000, cap=1 << 20)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CYCLICSOURCE_ORACLE_CAP", "16")
-        with pytest.raises(OracleCapacityError):
-            check_capacity(5)
-        check_capacity(4)
+    @pytest.mark.parametrize("group", [GroupSpec(2, 3), C9, GroupSpec(3, 3)])
+    @pytest.mark.parametrize("cap", [1, 4, 16, 50, 81, 400])
+    def test_refused_exactly_over_the_cap(self, group, cap):
+        # restriction builds the n x n block; relative syzygy also induces
+        # the largest restricted part, of size ceil(n/q), back up
+        for n in range(1, group.order + 1):
+            m = ModuleSum(group, (n,))
+            for i in range(group.ell + 1):
+                q = group.p ** (group.ell - i)
+                for fn, dim in ((restrict_oracle, n),
+                                (relative_heller_oracle, q * -(-n // q))):
+                    if dim * dim > cap:
+                        with pytest.raises(OracleCapacityError):
+                            fn(m, i, cap)
+                    else:
+                        fn(m, i, cap)
+
+    def test_restriction_refuses_per_part(self):
+        # each part is its own 3 x 3 matrix; the 6-dimensional sum is never
+        # built
+        assert restrict_oracle(ModuleSum(C9, (3, 3)), 1, cap=9) == \
+            module(C3, 1, 1, 1, 1, 1, 1)
 
 
 class TestTensor:

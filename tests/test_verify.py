@@ -41,6 +41,25 @@ class TestRunSuites:
         assert not result.passed
         assert any(m.get("check") == "injectivity" for m in result.mismatches)
 
+    def test_uncapped_modules_are_mismatches(self, monkeypatch):
+        # J_3 over C_3 has no full-vertex part: every suite that takes a
+        # cap records it with the module and the reason, once per case
+        monkeypatch.setattr(dade, "w_module",
+                            lambda e: 3 if any(e.alpha) else 1)
+        results = by_name(verify.run_suites(
+            GroupSpec(3, 1), ["dade-law", "classification", "restriction"]))
+        reason = "not capped endo-permutation: full-vertex parts []"
+        assert [(m["a"], m["b"], m["module"], m["error"])
+                for m in results["dade-law"].mismatches] == [
+            ("0", "1", "J_3", reason), ("1", "0", "J_3", reason),
+            ("1", "1", "3*J_3", reason)]
+        assert results["dade-law"].cases == 4
+        assert {"check": "cap", "alpha": "1", "jordan": 3, "module": "J_3",
+                "error": reason} in results["classification"].mismatches
+        assert results["restriction"].mismatches == [
+            {"check": "cap chain", "alpha": "1", "i": 1, "j": 1,
+             "module": "J_3", "error": reason}]
+
     def test_module_suites_pass_for_p_two(self):
         # everything except classification is prime-agnostic
         for name in ("dade-law", "relative-heller", "restriction",
