@@ -81,13 +81,20 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.eye(a.shape[0], dtype=np.int64)
-    base = a % p
-    while e:
-        if e & 1:
-            result = matmul_mod(result, base, p)
+    """a^e mod p by repeated squaring, starting from the power of the lowest
+    set bit of e and with no squaring after the highest: a^(2^k) takes k
+    products."""
+    base = np.asarray(a, dtype=np.int64) % p
+    if e == 0:
+        return np.eye(base.shape[0], dtype=np.int64)
+    while not e & 1:
         base = matmul_mod(base, base, p)
         e >>= 1
+    result = base
+    while e := e >> 1:
+        base = matmul_mod(base, base, p)
+        if e & 1:
+            result = matmul_mod(result, base, p)
     return result
 
 
@@ -214,26 +221,58 @@ def rank_profile(n_mat: np.ndarray, p: int,
 
     Computed on N restricted to its image: with N = C @ R, C = column_space
     (N) and R = N[rows] its independent rows, N^(s+1) = C (R C)^s R, and C
-    and R have full rank, so rank(N^(s+1)) = rank((R C)^s).  Each step thus
-    eliminates an r x r matrix, r the last rank.  A non-nilpotent N never
-    reaches rank zero, so callers that cannot guarantee nilpotency must
-    bound the chain.
+    and R have full rank, so rank(N^(s+1)) = rank((R C)^s).  The loop
+    keeps M, the action of N on the image of N^s, an r_s x r_s matrix with
+    rank(M^t) = r_(s+t).
+
+    It gallops along stretches where the rank falls by a constant amount
+    (convexity): d_s = r_s - r_(s+1), the dimension of ker N within im
+    N^s, never increases (for nilpotent N it counts the Jordan blocks of
+    size > s), so rank(M^j) = r_s - j d with d = d_(s-1) proves
+    r_(s+t) = r_s - t d for every t <= j.  A plain step (j = 1) eliminates
+    M.  Once it falls by the previous difference d, j = 2: M^j is taken by
+    squaring and eliminated once; a proof appends the j ranks and doubles
+    j, a miss halves it, and j shrinks so that j d never passes r_s.  A
+    single block J_n thus costs O(log n) eliminations instead of n - 1.
+    Only M, M^j and one basis are alive at a time.
+
+    A plain step that leaves the rank unchanged proves that N is not
+    nilpotent and raises ValueError, as does a profile longer than
+    `max_steps`, if given.
     """
     ranks: list[int] = []
     mat = n_mat
-    while True:
-        basis = column_space(mat, p)
-        if basis.shape[1] == 0:
-            return ranks
-        if max_steps is not None and len(ranks) >= max_steps:
+    r, d, jump = n_mat.shape[0], 0, 1
+    while r:
+        while jump * d > r and jump > 1:
+            jump //= 2
+        basis = column_space(mat if jump == 1 else matpow_mod(mat, jump, p), p)
+        rank = basis.shape[1]
+        if jump == 1:
+            if rank == r:
+                raise ValueError(
+                    f"matrix is not nilpotent: rank(N^{len(ranks)}) = "
+                    f"rank(N^{len(ranks) + 1}) = {r}"
+                )
+            jump = 2 if r - rank == d else 1
+            d = r - rank
+        elif rank == r - jump * d:
+            jump *= 2
+        else:
+            jump //= 2
+            continue
+        # r - d, r - 2d, ..., rank, without a trailing 0
+        ranks.extend(range(r - d, max(rank, 1) - 1, -d))
+        if max_steps is not None and len(ranks) > max_steps:
             raise ValueError(
                 f"matrix is not nilpotent within {max_steps} steps"
             )
-        ranks.append(basis.shape[1])
+        r = rank
         # R: the rows of the leading 1s, taken before the product so that
         # the previous matrix can be freed
         mat = mat[(basis != 0).argmax(axis=0)]
         mat = matmul_mod(mat, basis, p)
+    return ranks
 
 
 def jordan_type(m: MatrixModule) -> ModuleSum:

@@ -5,6 +5,7 @@ unipotent matrices over F_p and every structural answer is read off rank
 sequences, kernels and chain bases, never off the formulas being checked.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -13,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cyclicsource
-from cyclicsource import modules
+from cyclicsource import modules, oracle
 from cyclicsource.groups import GroupSpec
 from cyclicsource.modules import ModuleSum, module
 from cyclicsource.oracle import (
@@ -94,6 +95,31 @@ class TestLinearAlgebra:
             expected = matmul_mod(expected, a, p)
         assert np.array_equal(matpow_mod(a, e, p), expected)
 
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_matpow_small_exponents(self, e):
+        a = np.array([[3, 7, -1], [0, 5, 9], [2, 2, 2]], dtype=np.int64)
+        want = np.eye(3, dtype=np.int64) if e == 0 else a % 5
+        got = matpow_mod(a, e, 5)
+        assert np.array_equal(got, want)
+        got += 1  # a fresh array: the input is untouched
+        assert a[0, 0] == 3
+
+    @pytest.mark.parametrize("e,products", [(32, 5), (7, 4), (6, 3), (1, 0)])
+    def test_matpow_products(self, monkeypatch, e, products):
+        # squarings up to the highest set bit, one product per set bit
+        # after the lowest: no product with the identity, no last squaring
+        calls = []
+        product = oracle.matmul_mod
+
+        def counted(a, b, p):
+            calls.append(1)
+            return product(a, b, p)
+
+        monkeypatch.setattr(oracle, "matmul_mod", counted)
+        a = np.array([[1, 1], [0, 1]], dtype=np.int64)
+        assert np.array_equal(matpow_mod(a, e, 7), [[1, e % 7], [0, 1]])
+        assert len(calls) == products
+
 
 def reference_rref(a, p):
     """Reduced row echelon form of `a` over F_p, by Gauss-Jordan elimination
@@ -121,11 +147,33 @@ def reference_rank(a, p):
     return len(reference_rref(a, p)[1])
 
 
+def gauss_rank(a, p):
+    """Rank of `a` over F_p by Gaussian elimination, one pivot at a time,
+    with numpy row operations reduced after every pivot (exact: (p-1)^2 <
+    2^63), so that the power ranks of matrices of a few hundred rows stay
+    cheap."""
+    w = np.asarray(a, dtype=np.int64) % p
+    rank = 0
+    for c in range(w.shape[1]):
+        hit = np.flatnonzero(w[rank:, c])
+        if hit.size == 0:
+            continue
+        w[[rank, rank + hit[0]]] = w[[rank + hit[0], rank]]
+        w[rank] = w[rank] * pow(int(w[rank, c]), p - 2, p) % p
+        below = w[rank + 1 :]
+        below -= np.outer(below[:, c], w[rank])
+        below %= p
+        rank += 1
+        if rank == w.shape[0]:
+            break
+    return rank
+
+
 def reference_power_ranks(n_mat, p):
     """[rank(N), rank(N^2), ...] down to the first zero power, with the
     powers taken in int64 (exact: d * (p-1)^2 < 2^63 at test sizes)."""
     ranks, power = [], n_mat % p
-    while (r := reference_rank(power, p)) > 0:
+    while (r := gauss_rank(power, p)) > 0:
         ranks.append(r)
         power = (power @ n_mat) % p
     return ranks
@@ -214,6 +262,105 @@ class TestKernelAgainstReference:
                  for _ in range(seq[s - 1] - 2 * seq[s] + seq[s + 1])]
         assert jordan_type(MatrixModule(group, kron)).parts == \
             tuple(sorted(parts, reverse=True))
+
+
+def hidden_nilpotent(p, parts, seed):
+    """The nilpotent matrix with Jordan blocks of the sizes `parts`, in the
+    basis s = P U L: P a random permutation, U = I + [0 X; 0 0] and L = I +
+    [0 0; Y 0] random, so that s is dense and s^-1 = (2I - L)(2I - U) P^T
+    needs no elimination."""
+    d = sum(parts)
+    nil = np.zeros((d, d), dtype=np.int64)
+    pos = 0
+    for b in parts:
+        nil[pos + 1 : pos + b, pos : pos + b - 1] += np.eye(b - 1, dtype=np.int64)
+        pos += b
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, d + 1))
+    eye = np.eye(d, dtype=np.int64)
+    upper, lower = eye.copy(), eye.copy()
+    upper[:k, k:] = rng.integers(0, p, (k, d - k))
+    lower[k:, :k] = rng.integers(0, p, (d - k, k))
+    perm = rng.permutation(d)
+    s = (upper @ lower % p)[perm]
+    s_inv = ((2 * eye - lower) @ (2 * eye - upper) % p)[:, perm]
+    assert np.array_equal(s @ s_inv % p, eye)
+    return s @ nil % p @ s_inv % p
+
+
+@st.composite
+def long_blocks(draw):
+    """Block sizes up to 100, each repeated up to three times (so that the
+    rank falls by d > 1 a power), at most 160 rows in all."""
+    parts = []
+    for n in draw(st.lists(st.integers(1, 100), min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            if sum(parts) + n <= 160:
+                parts.append(n)
+    return parts
+
+
+class TestRankProfileGallop:
+    """rank_profile jumps along stretches where the rank falls by a
+    constant amount; every rank it reports must still be the rank of the
+    power, whatever the stretches look like."""
+
+    @given(kernel_inputs())
+    @settings(max_examples=20, deadline=None)
+    def test_gauss_rank_is_the_reference_rank(self, case):
+        p, a = case
+        assert gauss_rank(a, p) == reference_rank(a, p)
+
+    @given(st.sampled_from(PRIMES), long_blocks(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    # the jump lands exactly on rank 0: J_4 (3, 2 | 1) and 3*J_8
+    # (21, 18 | 15, 12 | 9, 6, 3); a stretch ends inside a jump: J_30 + J_3
+    @example(5, [4], 0)
+    @example(3, [8, 8, 8], 1)
+    @example(2, [30, 3], 2)
+    def test_long_blocks_against_power_ranks(self, p, parts, seed):
+        n_mat = hidden_nilpotent(p, parts, seed)
+        assert rank_profile(n_mat, p) == reference_power_ranks(n_mat, p)
+
+    @pytest.mark.parametrize("n_mat", [
+        np.zeros((1, 1), dtype=np.int64),  # J_1
+        np.zeros((5, 5), dtype=np.int64),
+        np.zeros((0, 0), dtype=np.int64),
+    ], ids=["J_1", "zero", "empty"])
+    def test_zero_matrix_has_empty_profile(self, n_mat):
+        assert rank_profile(n_mat, 3) == []
+
+    @pytest.mark.parametrize("max_steps", [None, 2, 100])
+    @pytest.mark.parametrize("n_mat", [
+        np.eye(3, dtype=np.int64),
+        # J_40 and an invertible 1 x 1 block: the rank stops at 1 after a
+        # long stretch
+        np.pad(np.eye(40, k=-1, dtype=np.int64), (0, 1)) + np.diag([0] * 40 + [2]),
+    ], ids=["identity", "J_40+unit"])
+    def test_non_nilpotent_raises(self, n_mat, max_steps):
+        with pytest.raises(ValueError, match="not nilpotent") as info:
+            rank_profile(n_mat, 5, max_steps=max_steps)
+        assert "None" not in str(info.value)
+
+    def test_max_steps_counts_powers(self):
+        # J_9 has 8 non-zero powers: a bound of 7 is passed inside a jump
+        j9 = np.eye(9, k=-1, dtype=np.int64)
+        assert rank_profile(j9, 3, max_steps=8) == list(range(8, 0, -1))
+        with pytest.raises(ValueError, match="within 7 steps"):
+            rank_profile(j9, 3, max_steps=7)
+
+    def test_single_block_takes_logarithmic_eliminations(self, monkeypatch):
+        calls = []
+        echelon = oracle._echelon
+
+        def counted(a, p):
+            calls.append(a.shape)
+            return echelon(a, p)
+
+        monkeypatch.setattr(oracle, "_echelon", counted)
+        group = GroupSpec(5, 3)
+        assert jordan_type(realize(module(group, 125))).parts == (125,)
+        assert len(calls) <= 2 * math.ceil(math.log2(125)) + 4
 
 
 class TestExactnessGuards:
