@@ -29,10 +29,9 @@ from .descriptors import (
     DescriptorFile,
     emit_descriptor,
     parse_descriptor,
-    tree_record,
 )
 from .groups import GroupSpec
-from .oracle import OracleCapacityError, capacity_limit, check_capacity
+from .oracle import capacity_limit, check_capacity
 
 EXIT_OK = 0
 EXIT_RECORD_ERROR = 1
@@ -126,7 +125,7 @@ def cmd_verify(args) -> int:
     try:
         check_capacity(group.order, cap)
         results = verify.run_suites(group, args.suite or None, cap)
-    except (OracleCapacityError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RECORD_ERROR
     records = []

@@ -111,8 +111,6 @@ def restrict(m: ModuleSum, i: int) -> ModuleSum:
     b blocks of size a+1 and q-b blocks of size a.  Dimension is preserved;
     i = 0 gives n copies of J_1 over the trivial group.
     """
-    if not 0 <= i <= m.group.ell:
-        raise ValueError(f"subgroup index {i} out of range 0..{m.group.ell}")
     sub = m.group.subgroup(i)
     q = m.group.p ** (m.group.ell - i)
     out: list[int] = []

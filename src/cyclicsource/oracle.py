@@ -215,8 +215,7 @@ def realize(m: ModuleSum, cap: int | None = None) -> MatrixModule:
     return MatrixModule(m.group, a)
 
 
-def rank_profile(n_mat: np.ndarray, p: int,
-                 max_steps: int | None = None) -> list[int]:
+def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
     """[rank(N), rank(N^2), ...] down to the last non-zero power.
 
     Computed on N restricted to its image: with N = C @ R, C = column_space
@@ -237,8 +236,8 @@ def rank_profile(n_mat: np.ndarray, p: int,
     Only M, M^j and one basis are alive at a time.
 
     A plain step that leaves the rank unchanged proves that N is not
-    nilpotent and raises ValueError, as does a profile longer than
-    `max_steps`, if given.
+    nilpotent and raises ValueError; a profile is thus never longer than
+    the matrix, and `jordan_type` alone bounds it by the group order.
     """
     ranks: list[int] = []
     mat = n_mat
@@ -263,10 +262,6 @@ def rank_profile(n_mat: np.ndarray, p: int,
             continue
         # r - d, r - 2d, ..., rank, without a trailing 0
         ranks.extend(range(r - d, max(rank, 1) - 1, -d))
-        if max_steps is not None and len(ranks) > max_steps:
-            raise ValueError(
-                f"matrix is not nilpotent within {max_steps} steps"
-            )
         r = rank
         # R: the rows of the leading 1s, taken before the product so that
         # the previous matrix can be freed
@@ -276,24 +271,24 @@ def rank_profile(n_mat: np.ndarray, p: int,
 
 
 def jordan_type(m: MatrixModule) -> ModuleSum:
-    """Jordan block sizes of the generator action, from the rank sequence."""
+    """Jordan block sizes of the generator action, from the rank sequence;
+    a ValueError unless the action is unipotent of order dividing p^ell."""
     dim = m.dim
     if dim == 0:
         return ModuleSum(m.group, ())
     n_mat = (m.action - np.eye(dim, dtype=np.int64)) % m.group.p
     try:
-        profile = rank_profile(n_mat, m.group.p, max_steps=m.group.order)
+        # ranks[s] - ranks[s+1] blocks have size > s, so the second
+        # difference counts the blocks of size exactly s+1
+        ranks = [dim] + rank_profile(n_mat, m.group.p) + [0, 0]
+        parts: list[int] = []
+        for s in range(len(ranks) - 2):
+            parts.extend([s + 1] * (ranks[s] - 2 * ranks[s + 1] + ranks[s + 2]))
+        out = ModuleSum(m.group, tuple(parts))
     except ValueError as exc:
         raise ValueError(
             "generator action is not unipotent of p-power order"
         ) from exc
-    # ranks[s] - ranks[s+1] blocks have size > s, so the second difference
-    # counts the blocks of size exactly s+1
-    ranks = [dim] + profile + [0, 0]
-    parts: list[int] = []
-    for s in range(len(ranks) - 2):
-        parts.extend([s + 1] * (ranks[s] - 2 * ranks[s + 1] + ranks[s + 2]))
-    out = ModuleSum(m.group, tuple(parts))
     if out.dim != dim:
         raise AssertionError(f"Jordan type of dimension {out.dim}, not {dim}")
     return out
@@ -342,14 +337,13 @@ def _restricted_jordan(p: int, ell: int, i: int, n: int) -> tuple[int, ...]:
 
 def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     """Restriction to D_i computed on explicit matrices, part by part."""
-    if not 0 <= i <= m.group.ell:
-        raise ValueError(f"subgroup index {i} out of range 0..{m.group.ell}")
+    sub = m.group.subgroup(i)
     limit = capacity_limit(cap)
     parts: list[int] = []
     for n in m.parts:
         check_capacity(n, limit)
         parts.extend(_restricted_jordan(m.group.p, m.group.ell, i, n))
-    return ModuleSum(m.group.subgroup(i), tuple(parts))
+    return ModuleSum(sub, tuple(parts))
 
 
 @lru_cache(maxsize=None)

@@ -45,7 +45,9 @@ class BrauerTree:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        """Half the degree sum: each edge of a valid tree is listed at both
+        ends."""
+        return sum(len(ns) for ns in self.planar.values()) // 2
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def validate(t: BrauerTree) -> list[str]:
 
     # every edge is mirrored and no order repeats a vertex or holds a loop,
     # so each edge appears exactly twice
-    e = sum(len(ns) for ns in t.planar.values()) // 2
+    e = t.num_edges
     if e < 1:
         violations.append("no edges")
     if len(vset) != e + 1:

@@ -5,9 +5,9 @@ closed-form answer through explicit matrices, and records any mismatch with
 its full witness.  A clean run has zero mismatches by construction; a
 mismatch means a formula (or the oracle) is wrong.  A module that should be
 capped but is not is such a mismatch, recorded with the module and the
-reason.  The capacity is the `cap` argument (the oracle's default if None);
-where the oracle refuses a case as over it, the dade-law, classification
-and induction suites count it as skipped.
+reason.  The capacity is the `cap` argument (the oracle's default if None),
+and every oracle call goes through `SuiteResult.oracle`: a case the oracle
+refuses as over the capacity counts as skipped, in every suite.
 """
 
 from __future__ import annotations
@@ -37,6 +37,23 @@ class SuiteResult:
         if not ok:
             self.mismatches.append(witness)
 
+    def oracle(self, fn, *args):
+        """fn(*args), or None after counting the case as skipped when the
+        oracle refuses it as over the capacity."""
+        try:
+            return fn(*args)
+        except oracle.OracleCapacityError:
+            self.skipped += 1
+            return None
+
+    def against(self, witness: dict, closed, fn, *args) -> None:
+        """Check a closed form against the oracle's fn(*args), with both in
+        the witness; a skipped case records nothing."""
+        by_oracle = self.oracle(fn, *args)
+        if by_oracle is not None:
+            self.check(closed == by_oracle, {
+                **witness, "closed": str(closed), "oracle": str(by_oracle)})
+
     def cap(self, m: ModuleSum, witness: dict) -> int | None:
         """The cap of m, or None after recording m as a mismatch: a module
         without a cap is a wrong formula to report, not a crash."""
@@ -52,12 +69,9 @@ def suite_dade_law(group: GroupSpec, cap: int | None = None) -> SuiteResult:
     result = SuiteResult("dade-law")
     elements = list(dade.enumerate_elements(group))
     for a, b in product(elements, repeat=2):
-        try:
-            tensor = oracle.tensor_decompose(
-                dade.w_module_sum(a), dade.w_module_sum(b), cap
-            )
-        except oracle.OracleCapacityError:
-            result.skipped += 1
+        tensor = result.oracle(oracle.tensor_decompose, dade.w_module_sum(a),
+                               dade.w_module_sum(b), cap)
+        if tensor is None:
             continue
         witness = {"a": str(a), "b": str(b), "tensor": str(tensor)}
         got = result.cap(tensor, witness)
@@ -84,10 +98,8 @@ def suite_classification(group: GroupSpec, cap: int | None = None) -> SuiteResul
             "check": "full vertex", "alpha": str(e), "jordan": n,
         })
         m = dade.w_module_sum(e)
-        try:
-            endo = oracle.is_endo_permutation(m, cap)
-        except oracle.OracleCapacityError:
-            result.skipped += 1
+        endo = result.oracle(oracle.is_endo_permutation, m, cap)
+        if endo is None:
             continue
         result.check(endo, {
             "check": "endo-permutation", "alpha": str(e), "jordan": n,
@@ -146,12 +158,8 @@ def suite_relative_heller(group: GroupSpec, cap: int | None = None) -> SuiteResu
     for n in range(1, group.order + 1):
         for i in range(0, group.ell + 1):
             m = ModuleSum(group, (n,))
-            closed = modules.relative_heller(m, i)
-            by_oracle = oracle.relative_heller_oracle(m, i, cap)
-            result.check(closed == by_oracle, {
-                "n": n, "i": i,
-                "closed": str(closed), "oracle": str(by_oracle),
-            })
+            result.against({"n": n, "i": i}, modules.relative_heller(m, i),
+                           oracle.relative_heller_oracle, m, i, cap)
     return result
 
 
@@ -162,12 +170,8 @@ def suite_restriction(group: GroupSpec, cap: int | None = None) -> SuiteResult:
     for n in range(1, group.order + 1):
         for i in range(0, group.ell + 1):
             m = ModuleSum(group, (n,))
-            closed = modules.restrict(m, i)
-            by_oracle = oracle.restrict_oracle(m, i, cap)
-            result.check(closed == by_oracle, {
-                "n": n, "i": i,
-                "closed": str(closed), "oracle": str(by_oracle),
-            })
+            result.against({"n": n, "i": i}, modules.restrict(m, i),
+                           oracle.restrict_oracle, m, i, cap)
     for e in dade.enumerate_elements(group):
         n = dade.w_module(e)
         m = ModuleSum(group, (n,))
@@ -196,22 +200,27 @@ def suite_operator_composition(group: GroupSpec, cap: int | None = None) -> Suit
     within capacity."""
     result = SuiteResult("operator-composition")
     for e in dade.enumerate_elements(group):
-        m = ModuleSum(group, (1,))
-        for i in reversed(range(group.ell)):
-            if e.alpha[i]:
-                m = modules.relative_heller(m, i)
+        m = _compose(e, modules.relative_heller)
         result.check(m.parts == (dade.w_module(e),), {
             "alpha": str(e), "composed": str(m), "recursion": dade.w_module(e),
         })
-        m_oracle = ModuleSum(group, (1,))
-        for i in reversed(range(group.ell)):
-            if e.alpha[i]:
-                m_oracle = oracle.relative_heller_oracle(m_oracle, i, cap)
-        result.check(m_oracle.parts == (dade.w_module(e),), {
-            "check": "oracle composition", "alpha": str(e),
-            "composed": str(m_oracle), "recursion": dade.w_module(e),
-        })
+        m_oracle = result.oracle(
+            _compose, e, lambda m, i: oracle.relative_heller_oracle(m, i, cap))
+        if m_oracle is not None:
+            result.check(m_oracle.parts == (dade.w_module(e),), {
+                "check": "oracle composition", "alpha": str(e),
+                "composed": str(m_oracle), "recursion": dade.w_module(e),
+            })
     return result
+
+
+def _compose(e: DadeElement, syzygy) -> ModuleSum:
+    """J_1 under syzygy(-, i) for each set bit i of e, innermost first."""
+    m = ModuleSum(e.group, (1,))
+    for i in reversed(range(e.group.ell)):
+        if e.alpha[i]:
+            m = syzygy(m, i)
+    return m
 
 
 def suite_induction(group: GroupSpec, cap: int | None = None) -> SuiteResult:
@@ -221,16 +230,8 @@ def suite_induction(group: GroupSpec, cap: int | None = None) -> SuiteResult:
         sub = group.subgroup(i)
         for a in range(1, sub.order + 1):
             m = ModuleSum(sub, (a,))
-            try:
-                by_oracle = oracle.induce_oracle(m, group, cap)
-            except oracle.OracleCapacityError:
-                result.skipped += 1
-                continue
-            closed = modules.induce(m, group)
-            result.check(closed == by_oracle, {
-                "i": i, "a": a,
-                "closed": str(closed), "oracle": str(by_oracle),
-            })
+            result.against({"i": i, "a": a}, modules.induce(m, group),
+                           oracle.induce_oracle, m, group, cap)
     return result
 
 

@@ -243,7 +243,7 @@ class TestKernelAgainstReference:
 
     def test_rank_profile_stops_on_non_nilpotent(self):
         with pytest.raises(ValueError, match="not nilpotent"):
-            rank_profile(np.eye(3, dtype=np.int64), 5, max_steps=4)
+            rank_profile(np.eye(3, dtype=np.int64), 5)
 
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 12), st.integers(1, 12))
     @settings(max_examples=15, deadline=None)
@@ -330,24 +330,15 @@ class TestRankProfileGallop:
     def test_zero_matrix_has_empty_profile(self, n_mat):
         assert rank_profile(n_mat, 3) == []
 
-    @pytest.mark.parametrize("max_steps", [None, 2, 100])
     @pytest.mark.parametrize("n_mat", [
         np.eye(3, dtype=np.int64),
         # J_40 and an invertible 1 x 1 block: the rank stops at 1 after a
         # long stretch
         np.pad(np.eye(40, k=-1, dtype=np.int64), (0, 1)) + np.diag([0] * 40 + [2]),
     ], ids=["identity", "J_40+unit"])
-    def test_non_nilpotent_raises(self, n_mat, max_steps):
-        with pytest.raises(ValueError, match="not nilpotent") as info:
-            rank_profile(n_mat, 5, max_steps=max_steps)
-        assert "None" not in str(info.value)
-
-    def test_max_steps_counts_powers(self):
-        # J_9 has 8 non-zero powers: a bound of 7 is passed inside a jump
-        j9 = np.eye(9, k=-1, dtype=np.int64)
-        assert rank_profile(j9, 3, max_steps=8) == list(range(8, 0, -1))
-        with pytest.raises(ValueError, match="within 7 steps"):
-            rank_profile(j9, 3, max_steps=7)
+    def test_non_nilpotent_raises(self, n_mat):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            rank_profile(n_mat, 5)
 
     def test_single_block_takes_logarithmic_eliminations(self, monkeypatch):
         calls = []
@@ -407,6 +398,17 @@ class TestJordanType:
         bad = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match="not unipotent"):
             jordan_type(MatrixModule(C3, bad))
+
+    def test_blocks_longer_than_the_order_refused(self):
+        # J_n is an action of C_(p^ell) only for n <= p^ell; one message
+        # for every longer block, one past the order included
+        def block(n):
+            return np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+
+        assert jordan_type(MatrixModule(C9, block(9))).parts == (9,)
+        for group, n in [(C3, 4), (C9, 10)]:
+            with pytest.raises(ValueError, match="not unipotent of p-power"):
+                jordan_type(MatrixModule(group, block(n)))
 
     def test_jordan_chains_recover_type(self):
         m = module(C9, 6, 3, 3, 1)

@@ -1,0 +1,73 @@
+"""Source hygiene of the package, read from its syntax trees.
+
+No `assert` statement: `python -O` strips them, so every check the
+package relies on must be a real raise.  No module-level import left
+unused: a dead import is dead API in waiting.  `__init__.py` re-exports
+by importing, and `from __future__` imports are directives, so neither
+counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "cyclicsource").glob("*.py"))
+
+
+def tree_of(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def unused_imports(tree):
+    """Names bound by the module's top-level imports that nothing reads."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = names(tree)
+    # names read only inside string annotations, such as "ModuleSum"
+    annotations = [ann for node in ast.walk(tree)
+                   for ann in (getattr(node, "annotation", None),
+                               getattr(node, "returns", None))
+                   if ann is not None]
+    for ann in annotations:
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used |= names(ast.parse(const.value, mode="eval"))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "oracle.py", "verify.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    asserts = [node.lineno for node in ast.walk(tree_of(path))
+               if isinstance(node, ast.Assert)]
+    assert asserts == [], f"{path.name}: assert at lines {asserts}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"],
+    ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(tree_of(path)) == []
+
+
+def test_unused_import_is_seen():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nfrom x import a, b as c\n"
+                     "def f(y: 'a') -> None:\n    return os\n")
+    assert unused_imports(tree) == [(3, "c")]

@@ -82,24 +82,42 @@ class TestCapacitySkips:
     @pytest.mark.parametrize("cap", [1, 16, 81, 700])
     def test_skips_are_the_cases_over_the_cap(self, group, cap):
         # the oracle refuses exactly the cases whose largest matrix, of the
-        # dimension the closed forms predict, has more than `cap` entries
+        # dimension the closed forms predict, has more than `cap` entries,
+        # and every suite counts such a case as skipped
         def over(dim):
             return dim * dim > cap
 
         sizes = [dade.w_module(e) for e in dade.enumerate_elements(group)]
-        law = sum(over(a * b) for a in sizes for b in sizes)
-        classes = sum(over(n * n) for n in sizes)
-        induced = sum(over(a * group.p ** (group.ell - i))
-                      for i in range(group.ell + 1)
-                      for a in range(1, group.subgroup(i).order + 1))
-        results = verify.run_suites(
-            group, ["dade-law", "classification", "induction"], cap=cap)
-        assert [(r.name, r.skipped) for r in results] == [
-            ("dade-law", law), ("classification", classes),
-            ("induction", induced)]
-        assert results[0].cases + law == len(sizes) ** 2
-        assert results[1].cases == 1 + len(sizes) + 2 * (len(sizes) - classes)
-        assert all(r.passed for r in results)
+        indices = range(group.ell + 1)
+        q = [group.p ** (group.ell - i) for i in indices]
+        jordan = range(1, group.order + 1)
+        skips = {
+            "dade-law": sum(over(a * b) for a in sizes for b in sizes),
+            "classification": sum(over(n * n) for n in sizes),
+            # the relative syzygy of J_n builds its cover J_(q ceil(n/q))
+            "relative-heller": sum(over(q[i] * -(-n // q[i]))
+                                   for n in jordan for i in indices),
+            # the cap-chain half of restriction asks no oracle
+            "restriction": sum(over(n) for n in jordan for i in indices),
+            "induction": sum(over(a * q[i]) for i in indices
+                             for a in range(1, group.p ** i + 1)),
+        }
+        results = by_name(verify.run_suites(group, cap=cap))
+        assert {name: results[name].skipped for name in skips} == skips
+        for name, result in results.items():
+            assert result.passed, (name, result.mismatches[:3])
+        classes = skips["classification"]
+        assert results["dade-law"].cases + skips["dade-law"] == len(sizes) ** 2
+        assert results["classification"].cases == (
+            1 + len(sizes) + 2 * (len(sizes) - classes))
+
+        # each case is checked or skipped, as often as at the default cap;
+        # a skipped class stands for both of its oracle checks
+        def total(r):
+            return r.cases + r.skipped * (2 if r.name == "classification" else 1)
+
+        assert {name: total(r) for name, r in results.items()} == {
+            r.name: total(r) for r in verify.run_suites(group)}
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_non_positive_cap_rejected(self, cap):
