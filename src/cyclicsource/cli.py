@@ -8,10 +8,13 @@ Commands:
     tree emit-star E M P ELL   write a star tree record
     dade add|signs|module ...  Dade group arithmetic on bit vectors
 
-Exit codes: 0 success, 1 per-record analysis error or failed check,
-2 parse failure (of a file, of the group given by --p and --ell, or of the
-oracle capacity).  The oracle capacity is `--oracle-cap` if given, else the
-oracle's default; nothing is read from the environment.
+Each command returns its records (`tree emit-star` its descriptor text) or
+raises CommandError; `main` alone writes output and picks the exit code.
+Exit codes: 1 iff any record is an error or a command stops on a
+record-level failure, 2 for a parse or argument error (a file, the group
+given by --p and --ell, which needs ell >= 1, or the oracle capacity),
+else 0.  The oracle capacity is `--oracle-cap` if given, else the oracle's
+default; nothing is read from the environment.
 Reports render as human-readable text or as one JSON object per line
 (`--format json-lines`), byte-deterministic for fixed input.
 """
@@ -57,44 +60,44 @@ def _emit(records: list[dict], fmt: str, out) -> None:
             out.write(f"{head}: {rendered}\n")
 
 
-def _read_file(path: str):
+class CommandError(Exception):
+    """Stops a command: `main` writes the message to stderr and returns
+    `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _load(path: str) -> DescriptorFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _load(path: str) -> DescriptorFile | None:
-    text = _read_file(path)
-    if text is None:
-        return None
+        raise CommandError(EXIT_PARSE_ERROR, f"cannot read {path}: {exc}")
     try:
         return parse_descriptor(text)
     except DescriptorError as exc:
-        for issue in exc.issues:
-            print(f"parse error at {issue.path}: {issue.message}", file=sys.stderr)
-        return None
+        raise CommandError(EXIT_PARSE_ERROR, "\n".join(
+            f"parse error at {issue.path}: {issue.message}"
+            for issue in exc.issues))
 
 
-def _group(p: int, ell: int) -> GroupSpec | None:
+def _group(p: int, ell: int) -> GroupSpec:
     try:
-        return GroupSpec(p, ell)
+        group = GroupSpec(p, ell)
     except ValueError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return None
+        raise CommandError(EXIT_PARSE_ERROR, f"argument error: {exc}")
+    if ell < 1:
+        raise CommandError(EXIT_PARSE_ERROR,
+                           "argument error: ell must be at least 1")
+    return group
 
 
-def cmd_infer(args) -> int:
-    doc = _load(args.file)
-    if doc is None:
-        return EXIT_PARSE_ERROR
+def cmd_infer(args) -> list[dict]:
     records = []
-    failed = False
-    for idx, block in enumerate(doc.blocks):
-        label = block.label or f"blocks[{idx}]"
-        base = {"record": "block", "label": label}
+    for idx, block in enumerate(_load(args.file).blocks):
+        base = {"record": "block", "label": block.label or f"blocks[{idx}]"}
         try:
             w = analyze(block)
             records.append({
@@ -107,29 +110,22 @@ def cmd_infer(args) -> int:
                 "provenance": w.provenance,
             })
         except ValueError as exc:
-            failed = True
             records.append({**base, "status": "error", "error": str(exc)})
-    _emit(records, args.format, sys.stdout)
-    return EXIT_RECORD_ERROR if failed else EXIT_OK
+    return records
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list[dict]:
     group = _group(args.p, args.ell)
-    if group is None:
-        return EXIT_PARSE_ERROR
     try:
         cap = capacity_limit(args.oracle_cap, "--oracle-cap")
     except ValueError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise CommandError(EXIT_PARSE_ERROR, f"argument error: {exc}")
     try:
         check_capacity(group.order, cap)
         results = verify.run_suites(group, args.suite or None, cap)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RECORD_ERROR
+        raise CommandError(EXIT_RECORD_ERROR, str(exc))
     records = []
-    failed = False
     for result in results:
         record = {
             "record": "suite",
@@ -140,40 +136,28 @@ def cmd_verify(args) -> int:
             "mismatches": len(result.mismatches),
         }
         if not result.passed:
-            failed = True
             record["error"] = "mismatches found"
             record["witnesses"] = result.mismatches
         records.append(record)
-    _emit(records, args.format, sys.stdout)
-    return EXIT_RECORD_ERROR if failed else EXIT_OK
+    return records
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args) -> list[dict] | str:
     if args.tree_command == "emit-star":
         group = _group(args.p, args.ell)
-        if group is None:
-            return EXIT_PARSE_ERROR
         try:
             t = trees.star(args.e, args.m, group)
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_RECORD_ERROR
-        doc = DescriptorFile(trees=[t])
-        sys.stdout.write(emit_descriptor(doc))
-        return EXIT_OK
+            raise CommandError(EXIT_RECORD_ERROR, str(exc))
+        return emit_descriptor(DescriptorFile(trees=[t]))
 
     doc = _load(args.file)
-    if doc is None:
-        return EXIT_PARSE_ERROR
-
     if args.tree_command == "check":
         records = []
-        failed = False
         for idx, t in enumerate(doc.trees):
             label = t.label or f"trees[{idx}]"
             violations = trees.validate(t)
             if violations:
-                failed = True
                 records.append({
                     "record": "tree", "label": label, "status": "error",
                     "error": "invalid tree", "violations": violations,
@@ -183,28 +167,25 @@ def cmd_tree(args) -> int:
                     "record": "tree", "label": label, "status": "ok",
                     "edges": t.num_edges, "multiplicity": t.multiplicity,
                 })
-        _emit(records, args.format, sys.stdout)
-        return EXIT_RECORD_ERROR if failed else EXIT_OK
+        return records
 
     # compare
     by_label = {t.label: t for t in doc.trees}
     missing = [name for name in (args.a, args.b) if name not in by_label]
     if missing:
-        print(f"tree record(s) not found: {', '.join(missing)}", file=sys.stderr)
-        return EXIT_RECORD_ERROR
+        raise CommandError(EXIT_RECORD_ERROR,
+                           f"tree record(s) not found: {', '.join(missing)}")
     t1, t2 = by_label[args.a], by_label[args.b]
     bad = trees.validate(t1) + trees.validate(t2)
     if bad:
-        print("invalid tree(s): " + "; ".join(bad), file=sys.stderr)
-        return EXIT_RECORD_ERROR
-    _emit([{
+        raise CommandError(EXIT_RECORD_ERROR, "invalid tree(s): " + "; ".join(bad))
+    return [{
         "record": "comparison",
         "label": f"{args.a} vs {args.b}",
         "status": "ok",
         "similar": trees.similar(t1, t2),
         "planar_isomorphic": trees.planar_isomorphic(t1, t2),
-    }], args.format, sys.stdout)
-    return EXIT_OK
+    }]
 
 
 def _parse_alpha(text: str, group: GroupSpec) -> dade.DadeElement:
@@ -213,10 +194,8 @@ def _parse_alpha(text: str, group: GroupSpec) -> dade.DadeElement:
     return dade.DadeElement(group, tuple(int(c) for c in text))
 
 
-def cmd_dade(args) -> int:
+def cmd_dade(args) -> list[dict]:
     group = _group(args.p, args.ell)
-    if group is None:
-        return EXIT_PARSE_ERROR
     try:
         if args.dade_command == "add":
             a = _parse_alpha(args.a, group)
@@ -232,10 +211,8 @@ def cmd_dade(args) -> int:
             result = {"record": "dade", "label": args.alpha, "status": "ok",
                       "jordan": dade.w_module(e)}
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RECORD_ERROR
-    _emit([result], args.format, sys.stdout)
-    return EXIT_OK
+        raise CommandError(EXIT_RECORD_ERROR, str(exc))
+    return [result]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        result = args.func(args)
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    if isinstance(result, str):
+        sys.stdout.write(result)
+        return EXIT_OK
+    _emit(result, args.format, sys.stdout)
+    if any(record["status"] == "error" for record in result):
+        return EXIT_RECORD_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

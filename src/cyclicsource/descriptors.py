@@ -43,6 +43,9 @@ _TREE_FIELDS = {
     "label", "p", "ell", "vertices", "planar", "exceptional", "multiplicity",
 }
 _TOP_FIELDS = {"version", "blocks", "trees"}
+# the JSON kinds a field may be required to have, by the noun in messages
+_KIND_NOUNS = {int: "integer", str: "string", bool: "boolean",
+               list: "array", dict: "object"}
 
 
 class _Float(float):
@@ -79,27 +82,26 @@ class _Validator:
     def fail(self, path: str, message: str) -> None:
         self.issues.append(ParseIssue(path, message))
 
-    def require_int(self, value, path: str) -> int | None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(path, "integer required")
+    def require(self, value, kind: type, path: str):
+        """`value` if its type is exactly `kind` (so `true` is no integer),
+        else None after reporting it at `path`."""
+        if type(value) is not kind:
+            self.fail(path, f"{_KIND_NOUNS[kind]} required")
             return None
         return value
 
-    def require_str(self, value, path: str) -> str | None:
-        if not isinstance(value, str):
-            self.fail(path, "string required")
-            return None
-        return value
-
-    def require_bool(self, value, path: str) -> bool | None:
-        if not isinstance(value, bool):
-            self.fail(path, "boolean required")
-            return None
-        return value
+    def require_all(self, items: list, kind: type, path: str) -> bool:
+        """Whether every entry of the array `items` at `path` is of `kind`;
+        the first one that is not is reported, and only its path is built."""
+        for k, entry in enumerate(items):
+            if type(entry) is not kind:
+                self.fail(f"{path}[{k}]", f"{_KIND_NOUNS[kind]} required")
+                return False
+        return True
 
     def group(self, record: dict, path: str) -> GroupSpec | None:
-        p = self.require_int(record.get("p"), f"{path}.p")
-        ell = self.require_int(record.get("ell"), f"{path}.ell")
+        p = self.require(record.get("p"), int, f"{path}.p")
+        ell = self.require(record.get("ell"), int, f"{path}.ell")
         if p is None or ell is None:
             return None
         if ell < 1:
@@ -122,8 +124,7 @@ def _reject_unknown(v: _Validator, record: dict, allowed: set, path: str) -> Non
 
 
 def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
-    if not isinstance(record, dict):
-        v.fail(path, "object required")
+    if v.require(record, dict, path) is None:
         return None
     _reject_unknown(v, record, _BLOCK_FIELDS, path)
     group = v.group(record, path)
@@ -131,34 +132,25 @@ def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
         return None
     chi = None
     if "chi_values" in record:
-        raw = record["chi_values"]
-        if not isinstance(raw, list):
-            v.fail(f"{path}.chi_values", "array required")
+        chi = v.require(record["chi_values"], list, f"{path}.chi_values")
+        if chi is None or not v.require_all(chi, int, f"{path}.chi_values"):
             return None
-        chi = []
-        for k, entry in enumerate(raw):
-            value = v.require_int(entry, f"{path}.chi_values[{k}]")
-            if value is None:
-                return None
-            chi.append(value)
         if len(chi) != group.ell:
             v.fail(f"{path}.chi_values", f"expected {group.ell} values, got {len(chi)}")
             return None
     flags = {}
     for name in ("is_principal", "centralizer_equal", "normalizer_equal"):
         if name in record:
-            value = v.require_bool(record[name], f"{path}.{name}")
-            if value is None:
+            flags[name] = v.require(record[name], bool, f"{path}.{name}")
+            if flags[name] is None:
                 return None
-            flags[name] = value
     e = None
     if "inertial_index" in record:
-        e = v.require_int(record["inertial_index"], f"{path}.inertial_index")
+        e = v.require(record["inertial_index"], int, f"{path}.inertial_index")
         if e is None:
             return None
-    label = record.get("label", "")
-    if not isinstance(label, str):
-        v.fail(f"{path}.label", "string required")
+    label = v.require(record.get("label", ""), str, f"{path}.label")
+    if label is None:
         return None
     try:
         return BlockDescriptor(
@@ -173,60 +165,38 @@ def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
         return None
 
 
-def _strings(v: _Validator, items: list, path: str, key: str) -> bool:
-    """Whether every entry of the array at `path`.`key` is a string; the
-    first one that is not is reported, and only then is its path built."""
-    for k, entry in enumerate(items):
-        if not isinstance(entry, str):
-            v.fail(f"{path}.{key}[{k}]", "string required")
-            return False
-    return True
-
-
 def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
-    if not isinstance(record, dict):
-        v.fail(path, "object required")
+    if v.require(record, dict, path) is None:
         return None
     _reject_unknown(v, record, _TREE_FIELDS, path)
     group = v.group(record, path)
     if group is None:
         return None
-    raw_vertices = record.get("vertices")
-    if not isinstance(raw_vertices, list):
-        v.fail(f"{path}.vertices", "array required")
+    vertices = v.require(record.get("vertices"), list, f"{path}.vertices")
+    if vertices is None or not v.require_all(vertices, str, f"{path}.vertices"):
         return None
-    if not _strings(v, raw_vertices, path, "vertices"):
+    planar = v.require(record.get("planar"), dict, f"{path}.planar")
+    if planar is None:
         return None
-    raw_planar = record.get("planar")
-    if not isinstance(raw_planar, dict):
-        v.fail(f"{path}.planar", "object required")
+    for vertex, neighbours in planar.items():
+        at = f"{path}.planar.{vertex}"
+        if v.require(neighbours, list, at) is None \
+                or not v.require_all(neighbours, str, at):
+            return None
+    exceptional = record.get("exceptional")
+    if exceptional is not None and \
+            v.require(exceptional, str, f"{path}.exceptional") is None:
         return None
-    planar_path = f"{path}.planar"
-    for vertex, neighbours in raw_planar.items():
-        if not isinstance(neighbours, list):
-            v.fail(f"{planar_path}.{vertex}", "array required")
-            return None
-        if not _strings(v, neighbours, planar_path, vertex):
-            return None
-    planar = {vertex: tuple(ns) for vertex, ns in raw_planar.items()}
-    exceptional = None
-    if record.get("exceptional") is not None:
-        exceptional = v.require_str(record["exceptional"], f"{path}.exceptional")
-        if exceptional is None:
-            return None
-    multiplicity = 1
-    if "multiplicity" in record:
-        m = v.require_int(record["multiplicity"], f"{path}.multiplicity")
-        if m is None:
-            return None
-        multiplicity = m
-    label = record.get("label", "")
-    if not isinstance(label, str):
-        v.fail(f"{path}.label", "string required")
+    multiplicity = v.require(record.get("multiplicity", 1), int,
+                             f"{path}.multiplicity")
+    if multiplicity is None:
+        return None
+    label = v.require(record.get("label", ""), str, f"{path}.label")
+    if label is None:
         return None
     return BrauerTree(
-        vertices=tuple(raw_vertices),
-        planar=planar,
+        vertices=tuple(vertices),
+        planar={vertex: tuple(ns) for vertex, ns in planar.items()},
         defect=group,
         multiplicity=multiplicity,
         exceptional=exceptional,
@@ -323,22 +293,16 @@ def parse_descriptor(text: str) -> DescriptorFile:
     if v.issues:
         raise DescriptorError(v.issues)
     _reject_unknown(v, data, _TOP_FIELDS, "$")
-    version = v.require_int(data.get("version"), "$.version")
+    version = v.require(data.get("version"), int, "$.version")
     if version is not None and version != FORMAT_VERSION:
         v.fail("$.version", f"unsupported version {version}")
     out = DescriptorFile(version=version or FORMAT_VERSION)
-    raw_blocks = data.get("blocks", [])
-    if not isinstance(raw_blocks, list):
-        v.fail("$.blocks", "array required")
-        raw_blocks = []
+    raw_blocks = v.require(data.get("blocks", []), list, "$.blocks") or []
     for k, record in enumerate(raw_blocks):
         block = _parse_block(v, record, f"$.blocks[{k}]")
         if block is not None:
             out.blocks.append(block)
-    raw_trees = data.get("trees", [])
-    if not isinstance(raw_trees, list):
-        v.fail("$.trees", "array required")
-        raw_trees = []
+    raw_trees = v.require(data.get("trees", []), list, "$.trees") or []
     for k, record in enumerate(raw_trees):
         tree = _parse_tree(v, record, f"$.trees[{k}]")
         if tree is not None:

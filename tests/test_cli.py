@@ -24,6 +24,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a command line naming a bad group, and the start of its stderr; the group
+# needs ell >= 1 in every command, as in a descriptor file
+BAD_GROUPS = [
+    (("dade", "--p", "4", "--ell", "1", "add", "0", "1"),
+     "argument error: p must be prime"),
+    (("verify", "--p", "3", "--ell", str(10**9)),
+     "argument error: p^ell must have at most 4300 digits"),
+    (("tree", "emit-star", "2", "1", "3", str(10**9)),
+     "argument error: p^ell must have at most 4300 digits"),
+    *((argv, "argument error: ell must be at least 1\n") for argv in (
+        ("verify", "--p", "3", "--ell", "0"),
+        ("tree", "emit-star", "1", "0", "3", "0"),
+        ("dade", "--p", "3", "--ell", "0", "add", "", ""))),
+]
+
+
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
@@ -262,11 +278,14 @@ class TestTree:
         record = json.loads(out.splitlines()[0])
         assert record["similar"] is True and record["planar_isomorphic"] is True
 
-    def test_compare_missing_label(self, capsys):
-        code, _, err = run(capsys, "tree", "compare", fixture("good.json"),
-                           "star", "nope")
+    @pytest.mark.parametrize("file, a, b, message", [
+        ("good.json", "star", "nope", "tree record(s) not found: nope\n"),
+        ("tree_error_cycle.json", "cycle", "cycle", "invalid tree(s): "),
+    ], ids=["missing-label", "invalid-tree"])
+    def test_compare_missing_label(self, capsys, file, a, b, message):
+        code, out, err = run(capsys, "tree", "compare", fixture(file), a, b)
         assert code == EXIT_RECORD_ERROR
-        assert "not found" in err
+        assert err.startswith(message) and out == ""
 
     def _compare(self, capsys, tmp_path, first, second):
         path = tmp_path / "pair.json"
@@ -344,15 +363,13 @@ class TestDade:
         assert code == EXIT_OK
         assert "alpha=10" in out
 
-    @pytest.mark.parametrize("argv", [
-        ("dade", "--p", "4", "--ell", "1", "add", "0", "1"),
-        ("verify", "--p", "3", "--ell", str(10**9)),
-        ("tree", "emit-star", "2", "1", "3", str(10**9)),
-    ])
-    def test_bad_group_arguments_exit_two(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(argv, message, id=f"argv{k}")
+        for k, (argv, message) in enumerate(BAD_GROUPS)])
+    def test_bad_group_arguments_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_PARSE_ERROR
-        assert err.startswith("argument error:") and out == ""
+        assert err.startswith(message) and out == ""
 
     def test_bad_alpha(self, capsys):
         code, _, err = run(capsys, "dade", "--p", "3", "--ell", "2",

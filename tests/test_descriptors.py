@@ -18,6 +18,36 @@ def load(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def _tree(vertices: str, planar: str) -> str:
+    return ('{"version": 1, "trees": [{"p": 3, "ell": 1, '
+            f'"vertices": {vertices}, "planar": {planar}}}]}}')
+
+
+def _block(fields: str) -> str:
+    return '{"version": 1, "blocks": [{"p": 3, "ell": 2' + fields + '}]}'
+
+
+# documents with one value of the wrong JSON kind, and the one issue each
+# gives; a kind is exact, so `true` is no integer and `1` no boolean
+KIND_ERRORS = [
+    (_tree('["a", 1]', '{"a": ["b"], "b": ["a"]}'),
+     ("$.trees[0].vertices[1]", "string required")),
+    (_tree('["a", "b"]', '{"a": ["b"], "b": ["a", null]}'),
+     ("$.trees[0].planar.b[1]", "string required")),
+    (_tree('["a", "b"]', '{"a": "b", "b": ["a"]}'),
+     ("$.trees[0].planar.a", "array required")),
+    ('{"version": 1, "blocks": [{"p": true, "ell": 1}]}',
+     ("$.blocks[0].p", "integer required")),
+    (_block(', "is_principal": 1'),
+     ("$.blocks[0].is_principal", "boolean required")),
+    (_block(', "label": 5'), ("$.blocks[0].label", "string required")),
+    ('{"version": 1, "blocks": {}}', ("$.blocks", "array required")),
+    ('{"version": 1, "blocks": [3]}', ("$.blocks[0]", "object required")),
+    (_block(', "chi_values": [1, true]'),
+     ("$.blocks[0].chi_values[1]", "integer required")),
+]
+
+
 def issues_of(text: str):
     with pytest.raises(DescriptorError) as err:
         parse_descriptor(text)
@@ -88,17 +118,10 @@ class TestParsing:
         assert [(i.path, i.message) for i in issues] == [
             ("line 1 column 29", "integer literal of 5000 digits, more than 4300")]
 
-    @pytest.mark.parametrize("vertices, planar, expected", [
-        ('["a", 1]', '{"a": ["b"], "b": ["a"]}',
-         ("$.trees[0].vertices[1]", "string required")),
-        ('["a", "b"]', '{"a": ["b"], "b": ["a", null]}',
-         ("$.trees[0].planar.b[1]", "string required")),
-        ('["a", "b"]', '{"a": "b", "b": ["a"]}',
-         ("$.trees[0].planar.a", "array required")),
-    ])
-    def test_tree_entry_errors_positioned(self, vertices, planar, expected):
-        issues = issues_of('{"version": 1, "trees": [{"p": 3, "ell": 1, '
-                           f'"vertices": {vertices}, "planar": {planar}}}]}}')
+    @pytest.mark.parametrize("document, expected", KIND_ERRORS,
+                             ids=[path for _, (path, _) in KIND_ERRORS])
+    def test_kind_errors_positioned(self, document, expected):
+        issues = issues_of(document)
         assert [(i.path, i.message) for i in issues] == [expected]
 
     def test_ell_bounded_by_order_digits(self):

@@ -5,6 +5,11 @@ package relies on must be a real raise.  No module-level import left
 unused: a dead import is dead API in waiting.  `__init__.py` re-exports
 by importing, and `from __future__` imports are directives, so neither
 counts.
+
+Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
+appear nowhere else in the package, and `sys.exit` only in a
+`if __name__ == "__main__"` guard.  Commands return records and raise to
+stop, so the exit code and every byte written are decided in one place.
 """
 
 import ast
@@ -48,6 +53,35 @@ def unused_imports(tree):
                   if name not in used)
 
 
+OUTPUT = ("print", "sys.stdout", "sys.stderr")
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+def output_uses(tree, writer=None):
+    """(line, name) of each use of print, sys.stdout, sys.stderr or
+    sys.exit outside where it is allowed: the first three in the top-level
+    function named `writer`, sys.exit in the `__main__` guard."""
+    found = []
+    for top in tree.body:
+        allowed = ()
+        if isinstance(top, ast.FunctionDef) and top.name == writer:
+            allowed = OUTPUT
+        elif isinstance(top, ast.If) and \
+                ast.unparse(top.test) == "__name__ == '__main__'":
+            allowed = ("sys.exit",)
+        found += [(node.lineno, name) for node in ast.walk(top)
+                  if (name := _dotted(node)) in (*OUTPUT, "sys.exit")
+                  and name not in allowed]
+    return sorted(found)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "oracle.py", "verify.py"}
 
@@ -71,3 +105,19 @@ def test_unused_import_is_seen():
                      "import os.path\nfrom x import a, b as c\n"
                      "def f(y: 'a') -> None:\n    return os\n")
     assert unused_imports(tree) == [(3, "c")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_output_only_in_cli_main(path):
+    writer = "main" if path.name == "cli.py" else None
+    assert output_uses(tree_of(path), writer) == []
+
+
+def test_output_use_is_seen():
+    tree = ast.parse("import sys\n"
+                     "def main():\n    print(1)\n    sys.exit(1)\n"
+                     "def cmd(out=sys.stderr):\n    sys.stdout.write('x')\n"
+                     "if __name__ == '__main__':\n    sys.exit(main())\n"
+                     "    print(2)\n")
+    assert output_uses(tree, "main") == [
+        (4, "sys.exit"), (5, "sys.stderr"), (6, "sys.stdout"), (9, "print")]
