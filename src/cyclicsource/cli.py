@@ -176,7 +176,9 @@ def cmd_tree(args) -> list[dict] | str:
         raise CommandError(EXIT_RECORD_ERROR,
                            f"tree record(s) not found: {', '.join(missing)}")
     t1, t2 = by_label[args.a], by_label[args.b]
-    bad = trees.validate(t1) + trees.validate(t2)
+    # each tree once, also when it is compared with itself
+    bad = [f"{label}: {v}" for label in dict.fromkeys((args.a, args.b))
+           for v in trees.validate(by_label[label])]
     if bad:
         raise CommandError(EXIT_RECORD_ERROR, "invalid tree(s): " + "; ".join(bad))
     return [{

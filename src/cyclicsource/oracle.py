@@ -8,9 +8,11 @@ since the number of Jordan blocks of size >= s+1 equals r_s - r_{s+1}.
 Jordan types of unipotent matrices are insensitive to field extension, so
 the prime field stands in for the algebraically closed coefficient field.
 
-All matrices are numpy int64 arrays with entries reduced mod p.  Products
-are taken through float64 BLAS where the exactness bound allows it (always,
-for the sizes admitted by the capacity check).
+Matrices pass between functions as numpy int64 arrays with entries reduced
+mod p.  Inside, each exactness bound picks the narrowest type that holds
+every value it can reach: the elimination works in int16, int32 or int64,
+and products are taken through float32 BLAS below 2^24, else float64 BLAS
+below 2^53 (always, for the sizes admitted by the capacity check).
 """
 
 from __future__ import annotations
@@ -64,18 +66,21 @@ PANEL = 64
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of two matrices with entries in [0, p), reduced mod p.
+    """Product of two matrices with entries in [0, p), reduced mod p, as an
+    int64 array.
 
-    Taken in float64 BLAS, exact while every dot product stays below 2^53,
-    and reduced in int64, which is faster than reducing the float64 result.
+    Taken in float32 BLAS while every dot product stays below 2^24, else in
+    float64 BLAS, exact below 2^53; reduced in int64, which is faster than
+    reducing the float result.
     """
-    inner = a.shape[1]
-    if inner * (p - 1) ** 2 >= 2**53:
+    bound = a.shape[1] * (p - 1) ** 2
+    if bound >= 2**53:
         raise OverflowError(
-            f"float64 product mod {p} with inner dimension {inner} "
+            f"float64 product mod {p} with inner dimension {a.shape[1]} "
             f"would exceed 2^53"
         )
-    out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    real = np.float32 if bound < 2**24 else np.float64
+    out = (a.astype(real) @ b.astype(real)).astype(np.int64)
     out %= p
     return out
 
@@ -113,16 +118,23 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     FFLAS-FFPACK scheme (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A
     pivot row ends as a unit row, so its slot in the panel holds its row of
     T instead.
+
+    The work array is the narrowest of int16, int32 and int64 that holds
+    updates (p-1)^2 + p, a panel's excursion between reductions, and
+    ceil(m / PANEL) p, as the rows below gain less than p per panel above
+    them; beyond int64 it raises OverflowError.  E is int64 in every case.
     """
     m, n = a.shape
-    # between reductions each pivot moves an entry by less than (p-1)^2
     updates = min(m, n, PANEL)
-    if updates * (p - 1) ** 2 + p >= 2**63:
+    bound = max(updates * (p - 1) ** 2 + p, -(-m // PANEL) * p)
+    if bound >= 2**63:
         raise OverflowError(
             f"elimination mod {p}: {updates} unreduced updates would "
             f"overflow int64"
         )
-    w = np.remainder(a, p, dtype=np.int64, order="C")
+    dtype = (np.int16 if bound < 2**15 else
+             np.int32 if bound < 2**31 else np.int64)
+    w = np.remainder(a, p).astype(dtype, order="C")
     rows: list[int] = []
     r = 0
     for i0 in range(0, m, PANEL):
@@ -160,7 +172,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             lead = rest[:, r0:r] % p
             rest[:, r0:r] = 0
             rest += matmul_mod(lead, panel[[i - i0 for i in rows[r0:]]] % p, p)
-    basis = w[:, :r] % p
+    basis = np.remainder(w[:, :r], p, dtype=np.int64)
     if m > PANEL:
         basis[rows] = np.eye(r, dtype=np.int64)
     return basis, rows
@@ -231,9 +243,11 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
     r_(s+t) = r_s - t d for every t <= j.  A plain step (j = 1) eliminates
     M.  Once it falls by the previous difference d, j = 2: M^j is taken by
     squaring and eliminated once; a proof appends the j ranks and doubles
-    j, a miss halves it, and j shrinks so that j d never passes r_s.  A
-    single block J_n thus costs O(log n) eliminations instead of n - 1.
-    Only M, M^j and one basis are alive at a time.
+    j, a miss halves it.  j never passes the room left in the stretch: at
+    most r_s / d powers, and fewer than j' once a jump of j' missed, a
+    bound that later proofs keep.  A single block J_n thus costs O(log n)
+    eliminations instead of n - 1.  Only M, M^j and one basis are alive at
+    a time.
 
     A plain step that leaves the rank unchanged proves that N is not
     nilpotent and raises ValueError; a profile is thus never longer than
@@ -241,9 +255,10 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
     """
     ranks: list[int] = []
     mat = n_mat
-    r, d, jump = n_mat.shape[0], 0, 1
+    # room: the powers by which the rank can still fall by d
+    r, d, jump, room = n_mat.shape[0], 0, 1, 0
     while r:
-        while jump * d > r and jump > 1:
+        while jump > room and jump > 1:
             jump //= 2
         basis = column_space(mat if jump == 1 else matpow_mod(mat, jump, p), p)
         rank = basis.shape[1]
@@ -253,11 +268,16 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
                     f"matrix is not nilpotent: rank(N^{len(ranks)}) = "
                     f"rank(N^{len(ranks) + 1}) = {r}"
                 )
-            jump = 2 if r - rank == d else 1
-            d = r - rank
+            if r - rank == d:
+                jump, room = 2, room - 1
+            else:
+                jump, d = 1, r - rank
+                room = rank // d
         elif rank == r - jump * d:
+            room -= jump
             jump *= 2
         else:
+            room = jump - 1
             jump //= 2
             continue
         # r - d, r - 2d, ..., rank, without a trailing 0
@@ -327,7 +347,7 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
     return ModuleSum(a.group, tuple(parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _restricted_jordan(p: int, ell: int, i: int, n: int) -> tuple[int, ...]:
     """Jordan type of Res_{D_i} J_n: the generator of D_i acts as the
     p^(ell-i)-th power of the shift block."""
@@ -346,7 +366,7 @@ def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     return ModuleSum(sub, tuple(parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _induced_jordan(p: int, ell: int, i: int, a: int) -> tuple[int, ...]:
     """Jordan type of Ind_{D_i}^D J_a on its explicit matrix.
 
@@ -372,7 +392,7 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
     return ModuleSum(to, tuple(parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _kernel_jordan(p: int, ell: int, m: int, n: int) -> tuple[int, ...]:
     """Jordan type of the kernel of the quotient surjection J_m ->> J_n.
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclicsource import dade
+from cyclicsource import dade, trees
 from cyclicsource.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -286,6 +286,31 @@ class TestTree:
         code, out, err = run(capsys, "tree", "compare", fixture(file), a, b)
         assert code == EXIT_RECORD_ERROR
         assert err.startswith(message) and out == ""
+
+    @pytest.mark.parametrize("a, b", [
+        ("cycle", "cycle"), ("cycle", "badcount"), ("badcount", "star"),
+        ("star", "cycle"),
+    ])
+    def test_compare_names_the_invalid_tree(self, capsys, monkeypatch,
+                                            tmp_path, a, b):
+        # every violation once, after the label of its tree, and one
+        # validation per tree, also for a tree compared with itself
+        records = [t for name in ("tree_error_cycle.json",
+                                  "tree_error_numeric.json", "good.json")
+                   for t in json.loads((FIXTURES / name).read_text())["trees"]]
+        path = tmp_path / "trees.json"
+        path.write_text(json.dumps({"version": 1, "trees": records}))
+        by_label = {t.label: t for t in parse_descriptor(path.read_text()).trees}
+        expected = [f"{label}: {v}" for label in dict.fromkeys((a, b))
+                    for v in trees.validate(by_label[label])]
+        validated = []
+        validate = trees.validate
+        monkeypatch.setattr(
+            trees, "validate", lambda t: validated.append(t.label) or validate(t))
+        code, out, err = run(capsys, "tree", "compare", str(path), a, b)
+        assert code == EXIT_RECORD_ERROR and out == ""
+        assert err == "invalid tree(s): " + "; ".join(expected) + "\n"
+        assert validated == list(dict.fromkeys((a, b)))
 
     def _compare(self, capsys, tmp_path, first, second):
         path = tmp_path / "pair.json"

@@ -353,6 +353,21 @@ class TestRankProfileGallop:
         assert jordan_type(realize(module(group, 125))).parts == (125,)
         assert len(calls) <= 2 * math.ceil(math.log2(125)) + 4
 
+    @pytest.mark.parametrize("group, parts, most", [
+        (GroupSpec(5, 3), (100, 50, 3), 24),
+        (GroupSpec(2, 5), (30, 3), 12),
+    ], ids=["J_100+J_50+J_3", "J_30+J_3"])
+    def test_a_miss_bounds_later_jumps(self, monkeypatch, group, parts, most):
+        # a miss at jump j shows that the stretch ends within j powers, so
+        # no later jump of the stretch may reach j again (32 and 13
+        # eliminations when a proof doubled back past the bound)
+        calls = []
+        echelon = oracle._echelon
+        monkeypatch.setattr(oracle, "_echelon",
+                            lambda a, p: calls.append(a.shape) or echelon(a, p))
+        assert jordan_type(realize(ModuleSum(group, parts))).parts == parts
+        assert len(calls) <= most
+
 
 class TestExactnessGuards:
     def test_guards_survive_python_dash_o(self):
@@ -379,6 +394,69 @@ class TestExactnessGuards:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def reference_echelon(a, p):
+    """_echelon's (E, rows) from the reference RREF of a.T."""
+    rref_t, rows = reference_rref(a.T, p)
+    return np.array(rref_t, dtype=np.int64).reshape(len(rows), a.shape[0]).T, rows
+
+
+def panel_pivots(p, m, n, seed):
+    """An m x n matrix of rank n whose first n panels of PANEL rows each
+    bring one new independent row, so that every row below the n-th panel
+    has taken n panel updates unreduced."""
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, p, (n, n))
+    while reference_rank(basis, p) < n:
+        basis = rng.integers(0, p, (n, n))
+    coeffs = rng.integers(0, p, (m, n))
+    for k in range(n):
+        coeffs[k * oracle.PANEL : (k + 1) * oracle.PANEL, k + 1 :] = 0
+        coeffs[k * oracle.PANEL, k] = 1
+    return coeffs @ basis % p
+
+
+class TestKernelWidths:
+    """The elimination works in int16, int32 or int64 and the product in
+    float32 or float64, whichever the exactness bound allows; the results
+    must not depend on it.  With PANEL = 64 updates, 23 | 29 is the int16 |
+    int32 boundary and 5791 | 5801 the int32 | int64 one; with 8 columns, 8
+    updates keep p = 61 in int16."""
+
+    @pytest.mark.parametrize("p", [23, 29, 5791, 5801, 65521])
+    @pytest.mark.parametrize("m, n, k", [(150, 130, 130), (130, 150, 100),
+                                         (200, 90, 70)])
+    def test_column_space_across_type_boundaries(self, p, m, n, k):
+        rng = np.random.default_rng(m * p + k)
+        a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
+        a += p * rng.integers(-3, 4, (m, n))  # unreduced and negative
+        basis, rows = oracle._echelon(a, p)
+        want, want_rows = reference_echelon(a, p)
+        assert basis.dtype == np.int64 and rows == want_rows
+        assert np.array_equal(basis, want)
+        assert np.array_equal(column_space(a, p), want)
+
+    @pytest.mark.parametrize("p", [2, 23, 61, 181, 65521])
+    def test_tall_matrix_rows_below_grow(self, p):
+        a = panel_pivots(p, 1024, 8, seed=p)
+        basis, rows = oracle._echelon(a, p)
+        want, want_rows = reference_echelon(a, p)
+        assert rows == want_rows == [k * oracle.PANEL for k in range(8)]
+        assert np.array_equal(basis, want)
+
+    @pytest.mark.parametrize("inner", [255, 256, 257, 300])
+    def test_products_near_two_to_the_24(self, inner):
+        # p = 257: inner (p-1)^2 < 2^24 exactly for inner <= 255
+        p = 257
+        rng = np.random.default_rng(inner)
+        for a, b in [(np.full((3, inner), p - 1), np.full((inner, 4), p - 1)),
+                     (rng.integers(p - 4, p, (3, inner)),
+                      rng.integers(p - 4, p, (inner, 4)))]:
+            want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+                     for col in b.T] for row in a]
+            got = matmul_mod(a, b, p)
+            assert got.dtype == np.int64 and got.tolist() == want
 
 
 class TestJordanType:

@@ -6,6 +6,10 @@ unused: a dead import is dead API in waiting.  `__init__.py` re-exports
 by importing, and `from __future__` imports are directives, so neither
 counts.
 
+No cache without a size bound: every `lru_cache` names a `maxsize`
+other than None and `functools.cache` is not used, so a long sweep holds a
+bounded number of results.
+
 Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
 appear nowhere else in the package, and `sys.exit` only in a
 `if __name__ == "__main__"` guard.  Commands return records and raise to
@@ -51,6 +55,26 @@ def unused_imports(tree):
                 used |= names(ast.parse(const.value, mode="eval"))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+CACHES = ("lru_cache", "functools.lru_cache")
+
+
+def unbounded_caches(tree):
+    """(line, name) of each cache without a size bound: `cache` used as a
+    decorator, or `lru_cache` called with maxsize None."""
+    found = []
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            if _dotted(dec) in ("cache", "functools.cache"):
+                found.append((dec.lineno, _dotted(dec)))
+        if isinstance(node, ast.Call) and _dotted(node.func) in CACHES:
+            sizes = [*node.args[:1],
+                     *(k.value for k in node.keywords if k.arg == "maxsize")]
+            if any(isinstance(s, ast.Constant) and s.value is None
+                   for s in sizes):
+                found.append((node.lineno, _dotted(node.func)))
+    return sorted(found)
 
 
 OUTPUT = ("print", "sys.stdout", "sys.stderr")
@@ -121,3 +145,22 @@ def test_output_use_is_seen():
                      "    print(2)\n")
     assert output_uses(tree, "main") == [
         (4, "sys.exit"), (5, "sys.stderr"), (6, "sys.stdout"), (9, "print")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    assert unbounded_caches(tree_of(path)) == []
+
+
+def test_unbounded_cache_is_seen():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@lru_cache(maxsize=None)\ndef f(): pass\n"
+                     "@functools.lru_cache(None)\ndef g(): pass\n"
+                     "@cache\ndef h(): pass\n"
+                     "@lru_cache\ndef i(): pass\n"
+                     "@lru_cache(maxsize=4096)\ndef j(): pass\n"
+                     "k = lru_cache(maxsize=None)(len)\n"
+                     "cache = {}\n")
+    assert unbounded_caches(tree) == [
+        (3, "lru_cache"), (5, "functools.lru_cache"), (7, "cache"),
+        (13, "lru_cache")]
