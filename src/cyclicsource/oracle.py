@@ -10,8 +10,8 @@ the prime field stands in for the algebraically closed coefficient field.
 
 Matrices pass between functions as numpy int64 arrays with entries reduced
 mod p.  Inside, each exactness bound picks the narrowest type that holds
-every value it can reach: the elimination works in int16, int32 or int64,
-and products are taken through float32 BLAS below 2^24, else float64 BLAS
+every value it can reach: the elimination works in int16, else int64, and
+products are taken through float32 BLAS below 2^24, else float64 BLAS
 below 2^53 (always, for the sizes admitted by the capacity check).
 """
 
@@ -119,10 +119,10 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     pivot row ends as a unit row, so its slot in the panel holds its row of
     T instead.
 
-    The work array is the narrowest of int16, int32 and int64 that holds
-    updates (p-1)^2 + p, a panel's excursion between reductions, and
-    ceil(m / PANEL) p, as the rows below gain less than p per panel above
-    them; beyond int64 it raises OverflowError.  E is int64 in every case.
+    The work array is int16 if that holds both updates (p-1)^2 + p, a
+    panel's excursion between reductions, and ceil(m / PANEL) p, as the rows
+    below gain less than p per panel above them; else it is int64, and
+    beyond int64 it raises OverflowError.  E is int64 in every case.
     """
     m, n = a.shape
     updates = min(m, n, PANEL)
@@ -132,8 +132,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             f"elimination mod {p}: {updates} unreduced updates would "
             f"overflow int64"
         )
-    dtype = (np.int16 if bound < 2**15 else
-             np.int32 if bound < 2**31 else np.int64)
+    dtype = np.int16 if bound < 2**15 else np.int64
     w = np.remainder(a, p).astype(dtype, order="C")
     rows: list[int] = []
     r = 0

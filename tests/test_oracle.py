@@ -418,11 +418,11 @@ def panel_pivots(p, m, n, seed):
 
 
 class TestKernelWidths:
-    """The elimination works in int16, int32 or int64 and the product in
-    float32 or float64, whichever the exactness bound allows; the results
-    must not depend on it.  With PANEL = 64 updates, 23 | 29 is the int16 |
-    int32 boundary and 5791 | 5801 the int32 | int64 one; with 8 columns, 8
-    updates keep p = 61 in int16."""
+    """The elimination works in int16 or int64 and the product in float32
+    or float64, whichever the exactness bound allows; the results must not
+    depend on it.  With PANEL = 64 updates, 23 | 29 is the int16 | int64
+    boundary, and 5791, 5801 and 65521 put large entries in int64; with 8
+    columns, 8 updates keep p = 61 in int16."""
 
     @pytest.mark.parametrize("p", [23, 29, 5791, 5801, 65521])
     @pytest.mark.parametrize("m, n, k", [(150, 130, 130), (130, 150, 100),
