@@ -62,14 +62,10 @@ class BlockDescriptor:
         if e is not None:
             if e < 1:
                 raise ValueError("inertial index must be positive")
+            # then e | p^ell - 1 as well, since p = 1 (mod e)
             if (self.group.p - 1) % e != 0:
                 raise ValueError(
                     f"inertial index {e} does not divide p - 1 = {self.group.p - 1}"
-                )
-            if (self.group.order - 1) % e != 0:
-                raise ValueError(
-                    f"inertial index {e} does not divide p^ell - 1 = "
-                    f"{self.group.order - 1}"
                 )
 
 
@@ -161,29 +157,27 @@ def analyze(b: BlockDescriptor) -> WResult:
     otherwise.  When both routes produce an answer and disagree, the input
     is invalid and a hard error is raised rather than preferring either."""
     from_flags = metadata_criteria(b)
-    from_chi: WResult | None = None
-    if b.chi_values is not None and b.group.p != 2:
-        from_chi = infer_w(b)
-    if from_chi is not None and from_flags is not None:
-        if not from_chi.trivial:
-            raise InconsistentDescriptorError(
-                f"metadata flags assert a trivial source module but the "
-                f"character values give J_{from_chi.jordan}"
+    if b.chi_values is None or b.group.p == 2:  # no usable character values
+        if from_flags is not None:
+            return from_flags
+        if b.chi_values is not None:
+            raise OddPrimeRequiredError(
+                "character inference requires an odd prime and no metadata "
+                "criterion applies"
             )
-        return from_flags
-    if from_chi is not None:
-        return from_chi
-    if from_flags is not None:
-        return from_flags
-    if b.chi_values is not None and b.group.p == 2:
-        raise OddPrimeRequiredError(
-            "character inference requires an odd prime and no metadata "
-            "criterion applies"
+        raise CharacterValueError(
+            "descriptor carries neither character values nor an applicable "
+            "metadata criterion"
         )
-    raise CharacterValueError(
-        "descriptor carries neither character values nor an applicable "
-        "metadata criterion"
-    )
+    from_chi = infer_w(b)
+    if from_flags is None:
+        return from_chi
+    if not from_chi.trivial:
+        raise InconsistentDescriptorError(
+            f"metadata flags assert a trivial source module but the "
+            f"character values give J_{from_chi.jordan}"
+        )
+    return from_flags
 
 
 def restrict_w(w: WResult, i: int) -> int:

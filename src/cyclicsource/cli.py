@@ -11,7 +11,7 @@ Commands:
 Each command returns its records (`tree emit-star` its descriptor text) or
 raises CommandError; `main` alone writes output and picks the exit code.
 Exit codes: 1 iff any record is an error or a command stops on a
-record-level failure, 2 for a parse or argument error (a file, the group
+record-level error, 2 for a parse or argument error (a file, the group
 given by --p and --ell, which needs ell >= 1, or the oracle capacity),
 else 0.  The oracle capacity is `--oracle-cap` if given, else the oracle's
 default; nothing is read from the environment.
@@ -123,7 +123,7 @@ def cmd_verify(args) -> list[dict]:
     try:
         check_capacity(group.order, cap)
         results = verify.run_suites(group, args.suite or None, cap)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: p too large
         raise CommandError(EXIT_RECORD_ERROR, str(exc))
     records = []
     for result in results:

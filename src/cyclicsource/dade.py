@@ -136,15 +136,21 @@ def enumerate_elements(group: GroupSpec):
 
 
 def element_from_jordan(group: GroupSpec, n: int) -> DadeElement:
-    """Invert the map class -> Jordan size by enumeration.  The map is
-    injective on the classes of `enumerate_elements` for every p; for p = 2
-    its image is exactly the odd n < 2^ell."""
-    for e in enumerate_elements(group):
-        if w_module(e) == n:
-            return e
-    raise ValueError(
-        f"J_{n} is not a capped endo-permutation class over {group}"
-    )
+    """Invert `w_module`, one bit per layer from the top: at depth d a
+    Heller step leaves a size above p^(d-1), an inflation one of at most
+    p^(d-1), and undoing the step gives the size at depth d - 1; n is a
+    class exactly when this ends at 1.  Injective on the classes of
+    `enumerate_elements`; for p = 2 the image is the odd n < 2^ell."""
+    alpha, size = [], n
+    for depth in range(group.ell, 0, -1):
+        alpha.append(int(size > group.p ** (depth - 1)))
+        if alpha[-1]:
+            size = group.p ** depth - size
+    if size != 1:
+        raise ValueError(
+            f"J_{n} is not a capped endo-permutation class over {group}"
+        )
+    return DadeElement(group, tuple(alpha))
 
 
 def lift_character(e: DadeElement) -> LiftCharacter:

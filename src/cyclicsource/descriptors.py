@@ -195,8 +195,8 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
     if label is None:
         return None
     return BrauerTree(
-        vertices=tuple(vertices),
-        planar={vertex: tuple(ns) for vertex, ns in planar.items()},
+        vertices=vertices,
+        planar=planar,
         defect=group,
         multiplicity=multiplicity,
         exceptional=exceptional,

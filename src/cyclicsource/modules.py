@@ -90,8 +90,7 @@ def relative_heller(m: ModuleSum, i: int) -> ModuleSum:
     J_m with m = p^(ell-i) * ceil(n / p^(ell-i)), and the kernel is J_{m-n}
     by uniseriality.  i = 0 is the ordinary Heller operator.
     """
-    if not 0 <= i <= m.group.ell:
-        raise ValueError(f"subgroup index {i} out of range 0..{m.group.ell}")
+    m.group.subgroup(i)  # checks the index
     q = m.group.p ** (m.group.ell - i)
     out = []
     for n in m.parts:

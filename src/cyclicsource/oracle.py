@@ -281,6 +281,8 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
             continue
         # r - d, r - 2d, ..., rank, without a trailing 0
         ranks.extend(range(r - d, max(rank, 1) - 1, -d))
+        if not rank:  # the profile is complete: no product to take
+            break
         r = rank
         # R: the rows of the leading 1s, taken before the product so that
         # the previous matrix can be freed
@@ -414,8 +416,7 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
     diagonal, so assembling the induced-restricted module summand-wise is
     structural, not a closed form.
     """
-    if not 0 <= i <= m.group.ell:
-        raise ValueError(f"subgroup index {i} out of range 0..{m.group.ell}")
+    m.group.subgroup(i)  # checks the index
     limit = capacity_limit(cap)
     p, ell = m.group.p, m.group.ell
     q = p ** (ell - i)

@@ -133,27 +133,20 @@ def type_functions(t: BrauerTree) -> tuple[TypeFunction, TypeFunction]:
     return TypeFunction(signs), TypeFunction(flipped)
 
 
-def star(e: int, m: int, group: GroupSpec,
-         leaf_names: tuple[str, ...] | None = None) -> BrauerTree:
-    """The star tree: e edges around one central vertex, exceptional at the
-    center when m > 1.  The cyclic order at the center is the leaf order."""
+def star(e: int, m: int, group: GroupSpec) -> BrauerTree:
+    """The star tree: e edges from the center c to the leaves v1..ve, in
+    that cyclic order at c, which is exceptional when m > 1."""
     if e < 1:
         raise ValueError("a star needs at least one edge")
     if e * m != group.order - 1:
         raise ValueError(f"e*m != p^ell - 1 ({e}*{m} != {group.order - 1})")
     if (group.p - 1) % e != 0:
         raise ValueError(f"e does not divide p - 1 ({e} does not divide {group.p - 1})")
-    if leaf_names is None:
-        leaf_names = tuple(f"v{i + 1}" for i in range(e))
-    if len(leaf_names) != e:
-        raise ValueError(f"need {e} leaf names, got {len(leaf_names)}")
     center = "c"
-    planar = {center: tuple(leaf_names)}
-    for leaf in leaf_names:
-        planar[leaf] = (center,)
+    leaves = tuple(f"v{i + 1}" for i in range(e))
     return BrauerTree(
-        vertices=(center,) + tuple(leaf_names),
-        planar=planar,
+        vertices=(center,) + leaves,
+        planar={center: leaves, **dict.fromkeys(leaves, (center,))},
         defect=group,
         multiplicity=m,
         exceptional=center if m > 1 else None,
@@ -184,24 +177,22 @@ def _center(t: BrauerTree) -> list[str]:
 
 def _least_rotation(seq) -> int:
     """Start of the lexicographically least rotation of `seq`, in O(len(seq))
-    comparisons (K. S. Booth, Inf. Process. Lett. 10(4), 1980)."""
-    doubled = list(seq) * 2
-    failure = [-1] * len(doubled)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(doubled)):
-        item = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and item != doubled[k + i + 1]:
-            if item < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if item != doubled[k + i + 1]:  # here i == -1
-            if item < doubled[k]:
-                k = j
-            failure[j - k] = -1
-        else:
-            failure[j - k] = i + 1
-    return k
+    comparisons.  Where the rotations at two candidate starts agree on k
+    items and then differ, the start with the greater item cannot begin the
+    least rotation, and neither can the k starts after it."""
+    n, doubled = len(seq), list(seq) * 2
+    i, j, k = 0, 1, 0  # candidates i < j, every other start below j is out
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:  # out: i..i+k
+            i, j = j, max(j, i + k) + 1
+        else:  # out: j..j+k
+            j += k + 1
+        k = 0
+    return i
 
 
 def _rooted_code(t: BrauerTree, root: str, planar: bool) -> tuple[int, ...]:
@@ -261,25 +252,23 @@ def _rooted_code(t: BrauerTree, root: str, planar: bool) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _roots(t: BrauerTree) -> list[str]:
-    if t.exceptional is not None:
-        return [t.exceptional]
-    return _center(t)
+def _canonical(t: BrauerTree, planar: bool):
+    roots = _center(t) if t.exceptional is None else [t.exceptional]
+    code = min(_rooted_code(t, r, planar) for r in roots)
+    return (t.multiplicity, t.exceptional is not None, code)
 
 
 def canonical_code(t: BrauerTree):
     """Embedding-free canonical form, rooted at the exceptional vertex or at
     the center; ties between two center vertices resolve to the smaller code.
     The code is a flat tuple of ints, so comparing two codes never recurses."""
-    code = min(_rooted_code(t, r, planar=False) for r in _roots(t))
-    return (t.multiplicity, t.exceptional is not None, code)
+    return _canonical(t, planar=False)
 
 
 def canonical_planar_code(t: BrauerTree):
     """Canonical form preserving the oriented embedding (rotations at the
     root allowed, reflections not), flat like `canonical_code`."""
-    code = min(_rooted_code(t, r, planar=True) for r in _roots(t))
-    return (t.multiplicity, t.exceptional is not None, code)
+    return _canonical(t, planar=True)
 
 
 def similar(t1: BrauerTree, t2: BrauerTree) -> bool:

@@ -169,6 +169,53 @@ class TestAnalyze:
         with pytest.raises(CharacterValueError, match="neither"):
             analyze(BlockDescriptor(C9))
 
+    # The whole decision table over flags (none | principal), character
+    # values (none | all positive | a sign change | a zero) and p (2 | 3),
+    # on C_8 and C_27 so that no defect-group criterion applies.  Each case
+    # is pinned to (provenance, Jordan size) or (exception class, message).
+    NEITHER = ("descriptor carries neither character values nor an "
+               "applicable metadata criterion")
+    ODD = ("character inference requires an odd prime and no metadata "
+           "criterion applies")
+    ZERO = "chi value at layer 1 is zero; a non-zero integer is required"
+    CONFLICT = ("metadata flags assert a trivial source module but the "
+                "character values give J_8")
+    VALUES = {"none": None, "positive": (1, 1, 1),
+              "sign-change": (2, -1, -1), "zero": (0, 1, 1)}
+    TABLE = [
+        (3, None, "none", CharacterValueError, NEITHER),
+        (3, None, "positive", PROVENANCE_CHARACTER, 1),
+        (3, None, "sign-change", PROVENANCE_CHARACTER, 8),
+        (3, None, "zero", CharacterValueError, ZERO),
+        (3, True, "none", PROVENANCE_PRINCIPAL, 1),
+        (3, True, "positive", PROVENANCE_PRINCIPAL, 1),
+        (3, True, "sign-change", InconsistentDescriptorError, CONFLICT),
+        (3, True, "zero", CharacterValueError, ZERO),
+        (2, None, "none", CharacterValueError, NEITHER),
+        (2, None, "positive", OddPrimeRequiredError, ODD),
+        (2, None, "sign-change", OddPrimeRequiredError, ODD),
+        (2, None, "zero", OddPrimeRequiredError, ODD),
+        (2, True, "none", PROVENANCE_PRINCIPAL, 1),
+        (2, True, "positive", PROVENANCE_PRINCIPAL, 1),
+        (2, True, "sign-change", PROVENANCE_PRINCIPAL, 1),
+        (2, True, "zero", PROVENANCE_PRINCIPAL, 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "p, principal, values, outcome, detail", TABLE,
+        ids=[f"p{p}-{'principal' if f else 'noflag'}-{v}"
+             for p, f, v, _, _ in TABLE])
+    def test_decision_table(self, p, principal, values, outcome, detail):
+        b = BlockDescriptor(GroupSpec(p, 3), chi_values=self.VALUES[values],
+                            is_principal=principal)
+        if isinstance(outcome, str):
+            w = analyze(b)
+            assert (w.provenance, w.jordan) == (outcome, detail)
+        else:
+            with pytest.raises(Exception) as info:
+                analyze(b)
+            assert (type(info.value), str(info.value)) == (outcome, detail)
+
 
 class TestRestrictW:
     def _w(self, group, bits):

@@ -186,6 +186,19 @@ class TestVerify:
         assert code == EXIT_RECORD_ERROR
         assert "oracle capacity exceeded" in err
 
+    @pytest.mark.parametrize("suite", ["restriction", "relative-heller"])
+    def test_exactness_refusal_is_one_line(self, capsys, suite):
+        # a prime whose products the oracle cannot take exactly stops the
+        # sweep with one line and exit 1, as the capacity check does, and
+        # is not counted as a skip
+        code, out, err = run(capsys, "--oracle-cap", str(2 * 10**16),
+                             "verify", "--p", "100000007", "--ell", "1",
+                             "--suite", suite)
+        assert code == EXIT_RECORD_ERROR
+        assert out == ""
+        assert err == ("float64 product mod 100000007 with inner dimension "
+                       "1 would exceed 2^53\n")
+
     # env: a CYCLICSOURCE_ORACLE_CAP set around the flag; it is not read
     @pytest.mark.parametrize("env, flag, message", [
         (None, "-3", "--oracle-cap must be a positive integer, got -3"),

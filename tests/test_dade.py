@@ -100,6 +100,33 @@ class TestWModule:
                 with pytest.raises(ValueError, match="not a capped"):
                     element_from_jordan(group, n)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_inverse_agrees_with_enumeration(self, p):
+        # the closed form gives the class, or the error, that a search of
+        # every class gives, also for sizes outside 1..p^ell
+        for ell in range(6):
+            group = GroupSpec(p, ell)
+            by_size = {w_module(e): e for e in enumerate_elements(group)}
+            for n in range(-2, group.order + 3):
+                if n in by_size:
+                    assert element_from_jordan(group, n) == by_size[n]
+                else:
+                    with pytest.raises(ValueError) as info:
+                        element_from_jordan(group, n)
+                    assert str(info.value) == (
+                        f"J_{n} is not a capped endo-permutation class "
+                        f"over {group}")
+
+    def test_inverse_does_not_enumerate(self, monkeypatch):
+        # C_{3^60} has 2^60 classes: the inverse must not search them
+        def refuse(group):
+            raise AssertionError("enumerated the Dade group")
+
+        monkeypatch.setattr(dade, "enumerate_elements", refuse)
+        group = GroupSpec(3, 60)
+        ones = DadeElement(group, (1,) * 60)
+        assert element_from_jordan(group, w_module(ones)) == ones
+
     def test_group_law_by_tensor_oracle(self):
         # cap(J_w(a) (x) J_w(b)) = J_w(a+b), checked with explicit matrices
         for a in enumerate_elements(C9):

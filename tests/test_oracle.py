@@ -368,6 +368,29 @@ class TestRankProfileGallop:
         assert jordan_type(realize(ModuleSum(group, parts))).parts == parts
         assert len(calls) <= most
 
+    @pytest.mark.parametrize("group, parts", [
+        (GroupSpec(3, 1), (1,)),
+        (GroupSpec(5, 3), (100, 50, 3)),
+        (GroupSpec(2, 5), (30, 3)),
+        (GroupSpec(7, 2), (49, 7, 1)),
+    ], ids=["J_1", "J_100+J_50+J_3", "J_30+J_3", "J_49+J_7+J_1"])
+    def test_no_product_with_an_empty_operand(self, monkeypatch, group,
+                                              parts):
+        # once the rank reaches 0 the profile is complete: no product of a
+        # 0-row matrix by a 0-column basis follows
+        shapes = []
+        product = oracle.matmul_mod
+
+        def counted(a, b, p):
+            shapes.append((a.shape, b.shape))
+            return product(a, b, p)
+
+        monkeypatch.setattr(oracle, "matmul_mod", counted)
+        assert jordan_type(realize(ModuleSum(group, parts))).parts == parts
+        assert all(0 not in a + b for a, b in shapes), shapes
+        if parts == (1,):
+            assert shapes == []
+
 
 class TestExactnessGuards:
     def test_guards_survive_python_dash_o(self):

@@ -173,7 +173,7 @@ class TestComparison:
 
     def test_labels_are_not_structure(self):
         t1 = star(3, 2, C7)
-        t2 = star(3, 2, C7, leaf_names=("x", "y", "z"))
+        t2 = relabel(t1, {"c": "c", "v1": "x", "v2": "y", "v3": "z"})
         assert similar(t1, t2)
         assert planar_isomorphic(t1, t2)
 
