@@ -86,7 +86,10 @@ class GroupSpec:
         """The subgroup D_i of order p^i."""
         if not 0 <= i <= self.ell:
             raise ValueError(f"subgroup index {i} out of range 0..{self.ell}")
-        return GroupSpec(self.p, i)
+        # built without __post_init__: p is prime and p^i <= p^ell
+        sub = object.__new__(GroupSpec)
+        sub.__dict__.update(p=self.p, ell=i)
+        return sub
 
     def __str__(self) -> str:
         return f"C_{self.order}"

@@ -8,11 +8,15 @@ since the number of Jordan blocks of size >= s+1 equals r_s - r_{s+1}.
 Jordan types of unipotent matrices are insensitive to field extension, so
 the prime field stands in for the algebraically closed coefficient field.
 
-Matrices pass between functions as numpy int64 arrays with entries reduced
-mod p.  Inside, each exactness bound picks the narrowest type that holds
-every value it can reach: the elimination works in int16, else int64, and
-products are taken through float32 BLAS below 2^24, else float64 BLAS
-below 2^53 (always, for the sizes admitted by the capacity check).
+Matrices pass between functions as numpy integer arrays with entries
+reduced mod p, and every kernel function returns the integer type it is
+given: `jordan_type` stores its matrix in int16 while p - 1 fits, else in
+int64, and the rank profile below it keeps that type.  Inside, each
+exactness bound picks the narrowest type that holds every value it can
+reach: the elimination works in int16, else int64; a product is taken
+through float32 BLAS below 2^24, else float64 BLAS below 2^53 (always, for
+the sizes admitted by the capacity check), and is cast to int16, int32 or
+int64 and reduced there once.
 """
 
 from __future__ import annotations
@@ -63,15 +67,39 @@ def check_capacity(dim: int, cap: int | None = None) -> None:
 # Rows eliminated per panel before the rows below see the panel's column
 # transform, in one matmul_mod call.
 PANEL = 64
+# Entries from which _mod divides rather than takes the remainder.
+SMALL = 1024
+# Panel cells from which a pivot updates only the rows its column hits.
+SPARSE = 1 << 14
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in [0, p), as a new array of a's integer type.
+
+    numpy divides integers by a scalar in SIMD but takes their remainder
+    one element at a time, so an array of SMALL entries or more is reduced
+    as a - (a // p) p, three passes; a smaller one takes the one remainder
+    call.  Both are exact for any entries: the floor quotient is exact, and
+    the difference lies in [0, p), so the wrap-around of an intermediate
+    product cancels.
+    """
+    if a.size < SMALL:
+        return np.remainder(a, p)
+    out = a // p
+    out *= -p
+    out += a
+    return out
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of two matrices with entries in [0, p), reduced mod p, as an
-    int64 array.
+    """Product of two matrices with entries in [0, p), reduced mod p, in the
+    integer type of the operands.
 
     Taken in float32 BLAS while every dot product stays below 2^24, else in
-    float64 BLAS, exact below 2^53; reduced in int64, which is faster than
-    reducing the float result.
+    float64 BLAS, exact below 2^53.  The float result is cast to the
+    narrowest of int16, int32 and int64 that holds the bound and reduced
+    there once, so with int16 operands and a bound below 2^15 no wider
+    integer array is made.
     """
     bound = a.shape[1] * (p - 1) ** 2
     if bound >= 2**53:
@@ -80,18 +108,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             f"would exceed 2^53"
         )
     real = np.float32 if bound < 2**24 else np.float64
-    out = (a.astype(real) @ b.astype(real)).astype(np.int64)
-    out %= p
-    return out
+    work = (np.int16 if bound < 2**15 else
+            np.int32 if bound < 2**31 else np.int64)
+    out = (a.astype(real) @ b.astype(real)).astype(work)
+    return _mod(out, p).astype(np.result_type(a, b), copy=False)
 
 
 def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a^e mod p by repeated squaring, starting from the power of the lowest
     set bit of e and with no squaring after the highest: a^(2^k) takes k
-    products."""
-    base = np.asarray(a, dtype=np.int64) % p
+    products.  The result has a's integer type."""
+    base = _mod(np.asarray(a), p)
     if e == 0:
-        return np.eye(base.shape[0], dtype=np.int64)
+        return np.eye(base.shape[0], dtype=base.dtype)
     while not e & 1:
         base = matmul_mod(base, base, p)
         e >>= 1
@@ -106,23 +135,27 @@ def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
 def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """The one elimination routine of the oracle: (E, rows) with a = E @
     a[rows], where rows is the row rank profile of `a` mod p (each row that
-    is independent of the rows above it) and E is in reduced column echelon
-    form: column k is zero above rows[k], and E[rows] is the identity.
+    is independent of the rows above it) and E, of a's integer type, is in
+    reduced column echelon form: column k is zero above rows[k], and
+    E[rows] is the identity.
 
     Column operations sweep the rows PANEL at a time.  Inside a panel each
     pivot clears its row in every other column (Gauss-Jordan) with delayed
     reduction: only the pivot row and column are reduced mod p, the panel
     itself once per panel.  For the rows below, the panel's column
     operations are a permutation followed by T = I + [Z; 0], Z on the
-    panel's new pivot positions, and are applied by one matmul_mod call: the
-    FFLAS-FFPACK scheme (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A
-    pivot row ends as a unit row, so its slot in the panel holds its row of
-    T instead.
+    panel's new pivot positions, and are applied once, the permutation to
+    the columns it moves and T by one matmul_mod call: the FFLAS-FFPACK
+    scheme (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A pivot row
+    ends as a unit row, so its slot in the panel holds its row of T
+    instead.  The oracle's matrices are sparse, so in a panel of SPARSE
+    cells or more a pivot updates only the rows that its column hits.
 
     The work array is int16 if that holds both updates (p-1)^2 + p, a
     panel's excursion between reductions, and ceil(m / PANEL) p, as the rows
     below gain less than p per panel above them; else it is int64, and
-    beyond int64 it raises OverflowError.  E is int64 in every case.
+    beyond int64 it raises OverflowError.  The input is reduced on entry,
+    so it may hold any integers of its type.
     """
     m, n = a.shape
     updates = min(m, n, PANEL)
@@ -133,7 +166,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             f"overflow int64"
         )
     dtype = np.int16 if bound < 2**15 else np.int64
-    w = np.remainder(a, p).astype(dtype, order="C")
+    w = _mod(a, p).astype(dtype, order="C", copy=False)
     rows: list[int] = []
     r = 0
     for i0 in range(0, m, PANEL):
@@ -141,39 +174,58 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         panel = w[i0 : i0 + PANEL]
         k = panel.shape[0]
-        panel %= p  # the rows below gained less than p per panel
+        if i0:  # the rows below gained less than p per panel above them
+            panel -= panel // p * p
         below = i0 + k < m
+        sparse = panel.size >= SPARSE
         r0 = r
+        # column position -> the column, at the panel's start, now there
+        moved: dict[int, int] = {}
         for t in range(k):
             row = panel[t] % p
             nz = row[r:].nonzero()[0]
             if nz.size == 0:
                 continue
-            j = r + nz[0]
+            j = r + int(nz[0])
             if j != r:
-                # dependent rows above are zero in both columns, pivot
-                # rows are set at the end
-                w[i0:, [r, j]] = w[i0:, [j, r]]
-                row[[r, j]] = row[[j, r]]
+                # rows above are zero in both columns (dependent rows) or
+                # are set at the end (pivot rows); the rows below take the
+                # panel's permutation before its product
+                swap = panel[:, r].copy()
+                panel[:, r] = panel[:, j]
+                panel[:, j] = swap
+                row[r], row[j] = row[j], row[r]
+                moved[r], moved[j] = moved.get(j, j), moved.get(r, r)
             if below:
                 panel[t] = 0
                 panel[t, r] = 1
-            inv = pow(int(row[r]), p - 2, p)
-            col = panel[:, r] % p * inv % p
-            panel -= col[:, None] * row
-            panel[:, r] = col
+            pivot = int(row[r])
+            col = panel[:, r] % p
+            if pivot != 1:
+                col = col * pow(pivot, p - 2, p) % p
+            # with pivot - 1 in the pivot row, the update leaves col (mod p)
+            # in column r
+            row[r] = pivot - 1
+            if sparse:  # only the rows that col hits change
+                hit = col.nonzero()[0]
+                panel[hit] -= col[hit, None] * row
+            else:
+                panel -= col[:, None] * row
             rows.append(i0 + t)
             r += 1
             if r == n:
                 break
         if below and r > r0:
             rest = w[i0 + k :]
-            lead = rest[:, r0:r] % p
+            if moved:
+                rest[:, list(moved)] = rest[:, list(moved.values())]
+            lead = _mod(rest[:, r0:r], p)
             rest[:, r0:r] = 0
-            rest += matmul_mod(lead, panel[[i - i0 for i in rows[r0:]]] % p, p)
-    basis = np.remainder(w[:, :r], p, dtype=np.int64)
+            t_rows = _mod(panel[[i - i0 for i in rows[r0:]]], p)
+            rest += matmul_mod(lead, t_rows, p)
+    basis = _mod(w[:, :r], p).astype(a.dtype, copy=False)
     if m > PANEL:
-        basis[rows] = np.eye(r, dtype=np.int64)
+        basis[rows] = np.eye(r, dtype=basis.dtype)
     return basis, rows
 
 
@@ -196,7 +248,7 @@ class MatrixModule:
     action: np.ndarray  # dim x dim over F_p
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.action, dtype=np.int64) % self.group.p
+        a = _mod(np.asarray(self.action, dtype=np.int64), self.group.p)
         object.__setattr__(self, "action", a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("generator action must be a square matrix")
@@ -297,11 +349,15 @@ def jordan_type(m: MatrixModule) -> ModuleSum:
     dim = m.dim
     if dim == 0:
         return ModuleSum(m.group, ())
-    n_mat = (m.action - np.eye(dim, dtype=np.int64)) % m.group.p
+    p = m.group.p
+    # int16 holds every residue while p - 1 fits; the rank profile keeps the
+    # type, so every matrix below is narrow
+    n_mat = m.action.astype(np.int16 if p <= 2**15 else np.int64)
+    np.fill_diagonal(n_mat, (n_mat.diagonal() - 1) % p)
     try:
         # ranks[s] - ranks[s+1] blocks have size > s, so the second
         # difference counts the blocks of size exactly s+1
-        ranks = [dim] + rank_profile(n_mat, m.group.p) + [0, 0]
+        ranks = [dim] + rank_profile(n_mat, p) + [0, 0]
         parts: list[int] = []
         for s in range(len(ranks) - 2):
             parts.extend([s + 1] * (ranks[s] - 2 * ranks[s + 1] + ranks[s + 2]))

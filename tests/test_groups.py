@@ -2,6 +2,7 @@
 
 import pytest
 
+from cyclicsource import groups
 from cyclicsource.groups import (
     MAX_ORDER_DIGITS,
     PRIME_LIMIT,
@@ -56,3 +57,23 @@ class TestOrderBound:
         with pytest.raises(ValueError, match="4300 digits"):
             GroupSpec(3, 10**9)
         assert GroupSpec(3, 9012).ell == 9012
+
+
+class TestSubgroup:
+    def test_chain_needs_no_primality_test(self, monkeypatch):
+        # D_i inherits the prime of D, and p^i <= p^ell
+        group = GroupSpec(1000003, 716)
+        calls = []
+        monkeypatch.setattr(groups, "is_prime",
+                            lambda n: calls.append(n) or True)
+        subs = [group.subgroup(i) for i in range(group.ell + 1)]
+        assert calls == []
+        assert subs == [GroupSpec(1000003, i) for i in range(717)]
+        assert len(calls) == 717
+        assert hash(subs[3]) == hash(GroupSpec(1000003, 3))
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(ValueError,
+                           match=rf"^subgroup index {i} out of range 0\.\.3$"):
+            GroupSpec(5, 3).subgroup(i)

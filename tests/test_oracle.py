@@ -441,11 +441,12 @@ def panel_pivots(p, m, n, seed):
 
 
 class TestKernelWidths:
-    """The elimination works in int16 or int64 and the product in float32
-    or float64, whichever the exactness bound allows; the results must not
-    depend on it.  With PANEL = 64 updates, 23 | 29 is the int16 | int64
-    boundary, and 5791, 5801 and 65521 put large entries in int64; with 8
-    columns, 8 updates keep p = 61 in int16."""
+    """The elimination works in int16 or int64, the product in float32 or
+    float64 and its reduction in int16, int32 or int64, whichever the
+    exactness bound allows; the results must not depend on it.  With PANEL
+    = 64 updates, 23 | 29 is the int16 | int64 boundary, and 5791, 5801 and
+    65521 put large entries in int64; with 8 columns, 8 updates keep p = 61
+    in int16."""
 
     @pytest.mark.parametrize("p", [23, 29, 5791, 5801, 65521])
     @pytest.mark.parametrize("m, n, k", [(150, 130, 130), (130, 150, 100),
@@ -480,6 +481,92 @@ class TestKernelWidths:
                      for col in b.T] for row in a]
             got = matmul_mod(a, b, p)
             assert got.dtype == np.int64 and got.tolist() == want
+
+
+    @pytest.mark.parametrize("p, inner", [
+        # inner (p-1)^2 just below and at 2^15, the int16 | int32 step of
+        # the reduction, and just below and at 2^31, the int32 | int64 step
+        (2, 2**15 - 1), (2, 2**15), (3, 2**13 - 1), (3, 2**13),
+        (257, 2**15 - 1), (257, 2**15)])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_reduction_bounds(self, p, inner, dtype):
+        a = np.full((2, inner), p - 1, dtype=dtype)
+        b = np.full((inner, 3), p - 1, dtype=dtype)
+        got = matmul_mod(a, b, p)
+        assert got.dtype == dtype
+        assert got.tolist() == [[inner * (p - 1) ** 2 % p] * 3] * 2
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("size", [oracle.SMALL - 1, oracle.SMALL])
+    @pytest.mark.parametrize("p", [2, 23, 181])
+    def test_mod_at_the_extremes(self, dtype, size, p):
+        # below SMALL entries a remainder call, from SMALL on a - (a // p) p,
+        # whose product wraps around at the ends of the type
+        info = np.iinfo(dtype)
+        edges = [info.min, info.min + 1, -p, -1, 0, 1, p - 1, p,
+                 info.max - 1, info.max]
+        a = np.resize(np.array(edges, dtype=dtype), size)
+        got = oracle._mod(a, p)
+        assert got.dtype == dtype
+        assert got.tolist() == [int(x) % p for x in a]
+
+    @pytest.mark.parametrize("p", [2, 5, 23, 29])
+    @pytest.mark.parametrize("m, n, k", [(300, 280, 40), (280, 300, 200)])
+    def test_wide_panels(self, p, m, n, k):
+        # panels of SPARSE cells or more update only the rows a pivot
+        # column hits
+        assert oracle.PANEL * n >= oracle.SPARSE
+        rng = np.random.default_rng(m * p + k)
+        a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
+        a[rng.random(a.shape) < 0.9] = 0  # sparse rows and columns
+        a += p * rng.integers(-3, 4, (m, n))
+        basis, rows = oracle._echelon(a, p)
+        want, want_rows = reference_echelon(a, p)
+        assert rows == want_rows
+        assert np.array_equal(basis, want)
+
+
+class TestNarrowTypes:
+    """Residues fit int16 while p - 1 does, and the oracle keeps them
+    there: every kernel function returns the integer type it is given."""
+
+    def test_rank_profile_loop_stays_int16(self, monkeypatch):
+        seen = []
+        for name in ("column_space", "matmul_mod"):
+            kernel = getattr(oracle, name)
+
+            def recording(*args, kernel=kernel, name=name):
+                seen.append((name, args[0].dtype, args[1].dtype
+                             if isinstance(args[1], np.ndarray) else None))
+                return kernel(*args)
+
+            monkeypatch.setattr(oracle, name, recording)
+        group = GroupSpec(5, 2)
+        kron = np.kron(realize(module(group, 24)).action,
+                       realize(module(group, 24)).action)
+        # J_24 = Omega(J_1) over C_25, so its tensor square is J_1 plus
+        # projectives
+        parts = jordan_type(MatrixModule(group, kron)).parts
+        assert parts == (25,) * 23 + (1,)
+        assert {name for name, *_ in seen} == {"column_space", "matmul_mod"}
+        assert {t for _, *types in seen for t in types} - {None} == \
+            {np.dtype(np.int16)}
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("p", [5, 29])
+    def test_kernels_keep_the_type(self, dtype, p):
+        rng = np.random.default_rng(p)
+        a = rng.integers(0, p, (70, 70)).astype(dtype)
+        b = rng.integers(0, p, (70, 3)).astype(dtype)
+        assert matmul_mod(a, b, p).dtype == dtype
+        for e in (0, 1, 3):
+            assert matpow_mod(a, e, p).dtype == dtype
+        assert column_space(a, p).dtype == dtype
+        assert oracle._echelon(a, p)[0].dtype == dtype
+        want = matmul_mod(a.astype(np.int64), b.astype(np.int64), p)
+        assert np.array_equal(matmul_mod(a, b, p), want)
+        assert np.array_equal(column_space(a, p),
+                              column_space(a.astype(np.int64), p))
 
 
 class TestJordanType:
