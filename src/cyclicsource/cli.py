@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import dade, trees, verify
 from .blocks import analyze
@@ -170,11 +171,15 @@ def cmd_tree(args) -> list[dict] | str:
         return records
 
     # compare
+    counts = Counter(t.label for t in doc.trees)
+    missing = [name for name in (args.a, args.b) if not counts[name]]
+    shared = [f"{name} ({counts[name]} records)"
+              for name in dict.fromkeys((args.a, args.b)) if counts[name] > 1]
+    for problem, names in (("not found", missing), ("not unique", shared)):
+        if names:
+            raise CommandError(EXIT_RECORD_ERROR,
+                               f"tree record(s) {problem}: {', '.join(names)}")
     by_label = {t.label: t for t in doc.trees}
-    missing = [name for name in (args.a, args.b) if name not in by_label]
-    if missing:
-        raise CommandError(EXIT_RECORD_ERROR,
-                           f"tree record(s) not found: {', '.join(missing)}")
     t1, t2 = by_label[args.a], by_label[args.b]
     # each tree once, also when it is compared with itself
     bad = [f"{label}: {v}" for label in dict.fromkeys((args.a, args.b))

@@ -114,12 +114,10 @@ def w_module(e: DadeElement) -> int:
     operator (dimension complements to p^ell).  The result is always
     coprime to p, i.e. the module is capped with full vertex.
     """
-    p = e.group.p
     dim = 1
-    for depth in range(1, e.group.ell + 1):
-        bit = e.alpha[e.group.ell - depth]
+    for depth, bit in enumerate(reversed(e.alpha), 1):
         if bit:
-            dim = p**depth - dim
+            dim = e.group.p**depth - dim
     return dim
 
 
@@ -166,14 +164,12 @@ def lift_character(e: DadeElement) -> LiftCharacter:
     """
     if e.group.p == 2:
         raise OddPrimeRequiredError("character recursion undefined for p = 2")
-    p = e.group.p
     dim = 1
     layers: list[int] = []
-    for depth in range(1, e.group.ell + 1):
-        bit = e.alpha[e.group.ell - depth]
+    for depth, bit in enumerate(reversed(e.alpha), 1):
         layers = [dim] + layers
         if bit:
-            dim = p**depth - dim
+            dim = e.group.p**depth - dim
             layers = [-v for v in layers]
     return LiftCharacter(e.group, dim, tuple(layers))
 

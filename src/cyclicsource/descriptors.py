@@ -316,12 +316,10 @@ def block_record(b: BlockDescriptor) -> dict:
     record: dict = {"label": b.label, "p": b.group.p, "ell": b.group.ell}
     if b.chi_values is not None:
         record["chi_values"] = list(b.chi_values)
-    for name in ("is_principal", "centralizer_equal", "normalizer_equal"):
-        value = getattr(b, name)
-        if value is not None:
-            record[name] = value
-    if b.inertial_index is not None:
-        record["inertial_index"] = b.inertial_index
+    for name in ("is_principal", "centralizer_equal", "normalizer_equal",
+                 "inertial_index"):
+        if getattr(b, name) is not None:
+            record[name] = getattr(b, name)
     return record
 
 

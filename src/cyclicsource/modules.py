@@ -67,6 +67,11 @@ def _check_group(a: ModuleSum, b: ModuleSum) -> None:
         raise GroupMismatchError(f"group mismatch: {a.group} vs {b.group}")
 
 
+def _check_subgroup(sub: GroupSpec, group: GroupSpec) -> None:
+    if sub.p != group.p or sub.ell > group.ell:
+        raise GroupMismatchError(f"{sub} is not a subgroup of {group}")
+
+
 def module(group: GroupSpec, *parts: int) -> ModuleSum:
     return ModuleSum(group, tuple(parts))
 
@@ -127,10 +132,7 @@ def induce(m: ModuleSum, to: GroupSpec) -> ModuleSum:
     m must live over a subgroup D_i of `to` (same p, smaller or equal ell);
     J_a over D_i induces to J_{a * p^(ell-i)} over D.
     """
-    if m.group.p != to.p or m.group.ell > to.ell:
-        raise GroupMismatchError(
-            f"cannot induce from {m.group} to {to}"
-        )
+    _check_subgroup(m.group, to)
     q = to.p ** (to.ell - m.group.ell)
     return ModuleSum(to, tuple(n * q for n in m.parts))
 

@@ -10,13 +10,13 @@ the prime field stands in for the algebraically closed coefficient field.
 
 Matrices pass between functions as numpy integer arrays with entries
 reduced mod p, and every kernel function returns the integer type it is
-given: `jordan_type` stores its matrix in int16 while p - 1 fits, else in
-int64, and the rank profile below it keeps that type.  Inside, each
-exactness bound picks the narrowest type that holds every value it can
-reach: the elimination works in int16, else int64; a product is taken
-through float32 BLAS below 2^24, else float64 BLAS below 2^53 (always, for
-the sizes admitted by the capacity check), and is cast to int16, int32 or
-int64 and reduced there once.
+given.  One rule, `_int_type`, names every integer type: int16 if it holds
+the bound at hand, else int64.  Every matrix the oracle builds is stored
+in `_int_type(p - 1)` from the start, so the rank profile below
+`jordan_type` stays in that type; the elimination works in the type of its
+panel bound, and a product, taken through float32 BLAS below 2^24, else
+float64 BLAS below 2^53 (always, for the sizes admitted by the capacity
+check), is cast to the type of its bound and reduced there once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import GroupSpec
-from .modules import ModuleSum, _check_group, is_permutation
+from .modules import ModuleSum, _check_group, _check_subgroup, is_permutation
 
 DEFAULT_CAPACITY = 1 << 20  # matrix entries (dim^2)
 
@@ -73,6 +73,11 @@ SMALL = 1024
 SPARSE = 1 << 14
 
 
+def _int_type(bound: int) -> type:
+    """int16 if it holds every integer up to `bound` in size, else int64."""
+    return np.int16 if bound < 2**15 else np.int64
+
+
 def _mod(a: np.ndarray, p: int) -> np.ndarray:
     """a mod p in [0, p), as a new array of a's integer type.
 
@@ -86,9 +91,8 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     if a.size < SMALL:
         return np.remainder(a, p)
     out = a // p
-    out *= -p
-    out += a
-    return out
+    out *= p
+    return np.subtract(a, out, out=out)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -97,9 +101,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     Taken in float32 BLAS while every dot product stays below 2^24, else in
     float64 BLAS, exact below 2^53.  The float result is cast to the
-    narrowest of int16, int32 and int64 that holds the bound and reduced
-    there once, so with int16 operands and a bound below 2^15 no wider
-    integer array is made.
+    `_int_type` of the bound and reduced there once, so with int16 operands
+    and a bound below 2^15 no wider integer array is made.
     """
     bound = a.shape[1] * (p - 1) ** 2
     if bound >= 2**53:
@@ -108,9 +111,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             f"would exceed 2^53"
         )
     real = np.float32 if bound < 2**24 else np.float64
-    work = (np.int16 if bound < 2**15 else
-            np.int32 if bound < 2**31 else np.int64)
-    out = (a.astype(real) @ b.astype(real)).astype(work)
+    out = (a.astype(real) @ b.astype(real)).astype(_int_type(bound))
     return _mod(out, p).astype(np.result_type(a, b), copy=False)
 
 
@@ -151,11 +152,11 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     instead.  The oracle's matrices are sparse, so in a panel of SPARSE
     cells or more a pivot updates only the rows that its column hits.
 
-    The work array is int16 if that holds both updates (p-1)^2 + p, a
-    panel's excursion between reductions, and ceil(m / PANEL) p, as the rows
-    below gain less than p per panel above them; else it is int64, and
-    beyond int64 it raises OverflowError.  The input is reduced on entry,
-    so it may hold any integers of its type.
+    The work array is of the `_int_type` of the larger of updates (p-1)^2
+    + p, a panel's excursion between reductions, and ceil(m / PANEL) p, as
+    the rows below gain less than p per panel above them; beyond int64 it
+    raises OverflowError.  The input is reduced on entry, so it may hold
+    any integers of its type.
     """
     m, n = a.shape
     updates = min(m, n, PANEL)
@@ -165,8 +166,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             f"elimination mod {p}: {updates} unreduced updates would "
             f"overflow int64"
         )
-    dtype = np.int16 if bound < 2**15 else np.int64
-    w = _mod(a, p).astype(dtype, order="C", copy=False)
+    w = _mod(a, p).astype(_int_type(bound), order="C", copy=False)
     rows: list[int] = []
     r = 0
     for i0 in range(0, m, PANEL):
@@ -248,10 +248,15 @@ class MatrixModule:
     action: np.ndarray  # dim x dim over F_p
 
     def __post_init__(self) -> None:
-        a = _mod(np.asarray(self.action, dtype=np.int64), self.group.p)
-        object.__setattr__(self, "action", a)
+        a, p = np.asarray(self.action), self.group.p
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError("generator action must be an integer matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("generator action must be a square matrix")
+        # reduced in the input's type, widened only to hold p, then narrowed
+        a = _mod(a.astype(np.promote_types(a.dtype, np.min_scalar_type(p)),
+                          copy=False), p).astype(_int_type(p - 1), copy=False)
+        object.__setattr__(self, "action", a)
 
     @property
     def dim(self) -> int:
@@ -260,21 +265,17 @@ class MatrixModule:
 
 def _shift_block(n: int, p: int) -> np.ndarray:
     """Unipotent lower-shift Jordan block: I + N with N e_t = e_{t+1}."""
-    a = np.eye(n, dtype=np.int64)
-    if n > 1:
-        a += np.eye(n, k=-1, dtype=np.int64)
-    return a % p
+    dtype = _int_type(p - 1)
+    return np.eye(n, dtype=dtype) + np.eye(n, k=-1, dtype=dtype)
 
 
 def realize(m: ModuleSum, cap: int | None = None) -> MatrixModule:
     """Block-diagonal matrix realization of a Jordan-size multiset."""
     check_capacity(m.dim, cap)
-    dim = m.dim
-    a = np.zeros((dim, dim), dtype=np.int64)
-    pos = 0
-    for n in m.parts:
-        a[pos : pos + n, pos : pos + n] = _shift_block(n, m.group.p)
-        pos += n
+    a = _shift_block(m.dim, m.group.p)
+    # cut the shift into the first row of every block but the first
+    starts = np.cumsum(m.parts[:-1], dtype=int)
+    a[starts, starts - 1] = 0
     return MatrixModule(m.group, a)
 
 
@@ -346,13 +347,9 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
 def jordan_type(m: MatrixModule) -> ModuleSum:
     """Jordan block sizes of the generator action, from the rank sequence;
     a ValueError unless the action is unipotent of order dividing p^ell."""
-    dim = m.dim
-    if dim == 0:
-        return ModuleSum(m.group, ())
-    p = m.group.p
-    # int16 holds every residue while p - 1 fits; the rank profile keeps the
-    # type, so every matrix below is narrow
-    n_mat = m.action.astype(np.int16 if p <= 2**15 else np.int64)
+    dim, p = m.dim, m.group.p
+    # the rank profile keeps the stored type, so every matrix below is narrow
+    n_mat = m.action.copy()
     np.fill_diagonal(n_mat, (n_mat.diagonal() - 1) % p)
     try:
         # ranks[s] - ranks[s+1] blocks have size > s, so the second
@@ -380,7 +377,7 @@ def jordan_type(m: MatrixModule) -> ModuleSum:
 @lru_cache(maxsize=4096)
 def _tensor_pair(p: int, ell: int, n1: int, n2: int) -> tuple[int, ...]:
     """Jordan type of J_n1 (x) J_n2 on the Kronecker product of the blocks."""
-    # no name holds the unreduced product: it is freed once reduced
+    # no name holds the product of the blocks: it is freed once stored
     kron = MatrixModule(GroupSpec(p, ell),
                         np.kron(_shift_block(n1, p), _shift_block(n2, p)))
     return jordan_type(kron).parts
@@ -431,15 +428,14 @@ def _induced_jordan(p: int, ell: int, i: int, a: int) -> tuple[int, ...]:
     wraps through the action of g^q, the generator of D_i, on J_a.
     """
     dim = a * p ** (ell - i)
-    action = np.eye(dim, k=-a, dtype=np.int64)
+    action = np.eye(dim, k=-a, dtype=_int_type(p - 1))
     action[:a, dim - a :] = _shift_block(a, p)
     return jordan_type(MatrixModule(GroupSpec(p, ell), action)).parts
 
 
 def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> ModuleSum:
     """Induction computed on the explicit block matrices, part by part."""
-    if m.group.p != to.p or m.group.ell > to.ell:
-        raise ValueError(f"{m.group} is not a subgroup of {to}")
+    _check_subgroup(m.group, to)
     limit = capacity_limit(cap)
     q = to.p ** (to.ell - m.group.ell)
     parts: list[int] = []

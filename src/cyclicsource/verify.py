@@ -151,27 +151,29 @@ def suite_characters(group: GroupSpec, cap: int | None = None) -> SuiteResult:
     return result
 
 
-def suite_relative_heller(group: GroupSpec, cap: int | None = None) -> SuiteResult:
-    """Closed form of the relative syzygy against the matrix oracle for
-    every Jordan size and every subgroup index."""
-    result = SuiteResult("relative-heller")
+def _sweep(name: str, group: GroupSpec, closed, fn, cap) -> SuiteResult:
+    """closed(J_n, i) against the oracle's fn(J_n, i, cap) for every Jordan
+    size n and every subgroup index i."""
+    result = SuiteResult(name)
     for n in range(1, group.order + 1):
         for i in range(0, group.ell + 1):
             m = ModuleSum(group, (n,))
-            result.against({"n": n, "i": i}, modules.relative_heller(m, i),
-                           oracle.relative_heller_oracle, m, i, cap)
+            result.against({"n": n, "i": i}, closed(m, i), fn, m, i, cap)
     return result
+
+
+def suite_relative_heller(group: GroupSpec, cap: int | None = None) -> SuiteResult:
+    """Closed form of the relative syzygy against the matrix oracle for
+    every Jordan size and every subgroup index."""
+    return _sweep("relative-heller", group, modules.relative_heller,
+                  oracle.relative_heller_oracle, cap)
 
 
 def suite_restriction(group: GroupSpec, cap: int | None = None) -> SuiteResult:
     """Closed-form restriction against the matrix-power oracle, plus the
     cap-chain property along subgroup chains for the classified modules."""
-    result = SuiteResult("restriction")
-    for n in range(1, group.order + 1):
-        for i in range(0, group.ell + 1):
-            m = ModuleSum(group, (n,))
-            result.against({"n": n, "i": i}, modules.restrict(m, i),
-                           oracle.restrict_oracle, m, i, cap)
+    result = _sweep("restriction", group, modules.restrict,
+                    oracle.restrict_oracle, cap)
     for e in dade.enumerate_elements(group):
         n = dade.w_module(e)
         m = ModuleSum(group, (n,))

@@ -349,6 +349,19 @@ class TestTree:
                 "planar": planar, "exceptional": exceptional,
                 "multiplicity": m}
 
+    @pytest.mark.parametrize("a, b", [("a", "b"), ("b", "a"), ("a", "a")])
+    def test_compare_shared_label_is_an_error(self, capsys, tmp_path, a, b):
+        # two records labelled a: a star over C_3 and an edge over C_5 with
+        # m = 4; b is the star again.  The label names neither record.
+        star = self._record("a", [(0, 1), (0, 2)], ["c", "v1", "v2"], 3)
+        edge = self._record("a", [(0, 1)], ["c", "v1"], 5, "c", 4)
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps({"version": 1, "trees": [
+            star, edge, {**star, "label": "b"}]}))
+        code, out, err = run(capsys, "tree", "compare", str(path), a, b)
+        assert code == EXIT_RECORD_ERROR and out == ""
+        assert err == "tree record(s) not unique: a (2 records)\n"
+
     def test_compare_deep_path(self, capsys, tmp_path):
         # 1,001 edges deep from the exceptional vertex at one end
         edges = [(k, k + 1) for k in range(1001)]

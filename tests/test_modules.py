@@ -151,9 +151,11 @@ class TestInduce:
         assert induce(m, C9) == m
 
     def test_rejects_wrong_prime_or_bigger_group(self):
-        with pytest.raises(GroupMismatchError):
+        with pytest.raises(GroupMismatchError,
+                           match="^C_2 is not a subgroup of C_9$"):
             induce(module(GroupSpec(2, 1), 1), C9)
-        with pytest.raises(GroupMismatchError):
+        with pytest.raises(GroupMismatchError,
+                           match="^C_27 is not a subgroup of C_9$"):
             induce(module(C27, 1), C9)
 
     @given(module_sums())

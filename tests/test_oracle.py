@@ -441,12 +441,12 @@ def panel_pivots(p, m, n, seed):
 
 
 class TestKernelWidths:
-    """The elimination works in int16 or int64, the product in float32 or
-    float64 and its reduction in int16, int32 or int64, whichever the
-    exactness bound allows; the results must not depend on it.  With PANEL
-    = 64 updates, 23 | 29 is the int16 | int64 boundary, and 5791, 5801 and
-    65521 put large entries in int64; with 8 columns, 8 updates keep p = 61
-    in int16."""
+    """The elimination and the reduction of a product work in int16 or
+    int64, the product in float32 or float64, whichever the exactness bound
+    allows; the results must not depend on it.  With PANEL = 64 updates,
+    23 | 29 is the int16 | int64 boundary of the elimination, and 5791, 5801
+    and 65521 put large entries in int64; with 8 columns, 8 updates keep
+    p = 61 in int16."""
 
     @pytest.mark.parametrize("p", [23, 29, 5791, 5801, 65521])
     @pytest.mark.parametrize("m, n, k", [(150, 130, 130), (130, 150, 100),
@@ -483,8 +483,8 @@ class TestKernelWidths:
             assert got.dtype == np.int64 and got.tolist() == want
 
     @pytest.mark.parametrize("p, inner", [
-        # inner (p-1)^2 just below and at 2^15, the int16 | int32 step of
-        # the reduction, and just below and at 2^31, the int32 | int64 step
+        # inner (p-1)^2 just below and at 2^15, the int16 | int64 step of
+        # the reduction, and just below and at 2^31
         (2, 2**15 - 1), (2, 2**15), (3, 2**13 - 1), (3, 2**13),
         (257, 2**15 - 1), (257, 2**15)])
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
@@ -565,6 +565,45 @@ class TestNarrowTypes:
         assert np.array_equal(matmul_mod(a, b, p), want)
         assert np.array_equal(column_space(a, p),
                               column_space(a.astype(np.int64), p))
+
+    @pytest.mark.parametrize("p, dtype", [(32749, np.int16),
+                                          (32771, np.int64)])
+    def test_matrices_are_built_in_the_residue_type(self, p, dtype):
+        # int16 holds every residue mod 32749 but not mod 32771; an input is
+        # reduced before it is narrowed, so 70,001 and -40,000 do not wrap
+        group = GroupSpec(p, 1)
+        block = oracle._shift_block(4, p)
+        assert block.dtype == dtype
+        assert block.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0],
+                                  [0, 0, 1, 1]]
+        realized = realize(module(group, 3, 2, 1))
+        assert realized.action.dtype == dtype
+        assert jordan_type(realized).parts == (3, 2, 1)
+        narrow = MatrixModule(group, block.astype(np.int16))
+        assert narrow.action.dtype == dtype
+        assert jordan_type(narrow).parts == (4,)
+        entries = [[1, 0, 0], [70001, 1, 0], [0, -40000, 1]]
+        wide = MatrixModule(group, entries)
+        assert wide.action.dtype == dtype
+        assert wide.action.tolist() == [[x % p for x in row] for row in entries]
+        assert jordan_type(wide).parts == (3,)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.uint64])
+    def test_any_integer_input_type(self, dtype):
+        # I + 4 N with N the 40 x 40 shift: 4 = 1 mod 3, so one block J_40;
+        # 1,600 entries take the a - (a // p) p reduction
+        action = np.eye(40, dtype=dtype) + 4 * np.eye(40, k=-1, dtype=dtype)
+        m = MatrixModule(GroupSpec(3, 4), action)
+        assert m.action.dtype == np.int16
+        assert jordan_type(m).parts == (40,)
+
+    @pytest.mark.parametrize("action", [
+        [[1.7, 0.4], [1.2, 1.0]], np.eye(2, dtype=bool), [[2**70, 0], [1, 1]],
+    ], ids=["float", "bool", "beyond-int64"])
+    def test_non_integer_action_refused(self, action):
+        # a float action was truncated to [[1, 0], [1, 1]], which is J_2
+        with pytest.raises(ValueError, match="must be an integer matrix"):
+            MatrixModule(C3, action)
 
 
 class TestJordanType:
@@ -748,8 +787,11 @@ class TestClosedFormsAgainstOracle:
 class TestInduceOracle:
     @pytest.mark.parametrize("sub, to", [(C3, GroupSpec(5, 1)), (C9, C3)])
     def test_rejects_a_group_that_is_not_a_subgroup(self, sub, to):
-        with pytest.raises(ValueError, match="is not a subgroup"):
-            induce_oracle(ModuleSum(sub, (1,)), to)
+        # one rule, stated in modules, for the oracle and the closed form
+        for induce in (induce_oracle, modules.induce):
+            with pytest.raises(modules.GroupMismatchError,
+                               match=f"^{sub} is not a subgroup of {to}$"):
+                induce(ModuleSum(sub, (1,)), to)
 
     def test_refused_over_the_cap(self):
         # Ind from D_0 = 1 to C_9 is 9-dimensional: 81 entries

@@ -10,6 +10,10 @@ No cache without a size bound: every `lru_cache` names a `maxsize`
 other than None and `functools.cache` is not used, so a long sweep holds a
 bounded number of results.
 
+One integer-type rule: only the function `_int_type` names np.int16,
+np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
+oracle's every integer type is chosen in one place.
+
 Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
 appear nowhere else in the package, and `sys.exit` only in a
 `if __name__ == "__main__"` guard.  Commands return records and raise to
@@ -106,6 +110,24 @@ def output_uses(tree, writer=None):
     return sorted(found)
 
 
+INT_TYPES = {f"{prefix}int{bits}" for prefix in ("", "np.", "numpy.")
+             for bits in (16, 32, 64)}
+
+
+def int_type_uses(tree, rule="_int_type"):
+    """(line, name) of each integer type named outside the top-level
+    function `rule`."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == rule:
+            continue
+        for node in ast.walk(top):
+            name = node.value if isinstance(node, ast.Constant) else _dotted(node)
+            if name in INT_TYPES:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "oracle.py", "verify.py"}
 
@@ -145,6 +167,21 @@ def test_output_use_is_seen():
                      "    print(2)\n")
     assert output_uses(tree, "main") == [
         (4, "sys.exit"), (5, "sys.stderr"), (6, "sys.stdout"), (9, "print")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_integer_types_only_in_the_type_rule(path):
+    assert int_type_uses(tree_of(path)) == []
+
+
+def test_integer_type_use_is_seen():
+    tree = ast.parse("import numpy as np\nfrom numpy import int32\n"
+                     "def _int_type(b):\n    return np.int16 if b else np.int64\n"
+                     "def f(a):\n    return a.astype(np.int64), 'int8'\n"
+                     "class M:\n    def _int_type(self):\n"
+                     "        return int32, numpy.int16, 'int32', np.float32\n")
+    assert int_type_uses(tree) == [
+        (6, "np.int64"), (9, "int32"), (9, "int32"), (9, "numpy.int16")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
