@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .groups import GroupSpec
-from .modules import ModuleSum
+from .modules import ModuleSum, _check_group
 
 
 class OddPrimeRequiredError(ValueError):
@@ -100,9 +100,8 @@ def dade_zero(group: GroupSpec) -> DadeElement:
 
 def dade_add(a: DadeElement, b: DadeElement) -> DadeElement:
     """Composition in the Dade group: componentwise XOR (every class is
-    2-torsion)."""
-    if a.group != b.group:
-        raise ValueError(f"group mismatch: {a.group} vs {b.group}")
+    2-torsion).  Classes over different groups raise GroupMismatchError."""
+    _check_group(a, b)
     return DadeElement(a.group, tuple(x ^ y for x, y in zip(a.alpha, b.alpha)))
 
 

@@ -28,6 +28,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .blocks import BlockDescriptor
 from .groups import MAX_ORDER_DIGITS, GroupSpec, order_too_large
@@ -178,11 +179,14 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
     planar = v.require(record.get("planar"), dict, f"{path}.planar")
     if planar is None:
         return None
-    for vertex, neighbours in planar.items():
-        at = f"{path}.planar.{vertex}"
-        if v.require(neighbours, list, at) is None \
-                or not v.require_all(neighbours, str, at):
-            return None
+    orders = planar.values()
+    if not (set(map(type, orders)) <= {list}
+            and set(map(type, chain.from_iterable(orders))) <= {str}):
+        for vertex, neighbours in planar.items():  # report the first failure
+            at = f"{path}.planar.{vertex}"
+            if v.require(neighbours, list, at) is None \
+                    or not v.require_all(neighbours, str, at):
+                return None
     exceptional = record.get("exceptional")
     if exceptional is not None and \
             v.require(exceptional, str, f"{path}.exceptional") is None:

@@ -62,7 +62,7 @@ class ModuleSum:
         )
 
 
-def _check_group(a: ModuleSum, b: ModuleSum) -> None:
+def _check_group(a, b) -> None:  # ModuleSums or DadeElements
     if a.group != b.group:
         raise GroupMismatchError(f"group mismatch: {a.group} vs {b.group}")
 

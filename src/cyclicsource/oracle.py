@@ -446,14 +446,14 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
 
 
 @lru_cache(maxsize=4096)
-def _kernel_jordan(p: int, ell: int, m: int, n: int) -> tuple[int, ...]:
+def _kernel_jordan(p: int, ell: int, size: int) -> tuple[int, ...]:
     """Jordan type of the kernel of the quotient surjection J_m ->> J_n.
 
     With the lower-shift basis e_0..e_{m-1}, the span of e_n..e_{m-1} is the
-    kernel submodule; the generator action restricted to it is decomposed by
-    the rank sequence.
-    """
-    kernel = _shift_block(m, p)[n:, n:]
+    kernel submodule; the generator action restricted to it, the slice
+    _shift_block(m, p)[n:, n:] = _shift_block(size, p) for size = m - n, is
+    decomposed by the rank sequence."""
+    kernel = _shift_block(size, p)
     return jordan_type(MatrixModule(GroupSpec(p, ell), kernel)).parts
 
 
@@ -485,7 +485,7 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
             raise AssertionError("induced-restricted module admits no cover")
         if cover > n:  # cover == n: J_n is relatively projective
             check_capacity(cover, limit)
-            out.extend(_kernel_jordan(p, ell, cover, n))
+            out.extend(_kernel_jordan(p, ell, cover - n))
     return ModuleSum(m.group, tuple(out))
 
 

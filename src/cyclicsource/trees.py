@@ -10,12 +10,16 @@ for a tree isomorphism matching exceptional vertices and multiplicities;
 `planar_isomorphic` additionally preserves the cyclic orderings.  Embeddings
 are oriented, so mirror images are similar but not planar-isomorphic.  Both
 are decided through canonical codes of the tree rooted at the exceptional
-vertex, or at the graph-theoretic center when there is none.
+vertex, or at the graph-theoretic center when there is none.  A tree keeps
+both codes, from one traversal per root.  A code nests three deep (levels,
+keys, ranks) at any height, so comparing two codes never recurses deeper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 from .groups import GroupSpec
 
@@ -37,17 +41,22 @@ class BrauerTree:
 
     @property
     def edges(self) -> frozenset[frozenset[str]]:
-        out = set()
-        for v, neighbours in self.planar.items():
-            for w in neighbours:
-                out.add(frozenset((v, w)))
-        return frozenset(out)
+        return frozenset(frozenset((v, w))
+                         for v, ns in self.planar.items() for w in ns)
 
     @property
     def num_edges(self) -> int:
         """Half the degree sum: each edge of a valid tree is listed at both
         ends."""
-        return sum(len(ns) for ns in self.planar.values()) // 2
+        return sum(map(len, self.planar.values())) // 2
+
+    @cached_property
+    def _codes(self) -> tuple:
+        """The (unordered, planar) codes, made once: `planar` is a copy."""
+        roots = _center(self) if self.exceptional is None else [self.exceptional]
+        pairs = [_rooted_codes(self, r) for r in roots]
+        return tuple((self.multiplicity, self.exceptional is not None, min(codes))
+                     for codes in zip(*pairs))
 
 
 @dataclass(frozen=True)
@@ -91,14 +100,10 @@ def validate(t: BrauerTree) -> list[str]:
     if len(vset) != e + 1:
         violations.append("not a tree: |vertices| != |edges| + 1")
     # connectivity (with |V| = |E| + 1 this also rules out cycles)
-    seen = set()
-    stack = [t.vertices[0]]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(w for w in t.planar.get(v, ()) if w not in seen)
+    seen, level = {t.vertices[0]}, [t.vertices[0]]
+    while level:  # each vertex is marked when first reached
+        level = [w for v in level for w in t.planar.get(v, ())
+                 if w not in seen and not seen.add(w)]
     if seen != vset:
         violations.append("not a tree: graph is disconnected or has a cycle")
 
@@ -195,20 +200,21 @@ def _least_rotation(seq) -> int:
     return i
 
 
-def _rooted_code(t: BrauerTree, root: str, planar: bool) -> tuple[int, ...]:
-    """Flat canonical code of `t` rooted at `root`.
+def _rooted_codes(t: BrauerTree, root: str) -> tuple[tuple, tuple]:
+    """The (unordered, planar) pair of canonical codes of `t` rooted at
+    `root`, from one breadth-first traversal.
 
     AHU ranks (Aho, Hopcroft and Ullman, 1974), level by level from the
-    deepest: a vertex's key is the tuple of its children's ranks, sorted
-    when `planar` is false and in cyclic order after the parent when it is
-    true, and its rank is the position of its key among the distinct keys of
+    deepest: a vertex's key is the tuple of its children's ranks, sorted in
+    the unordered code and in cyclic order after the parent in the planar
+    one, and its rank is the position of its key among the distinct keys of
     its level.  Rank order is the lexicographic order of keys, so ranks do
     not depend on the vertex names, and at the root of a planar code the
-    cyclic order is read from its least rotation.  The code lists every
-    level's keys in sorted order, each key ended by -1 and each level by -2;
-    the tree can be rebuilt from it up to isomorphism, so equal codes mean
-    isomorphic rooted trees.  No recursion, and O(E log E) time for the
-    sorts.  Raises ValueError on a graph with a cycle.
+    cyclic order is read from its least rotation.  A code is the tuple of
+    its levels, deepest first, each the sorted tuple of its keys: three
+    deep at any height, so comparing codes never recurses deeper.  The tree
+    can be rebuilt from it up to isomorphism, so equal codes mean isomorphic
+    rooted trees.  O(E log E) time; ValueError on a graph with a cycle.
     """
     # breadth-first levels; a vertex's children follow its parent in its
     # cyclic order
@@ -230,45 +236,36 @@ def _rooted_code(t: BrauerTree, root: str, planar: bool) -> tuple[int, ...]:
             raise ValueError("not a tree: graph has a cycle")
         levels.append(below)
 
-    code: list[int] = []
-    rank: dict[str, int] = {}
+    codes, ranks = ([], []), ({}, {})  # (unordered, planar) each
     for level in reversed(levels):
-        if planar:
-            keys = [tuple(map(rank.__getitem__, children[v])) for v in level]
-        else:
-            keys = [tuple(sorted(map(rank.__getitem__, children[v])))
-                    for v in level]
-        if planar and level is levels[0]:
+        # keys taken in C: map(map, repeat(f), kids) gives map(f, ch) per ch
+        kids = list(map(children.__getitem__, level))
+        unordered = list(map(tuple, map(sorted, map(
+            map, repeat(ranks[0].__getitem__), kids))))
+        planar = list(map(tuple, map(map, repeat(ranks[1].__getitem__), kids)))
+        if level is levels[0]:
             # the embedding fixes only the cyclic order at the root
-            start = _least_rotation(keys[0])
-            keys[0] = keys[0][start:] + keys[0][:start]
-        position: dict[tuple[int, ...], int] = {}
-        for key in sorted(keys):
-            position.setdefault(key, len(position))
-            code.extend(key)
-            code.append(-1)
-        code.append(-2)
-        rank.update(zip(level, map(position.__getitem__, keys)))
-    return tuple(code)
-
-
-def _canonical(t: BrauerTree, planar: bool):
-    roots = _center(t) if t.exceptional is None else [t.exceptional]
-    code = min(_rooted_code(t, r, planar) for r in roots)
-    return (t.multiplicity, t.exceptional is not None, code)
+            start = _least_rotation(planar[0])
+            planar[0] = planar[0][start:] + planar[0][:start]
+        for code, rank, keys in zip(codes, ranks, (unordered, planar)):
+            ordered = sorted(keys)
+            code.append(tuple(ordered))
+            position = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
+            rank.update(zip(level, map(position.__getitem__, keys)))
+    return tuple(codes[0]), tuple(codes[1])
 
 
 def canonical_code(t: BrauerTree):
     """Embedding-free canonical form, rooted at the exceptional vertex or at
     the center; ties between two center vertices resolve to the smaller code.
-    The code is a flat tuple of ints, so comparing two codes never recurses."""
-    return _canonical(t, planar=False)
+    Its nesting depth is fixed (see `_rooted_codes`)."""
+    return t._codes[0]
 
 
 def canonical_planar_code(t: BrauerTree):
     """Canonical form preserving the oriented embedding (rotations at the
-    root allowed, reflections not), flat like `canonical_code`."""
-    return _canonical(t, planar=True)
+    root allowed, reflections not), shaped like `canonical_code`."""
+    return t._codes[1]
 
 
 def similar(t1: BrauerTree, t2: BrauerTree) -> bool:

@@ -380,6 +380,23 @@ class TestTree:
         second = self._record("double", double_edges, names, 4001)
         assert self._compare(capsys, tmp_path, first, second) == (False, False)
 
+    def test_compare_roots_and_traverses_each_tree_once(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # bicentral trees over C_7, the path v0-v1-v2-v3 with a leaf at v1
+        # and two at v2, and a relabelled copy: both codes of a tree come
+        # from one center and one traversal per center vertex
+        edges = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (2, 6)]
+        first = self._record("a", edges, [f"v{k}" for k in range(7)], 7)
+        second = self._record("b", edges, [f"w{6 - k}" for k in range(7)], 7)
+        calls = []
+        for name in ("_center", "_rooted_codes"):
+            monkeypatch.setattr(trees, name,
+                                lambda *args, fn=getattr(trees, name), name=name:
+                                calls.append(name) or fn(*args))
+        assert self._compare(capsys, tmp_path, first, second) == (True, True)
+        assert calls.count("_center") == 2
+        assert calls.count("_rooted_codes") == 4
+
     def test_emit_star_round_trip(self, capsys):
         code, out, _ = run(capsys, "tree", "emit-star", "2", "4", "3", "2")
         assert code == EXIT_OK

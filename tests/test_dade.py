@@ -21,6 +21,7 @@ from cyclicsource.dade import (
     w_module_sum,
 )
 from cyclicsource.groups import GroupSpec
+from cyclicsource.modules import GroupMismatchError
 
 C9 = GroupSpec(3, 2)
 C27 = GroupSpec(3, 3)
@@ -57,6 +58,13 @@ class TestElements:
         a = DadeElement(C9, (1, 0))
         b = DadeElement(C9, (1, 1))
         assert dade_add(a, b) == DadeElement(C9, (0, 1))
+
+    def test_add_requires_same_group(self):
+        # the group rule of modules, with its error class and text
+        with pytest.raises(GroupMismatchError) as info:
+            dade_add(DadeElement(C9, (1, 0)), DadeElement(GroupSpec(3, 1), (1,)))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "group mismatch: C_9 vs C_3"
 
     @given(elements())
     def test_every_element_is_self_inverse(self, e):

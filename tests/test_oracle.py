@@ -764,6 +764,17 @@ class TestClosedFormsAgainstOracle:
                 assert modules.relative_heller(m, i) == \
                     relative_heller_oracle(m, i)
 
+    def test_kernel_cache_is_keyed_on_the_kernel_size(self):
+        # the kernel of J_c ->> J_n is J_(c-n), so the parts of the results
+        # are the distinct c - n, and each is decomposed once
+        group = GroupSpec(2, 4)
+        oracle._kernel_jordan.cache_clear()
+        sizes = {part for n in range(1, group.order + 1)
+                 for i in range(group.ell + 1)
+                 for part in relative_heller_oracle(ModuleSum(group, (n,)),
+                                                    i).parts}
+        assert oracle._kernel_jordan.cache_info().misses == len(sizes) == 15
+
     @pytest.mark.parametrize("p,ell,imin", [(2, 1, 0), (2, 2, 0), (2, 3, 0),
                                             (3, 1, 0), (3, 2, 0), (5, 1, 0),
                                             (3, 3, 1), (5, 2, 1)])

@@ -103,6 +103,16 @@ class TestValidate:
         violations = validate(tree)
         assert any("not a tree" in v for v in violations)
 
+    def test_cycle_with_a_tree_edge_count(self):
+        # a triangle and an isolated vertex: |V| = |E| + 1, yet not a tree
+        tree = BrauerTree(
+            ("a", "b", "c", "d"),
+            {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b"), "d": ()},
+            C7, multiplicity=2, exceptional="a",
+        )
+        assert validate(tree) == [
+            "not a tree: graph is disconnected or has a cycle"]
+
     def test_unmirrored_edge(self):
         tree = BrauerTree(("a", "b"), {"a": ("b",), "b": ()},
                           GroupSpec(2, 1))
@@ -354,6 +364,11 @@ class TestCanonicalCodeProperties:
         assert similar(t, u) and planar_isomorphic(t, u)
         assert not similar(t, path_tree(names, GroupSpec(3001, 1),
                                         exceptional=names[1]))
+
+    def test_codes_are_kept_on_the_tree(self):
+        t = star(3, 2, C7)
+        assert canonical_code(t) is canonical_code(t)
+        assert canonical_planar_code(t) is canonical_planar_code(t)
 
     def test_cycle_is_an_error(self):
         tree = BrauerTree(("a", "b", "c"),
