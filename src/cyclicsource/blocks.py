@@ -187,8 +187,7 @@ def restrict_w(w: WResult, i: int) -> int:
     if i == 0:
         raise ValueError("restriction target must be a non-trivial subgroup")
     group = w.dade.group
-    if not 1 <= i <= group.ell:
-        raise ValueError(f"subgroup index {i} out of range 1..{group.ell}")
+    group.subgroup(i)  # the range check
     if i == group.ell or w.jordan == 1:
         return w.jordan
     res = restrict(ModuleSum(group, (w.jordan,)), i)

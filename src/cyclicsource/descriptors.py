@@ -17,9 +17,11 @@ records and an optional list of tree records:
       ]
     }
 
-Integers are decimal with no exponents; floating point values are rejected.
-Unknown fields are rejected by name.  Errors carry the JSON path of the
-offending value.
+The tables `_BLOCK_FIELDS` and `_TREE_FIELDS` are the format: each maps every
+field but `label`, `p` and `ell` to its JSON kind, in the order the fields
+are checked.  Integers are decimal with no exponents; floating point values
+are rejected.  Unknown fields are rejected by name.  Errors carry the JSON
+path of the offending value.
 """
 
 from __future__ import annotations
@@ -36,13 +38,10 @@ from .trees import BrauerTree
 
 FORMAT_VERSION = 1
 
-_BLOCK_FIELDS = {
-    "label", "p", "ell", "chi_values", "is_principal",
-    "centralizer_equal", "normalizer_equal", "inertial_index",
-}
-_TREE_FIELDS = {
-    "label", "p", "ell", "vertices", "planar", "exceptional", "multiplicity",
-}
+_BLOCK_FIELDS = {"chi_values": list, "is_principal": bool, "centralizer_equal": bool,
+                 "normalizer_equal": bool, "inertial_index": int}
+_TREE_FIELDS = {"vertices": list, "planar": dict, "exceptional": str,
+                "multiplicity": int}
 _TOP_FIELDS = {"version", "blocks", "trees"}
 # the JSON kinds a field may be required to have, by the noun in messages
 _KIND_NOUNS = {int: "integer", str: "string", bool: "boolean",
@@ -119,60 +118,51 @@ class _Validator:
             return None
 
 
-def _reject_unknown(v: _Validator, record: dict, allowed: set, path: str) -> None:
-    for key in sorted(set(record) - allowed):
-        v.fail(f"{path}.{key}", "unknown field")
-
-
-def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
+def _open_record(v: _Validator, record, fields: dict,
+                 path: str) -> tuple[GroupSpec, str] | None:
+    """The (group, label) of the record at `path`, after its unknown fields
+    are reported; None once a check fails."""
     if v.require(record, dict, path) is None:
         return None
-    _reject_unknown(v, record, _BLOCK_FIELDS, path)
+    for key in sorted(set(record).difference(fields, ("label", "p", "ell"))):
+        v.fail(f"{path}.{key}", "unknown field")
     group = v.group(record, path)
     if group is None:
         return None
-    chi = None
-    if "chi_values" in record:
-        chi = v.require(record["chi_values"], list, f"{path}.chi_values")
-        if chi is None or not v.require_all(chi, int, f"{path}.chi_values"):
+    label = v.require(record.get("label", ""), str, f"{path}.label")
+    return None if label is None else (group, label)
+
+
+def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
+    opened = _open_record(v, record, _BLOCK_FIELDS, path)
+    if opened is None:
+        return None
+    group, label = opened
+    values = {}
+    for name, kind in _BLOCK_FIELDS.items():
+        if name in record:
+            values[name] = v.require(record[name], kind, f"{path}.{name}")
+            if values[name] is None:
+                return None
+    chi = values.get("chi_values")
+    if chi is not None:
+        if not v.require_all(chi, int, f"{path}.chi_values"):
             return None
         if len(chi) != group.ell:
             v.fail(f"{path}.chi_values", f"expected {group.ell} values, got {len(chi)}")
             return None
-    flags = {}
-    for name in ("is_principal", "centralizer_equal", "normalizer_equal"):
-        if name in record:
-            flags[name] = v.require(record[name], bool, f"{path}.{name}")
-            if flags[name] is None:
-                return None
-    e = None
-    if "inertial_index" in record:
-        e = v.require(record["inertial_index"], int, f"{path}.inertial_index")
-        if e is None:
-            return None
-    label = v.require(record.get("label", ""), str, f"{path}.label")
-    if label is None:
-        return None
     try:
-        return BlockDescriptor(
-            group=group,
-            chi_values=tuple(chi) if chi is not None else None,
-            inertial_index=e,
-            label=label,
-            **flags,
-        )
+        return BlockDescriptor(group, label=label, **values)
     except ValueError as exc:
         v.fail(path, str(exc))
         return None
 
 
 def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
-    if v.require(record, dict, path) is None:
+    opened = _open_record(v, record, _TREE_FIELDS, path)
+    if opened is None:
         return None
-    _reject_unknown(v, record, _TREE_FIELDS, path)
-    group = v.group(record, path)
-    if group is None:
-        return None
+    group, label = opened
     vertices = v.require(record.get("vertices"), list, f"{path}.vertices")
     if vertices is None or not v.require_all(vertices, str, f"{path}.vertices"):
         return None
@@ -195,17 +185,7 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
                              f"{path}.multiplicity")
     if multiplicity is None:
         return None
-    label = v.require(record.get("label", ""), str, f"{path}.label")
-    if label is None:
-        return None
-    return BrauerTree(
-        vertices=vertices,
-        planar=planar,
-        defect=group,
-        multiplicity=multiplicity,
-        exceptional=exceptional,
-        label=label,
-    )
+    return BrauerTree(vertices, planar, group, multiplicity, exceptional, label)
 
 
 def _check_floats(data, v: _Validator) -> None:
@@ -296,7 +276,8 @@ def parse_descriptor(text: str) -> DescriptorFile:
         _check_floats(data, v)
     if v.issues:
         raise DescriptorError(v.issues)
-    _reject_unknown(v, data, _TOP_FIELDS, "$")
+    for key in sorted(set(data) - _TOP_FIELDS):
+        v.fail(f"$.{key}", "unknown field")
     version = v.require(data.get("version"), int, "$.version")
     if version is not None and version != FORMAT_VERSION:
         v.fail("$.version", f"unsupported version {version}")
@@ -317,26 +298,14 @@ def parse_descriptor(text: str) -> DescriptorFile:
 
 
 def block_record(b: BlockDescriptor) -> dict:
-    record: dict = {"label": b.label, "p": b.group.p, "ell": b.group.ell}
-    if b.chi_values is not None:
-        record["chi_values"] = list(b.chi_values)
-    for name in ("is_principal", "centralizer_equal", "normalizer_equal",
-                 "inertial_index"):
-        if getattr(b, name) is not None:
-            record[name] = getattr(b, name)
-    return record
+    values = ((name, getattr(b, name)) for name in _BLOCK_FIELDS)
+    return {"label": b.label, "p": b.group.p, "ell": b.group.ell,
+            **{name: value for name, value in values if value is not None}}
 
 
 def tree_record(t: BrauerTree) -> dict:
-    return {
-        "label": t.label,
-        "p": t.defect.p,
-        "ell": t.defect.ell,
-        "vertices": list(t.vertices),
-        "planar": {v: list(ns) for v, ns in t.planar.items()},
-        "exceptional": t.exceptional,
-        "multiplicity": t.multiplicity,
-    }
+    return {"label": t.label, "p": t.defect.p, "ell": t.defect.ell,
+            **{name: getattr(t, name) for name in _TREE_FIELDS}}
 
 
 def emit_descriptor(doc: DescriptorFile) -> str:

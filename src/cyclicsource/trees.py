@@ -10,9 +10,9 @@ for a tree isomorphism matching exceptional vertices and multiplicities;
 `planar_isomorphic` additionally preserves the cyclic orderings.  Embeddings
 are oriented, so mirror images are similar but not planar-isomorphic.  Both
 are decided through canonical codes of the tree rooted at the exceptional
-vertex, or at the graph-theoretic center when there is none.  A tree keeps
-both codes, from one traversal per root.  A code nests three deep (levels,
-keys, ranks) at any height, so comparing two codes never recurses deeper.
+vertex, or at the graph-theoretic center (a vertex or an edge) when there
+is none.  A tree keeps both codes, from one traversal.  A code nests three
+deep (levels, keys, ranks), so comparing two codes never recurses deeper.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ class BrauerTree:
     def _codes(self) -> tuple:
         """The (unordered, planar) codes, made once: `planar` is a copy."""
         roots = _center(self) if self.exceptional is None else [self.exceptional]
-        pairs = [_rooted_codes(self, r) for r in roots]
-        return tuple((self.multiplicity, self.exceptional is not None, min(codes))
-                     for codes in zip(*pairs))
+        return tuple((self.multiplicity, self.exceptional is not None, code)
+                     for code in _rooted_codes(self, roots))
 
 
 @dataclass(frozen=True)
@@ -200,27 +199,35 @@ def _least_rotation(seq) -> int:
     return i
 
 
-def _rooted_codes(t: BrauerTree, root: str) -> tuple[tuple, tuple]:
-    """The (unordered, planar) pair of canonical codes of `t` rooted at
-    `root`, from one breadth-first traversal.
+def _rooted_codes(t: BrauerTree, roots: list[str]) -> tuple[tuple, tuple]:
+    """The (unordered, planar) pair of canonical codes of `t` rooted at the
+    vertex or central edge `roots`, from one breadth-first traversal.
 
     AHU ranks (Aho, Hopcroft and Ullman, 1974), level by level from the
     deepest: a vertex's key is the tuple of its children's ranks, sorted in
     the unordered code and in cyclic order after the parent in the planar
     one, and its rank is the position of its key among the distinct keys of
     its level.  Rank order is the lexicographic order of keys, so ranks do
-    not depend on the vertex names, and at the root of a planar code the
-    cyclic order is read from its least rotation.  A code is the tuple of
-    its levels, deepest first, each the sorted tuple of its keys: three
-    deep at any height, so comparing codes never recurses deeper.  The tree
-    can be rebuilt from it up to isomorphism, so equal codes mean isomorphic
-    rooted trees.  O(E log E) time; ValueError on a graph with a cycle.
+    not depend on the vertex names.  A planar code reads the cyclic order at
+    a single root from its least rotation; a central edge is a top level of
+    two keys, so it never matches the copy with that edge subdivided.  A
+    code is the tuple of its levels, deepest first, each the sorted tuple of
+    its keys: three deep at any height, so comparing codes never recurses
+    deeper.  The tree can be rebuilt from it up to isomorphism, so equal
+    codes mean isomorphic rooted trees.  O(E log E) time; ValueError on a
+    graph that is not a tree.
     """
     # breadth-first levels; a vertex's children follow its parent in its
-    # cyclic order
-    children = {root: t.planar.get(root, ())}
-    levels = [[root]]
-    reached = 1
+    # cyclic order, and the two ends of a central edge are each other's parent
+    children = {}
+    for root, parent in zip(roots, reversed(roots)):
+        order = t.planar.get(root, ())
+        if len(roots) == 2:
+            idx = order.index(parent)
+            order = order[idx + 1:] + order[:idx]
+        children[root] = order
+    levels = [roots]
+    reached = len(roots)
     while True:
         below = []
         for v in levels[-1]:
@@ -229,12 +236,12 @@ def _rooted_codes(t: BrauerTree, root: str) -> tuple[tuple, tuple]:
                 idx = order.index(v)
                 children[w] = order[idx + 1:] + order[:idx]
             below.extend(children[v])
-        if not below:
-            break
         reached += len(below)
-        if reached > len(t.vertices):
-            raise ValueError("not a tree: graph has a cycle")
+        if not below or reached > len(t.vertices):
+            break
         levels.append(below)
+    if reached != len(t.vertices):
+        raise ValueError("not a tree: graph is disconnected or has a cycle")
 
     codes, ranks = ([], []), ({}, {})  # (unordered, planar) each
     for level in reversed(levels):
@@ -243,8 +250,8 @@ def _rooted_codes(t: BrauerTree, root: str) -> tuple[tuple, tuple]:
         unordered = list(map(tuple, map(sorted, map(
             map, repeat(ranks[0].__getitem__), kids))))
         planar = list(map(tuple, map(map, repeat(ranks[1].__getitem__), kids)))
-        if level is levels[0]:
-            # the embedding fixes only the cyclic order at the root
+        if len(level) == 1 and level is levels[0]:
+            # the embedding fixes only the cyclic order at a single root
             start = _least_rotation(planar[0])
             planar[0] = planar[0][start:] + planar[0][:start]
         for code, rank, keys in zip(codes, ranks, (unordered, planar)):
@@ -257,8 +264,8 @@ def _rooted_codes(t: BrauerTree, root: str) -> tuple[tuple, tuple]:
 
 def canonical_code(t: BrauerTree):
     """Embedding-free canonical form, rooted at the exceptional vertex or at
-    the center; ties between two center vertices resolve to the smaller code.
-    Its nesting depth is fixed (see `_rooted_codes`)."""
+    the center, a vertex or an edge.  Its nesting depth is fixed (see
+    `_rooted_codes`)."""
     return t._codes[0]
 
 

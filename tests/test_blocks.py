@@ -247,6 +247,13 @@ class TestRestrictW:
         with pytest.raises(ValueError, match="non-trivial subgroup"):
             restrict_w(w, 0)
 
+    @pytest.mark.parametrize("i", [3, -1])
+    def test_rejects_index_out_of_range(self, i):
+        # the trivial class is no shortcut past the subgroup range check
+        w = self._w(C9, (0, 0))
+        with pytest.raises(ValueError, match=rf"^subgroup index {i} out of range"):
+            restrict_w(w, i)
+
 
 class TestFongShift:
     def test_shift_is_xor_with_cap_class(self):

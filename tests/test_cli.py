@@ -276,6 +276,16 @@ class TestTree:
         record = json.loads(out.splitlines()[0])
         assert any("e*m != p^ell - 1" in v for v in record["violations"])
 
+    def test_check_names_unknown_exceptional(self, capsys, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"version": 1, "trees": [self._record(
+            "edge", [(0, 1)], ["a", "b"], 3, exceptional="x", m=2)]}))
+        code, out, _ = run(capsys, "--format", "json-lines",
+                           "tree", "check", str(path))
+        assert code == EXIT_RECORD_ERROR
+        record = json.loads(out.splitlines()[0])
+        assert record["violations"] == ["exceptional vertex 'x' unknown"]
+
     def test_compare_mirror_pair(self, capsys):
         code, out, _ = run(capsys, "--format", "json-lines", "tree",
                            "compare", fixture("good.json"),
@@ -384,7 +394,7 @@ class TestTree:
                                                         monkeypatch):
         # bicentral trees over C_7, the path v0-v1-v2-v3 with a leaf at v1
         # and two at v2, and a relabelled copy: both codes of a tree come
-        # from one center and one traversal per center vertex
+        # from one center and one traversal from its central edge
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (2, 6)]
         first = self._record("a", edges, [f"v{k}" for k in range(7)], 7)
         second = self._record("b", edges, [f"w{6 - k}" for k in range(7)], 7)
@@ -395,7 +405,7 @@ class TestTree:
                                 calls.append(name) or fn(*args))
         assert self._compare(capsys, tmp_path, first, second) == (True, True)
         assert calls.count("_center") == 2
-        assert calls.count("_rooted_codes") == 4
+        assert calls.count("_rooted_codes") == 2
 
     def test_emit_star_round_trip(self, capsys):
         code, out, _ = run(capsys, "tree", "emit-star", "2", "4", "3", "2")

@@ -1,15 +1,22 @@
 """Descriptor parsing: positioned errors, exact integers, round trips."""
 
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
+from cyclicsource.blocks import BlockDescriptor
 from cyclicsource.descriptors import (
+    _BLOCK_FIELDS,
+    _TREE_FIELDS,
     DescriptorError,
     DescriptorFile,
     emit_descriptor,
     parse_descriptor,
 )
+from cyclicsource.groups import GroupSpec
+from cyclicsource.trees import star
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -177,3 +184,28 @@ class TestRoundTrip:
         doc = DescriptorFile()
         again = parse_descriptor(emit_descriptor(doc))
         assert again.blocks == [] and again.trees == []
+
+
+class TestFieldTables:
+    """`_BLOCK_FIELDS` and `_TREE_FIELDS` are the record format."""
+
+    def test_block_with_every_field(self):
+        block = BlockDescriptor(GroupSpec(3, 2), chi_values=(2, -1),
+                                is_principal=False, centralizer_equal=True,
+                                normalizer_equal=False, inertial_index=2,
+                                label="all")
+        text = emit_descriptor(DescriptorFile(blocks=[block]))
+        [record] = json.loads(text)["blocks"]
+        assert record.keys() == {"label", "p", "ell", *_BLOCK_FIELDS}
+        assert parse_descriptor(text).blocks == [block]
+
+    def test_tree_with_exceptional_vertex(self):
+        tree = dataclasses.replace(star(2, 4, GroupSpec(3, 2)), label="star")
+        text = emit_descriptor(DescriptorFile(trees=[tree]))
+        [record] = json.loads(text)["trees"]
+        assert record.keys() == {"label", "p", "ell", *_TREE_FIELDS}
+        assert parse_descriptor(text).trees == [tree]
+
+    def test_block_table_names_every_descriptor_field(self):
+        names = {f.name for f in dataclasses.fields(BlockDescriptor)}
+        assert _BLOCK_FIELDS.keys() | {"label"} == names - {"group"}

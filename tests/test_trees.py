@@ -134,6 +134,23 @@ class TestValidate:
         t = path_tree(["a", "b", "c"], GroupSpec(7, 1), multiplicity=3)
         assert any("requires an exceptional vertex" in v for v in validate(t))
 
+    EDGE = {"a": ("b",), "b": ("a",)}
+
+    @pytest.mark.parametrize("tree, violation", [
+        (BrauerTree(("a", "a", "b"), EDGE, C7), "duplicate vertex identifiers"),
+        (BrauerTree((), {}, C7), "no vertices"),
+        (BrauerTree(("a", "b"), {**EDGE, "x": ()}, C7),
+         "planar order for unknown vertex 'x'"),
+        (BrauerTree(("a",), {"a": ()}, C7), "no edges"),
+        (BrauerTree(("a", "b"), EDGE, C7, multiplicity=0, exceptional="a"),
+         "multiplicity must be positive"),
+        (BrauerTree(("a", "b"), EDGE, GroupSpec(3, 1), multiplicity=2,
+                    exceptional="x"), "exceptional vertex 'x' unknown"),
+    ], ids=["duplicate", "no-vertices", "unknown-planar", "no-edges",
+            "multiplicity", "unknown-exceptional"])
+    def test_violation_named(self, tree, violation):
+        assert violation in validate(tree)
+
 
 class TestTypeFunctions:
     def test_single_edge(self):
@@ -209,6 +226,17 @@ class TestComparison:
             C7, multiplicity=2, exceptional="c",
         )
         assert planar_isomorphic(t, rotated)
+
+    def test_central_edge_is_not_its_subdivision(self):
+        # rooted at its central edge b-c, the path a-b-c-d; rooted at its
+        # center x, the path with that edge subdivided by x: the levels
+        # below the roots agree, and only the top level tells them apart
+        t = path_tree(["a", "b", "c", "d"], C7)
+        u = path_tree(["a", "b", "x", "c", "d"], C7)
+        assert canonical_code(t)[2][:-1] == canonical_code(u)[2][:-2]
+        assert canonical_code(t) != canonical_code(u)
+        assert canonical_planar_code(t) != canonical_planar_code(u)
+        assert not similar(t, u) and not planar_isomorphic(t, u)
 
     def test_multiplicity_distinguishes(self):
         t1 = star(2, 4, C9)
@@ -378,3 +406,11 @@ class TestCanonicalCodeProperties:
             canonical_code(tree)
         with pytest.raises(ValueError, match="not a tree"):
             canonical_planar_code(tree)
+
+    def test_disconnected_graph_is_an_error(self):
+        # two disjoint edges: stripping leaves removes every vertex at once
+        tree = BrauerTree(("a", "b", "c", "d"),
+                          {"a": ("b",), "b": ("a",), "c": ("d",), "d": ("c",)},
+                          GroupSpec(5, 1))
+        with pytest.raises(ValueError, match="not a tree"):
+            canonical_code(tree)
