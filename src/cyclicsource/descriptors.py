@@ -78,6 +78,8 @@ class DescriptorFile:
 class _Validator:
     def __init__(self) -> None:
         self.issues: list[ParseIssue] = []
+        # (p, ell) -> the group, or the field at fault and the message
+        self.groups: dict[tuple[int, int], GroupSpec | tuple[str, str]] = {}
 
     def fail(self, path: str, message: str) -> None:
         self.issues.append(ParseIssue(path, message))
@@ -104,18 +106,25 @@ class _Validator:
         ell = self.require(record.get("ell"), int, f"{path}.ell")
         if p is None or ell is None:
             return None
-        if ell < 1:
-            self.fail(f"{path}.ell", "ell must be at least 1")
-            return None
+        outcome = self.groups.get((p, ell))
+        if outcome is None:
+            outcome = self.groups[p, ell] = _group_outcome(p, ell)
+        if type(outcome) is GroupSpec:
+            return outcome
+        self.fail(f"{path}.{outcome[0]}", outcome[1])
+        return None
+
+
+def _group_outcome(p: int, ell: int) -> GroupSpec | tuple[str, str]:
+    """The group C_{p^ell} of a record, or the field at fault and why."""
+    if ell < 1:
+        return "ell", "ell must be at least 1"
+    try:
+        return GroupSpec(p, ell)
+    except ValueError as exc:
         if p >= 2 and order_too_large(p, ell):
-            self.fail(f"{path}.ell", f"p^ell must have at most "
-                                     f"{MAX_ORDER_DIGITS} digits")
-            return None
-        try:
-            return GroupSpec(p, ell)
-        except ValueError as exc:  # with ell >= 1, only p can be at fault
-            self.fail(f"{path}.p", str(exc))
-            return None
+            return "ell", f"p^ell must have at most {MAX_ORDER_DIGITS} digits"
+        return "p", str(exc)  # with ell >= 1, only p is left at fault
 
 
 def _open_record(v: _Validator, record, fields: dict,

@@ -17,6 +17,11 @@ in `_int_type(p - 1)` from the start, so the rank profile below
 panel bound, and a product, taken through float32 BLAS below 2^24, else
 float64 BLAS below 2^53 (always, for the sizes admitted by the capacity
 check), is cast to the type of its bound and reduced there once.
+
+The one elimination routine, `_echelon`, takes the rows of singleton
+columns as pivots in bulk before its panel kernel runs on the rest: peeled
+rows join no dependency, so the output is identical to that of the panel
+kernel on the whole matrix.
 """
 
 from __future__ import annotations
@@ -138,7 +143,48 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a[rows], where rows is the row rank profile of `a` mod p (each row that
     is independent of the rows above it) and E, of a's integer type, is in
     reduced column echelon form: column k is zero above rows[k], and
-    E[rows] is the identity.
+    E[rows] is the identity.  The contract makes (E, rows) unique.
+
+    Free pivots are taken first, in bulk: the singleton peel that opens
+    structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
+    sparse linear systems over finite fields", CRYPTO 1990).  A column that
+    is non-zero in exactly one live row gives that row a pivot with no
+    fill, so each round peels the rows of every such column and takes
+    their non-zeros off the column counts, until no column is a singleton.
+    Peeled rows join no dependency (in one, the first peeled row would be
+    the only one to hit its column), so the output is identical to the
+    panel kernel's on all of `a`: rows is the peeled rows together with the
+    profile of the core, the other non-zero rows on the columns they still
+    hit, and E is unit columns at the peeled rows plus the core's E, which
+    `_panel_echelon` computes.
+    """
+    m = a.shape[0]
+    hit = _mod(a, p) != 0
+    counts = hit.sum(axis=0)
+    profile = np.zeros(m, dtype=bool)
+    while (single := (counts == 1).nonzero()[0]).size:
+        fresh = np.zeros(m, dtype=bool)
+        fresh[hit[:, single].argmax(axis=0)] = True
+        counts -= hit[fresh].sum(axis=0)
+        hit[fresh] = False
+        profile |= fresh
+    free = profile.nonzero()[0]
+    core = hit.any(axis=1).nonzero()[0]
+    if core.size:
+        basis_c, rows_c = _panel_echelon(a[np.ix_(core, counts.nonzero()[0])], p)
+        core_rows = core[rows_c]
+        profile[core_rows] = True
+    rows = profile.nonzero()[0]
+    column = np.cumsum(profile) - 1  # of E, at each row of the profile
+    basis = np.zeros((m, rows.size), dtype=a.dtype)
+    basis[free, column[free]] = 1
+    if core.size:
+        basis[np.ix_(core, column[core_rows])] = basis_c
+    return basis, rows.tolist()
+
+
+def _panel_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`_echelon`'s (E, rows) by the panel kernel, on any matrix.
 
     Column operations sweep the rows PANEL at a time.  Inside a panel each
     pivot clears its row in every other column (Gauss-Jordan) with delayed

@@ -223,6 +223,9 @@ def _rooted_codes(t: BrauerTree, roots: list[str]) -> tuple[tuple, tuple]:
     for root, parent in zip(roots, reversed(roots)):
         order = t.planar.get(root, ())
         if len(roots) == 2:
+            if parent not in order:  # two centers that are not an edge
+                raise ValueError(
+                    "not a tree: graph is disconnected or has a cycle")
             idx = order.index(parent)
             order = order[idx + 1:] + order[:idx]
         children[root] = order

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from cyclicsource import descriptors, groups
 from cyclicsource.blocks import BlockDescriptor
 from cyclicsource.descriptors import (
     _BLOCK_FIELDS,
@@ -184,6 +186,45 @@ class TestRoundTrip:
         doc = DescriptorFile()
         again = parse_descriptor(emit_descriptor(doc))
         assert again.blocks == [] and again.trees == []
+
+
+class TestGroupOncePerPair:
+    """A document decides each (p, ell) group once; every record naming it
+    shares the group, or has the failure reported at its own path."""
+
+    def test_failure_reported_at_each_record(self):
+        blocks = [{"p": 9, "ell": 1, "chi_values": [1]}] * 3
+        issues = issues_of(json.dumps({"version": 1, "blocks": blocks}))
+        assert [(i.path, i.message) for i in issues] == [
+            (f"$.blocks[{k}].p", "p must be prime, got 9") for k in range(3)]
+
+    def test_checks_run_once_per_pair(self, monkeypatch):
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls.append((module.__name__, name, args))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(groups, "is_prime")
+        count(groups, "order_too_large")  # in GroupSpec
+        count(descriptors, "order_too_large")  # in the validator
+        pairs = [(3, 1), (5, 2), (9, 1), (2, 14285), (7, 2)]  # p distinct
+        records = [{"p": p, "ell": ell} for p, ell in pairs * 4]
+        issues = issues_of(json.dumps({"version": 1, "blocks": records,
+                                       "trees": records}))
+        assert [i.path for i in issues if i.path.endswith((".p", ".ell"))] == [
+            f"$.{kind}[{k}].{'p' if k % 5 == 2 else 'ell'}"
+            for kind in ("blocks", "trees") for k in range(20) if k % 5 in (2, 3)]
+        assert set(Counter(calls).values()) == {1}
+        assert {args for _, name, args in calls if name == "is_prime"} == {
+            (p,) for p, _ in pairs}
+        assert {args for _, name, args in calls
+                if name == "order_too_large"} == set(pairs)
 
 
 class TestFieldTables:

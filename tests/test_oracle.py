@@ -525,6 +525,82 @@ class TestKernelWidths:
         assert np.array_equal(basis, want)
 
 
+def sparse_matrix(rng, p, m, n, density, dtype):
+    """An m x n matrix with about `density` of its entries non-zero mod p,
+    some stored as the negative representative, and with duplicated rows."""
+    a = rng.integers(0, p, (m, n)) - p * rng.integers(0, 2, (m, n))
+    a[rng.random((m, n)) >= density] = 0
+    if m > 1:
+        a[rng.integers(0, m, m // 4)] = a[rng.integers(0, m, m // 4)]
+    return a.astype(dtype)
+
+
+class TestSingletonPeel:
+    """`_echelon` peels the rows of singleton columns before the panel
+    kernel runs on the core.  (E, rows) is unique, so the peel must give
+    exactly the panel kernel's output on the whole matrix."""
+
+    @staticmethod
+    def assert_as_panel_kernel(a, p):
+        basis, rows = oracle._echelon(a, p)
+        want, want_rows = oracle._panel_echelon(a, p)
+        assert rows == want_rows
+        assert basis.dtype == want.dtype == a.dtype
+        assert np.array_equal(basis, want)
+
+    @pytest.mark.parametrize("p, dtype", [
+        *[(p, dtype) for p in [2, 3, 5, 101, 32749]
+          for dtype in [np.int16, np.int64]],
+        (40009, np.int64)])  # 40009 does not fit int16
+    def test_random_sparse(self, p, dtype):
+        rng = np.random.default_rng(p)
+        # square, wide, and tall with m > PANEL
+        for m, n in [(120, 120), (40, 300), (300, 40)]:
+            for density in [0.005, 0.02, 0.05, 0.2]:
+                self.assert_as_panel_kernel(
+                    sparse_matrix(rng, p, m, n, density, dtype), p)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("p", [2, 5, 32749])
+    def test_edge_cases(self, p, dtype):
+        rng = np.random.default_rng(p)
+        n = 70
+        permutation = np.zeros((n, n), dtype=dtype)
+        permutation[np.arange(n), rng.permutation(n)] = rng.integers(1, p, n)
+        for a in [np.zeros((0, 5), dtype=dtype), np.zeros((5, 0), dtype=dtype),
+                  np.zeros((0, 0), dtype=dtype), np.zeros((9, 7), dtype=dtype),
+                  permutation,  # peeled whole
+                  rng.integers(1, p, (n, n)).astype(dtype)]:  # no singleton
+            self.assert_as_panel_kernel(a, p)
+
+    def test_peel_engages(self, monkeypatch):
+        panel = oracle._panel_echelon
+        echelon = oracle._echelon
+        inputs, cores = [], []
+
+        def echelon_recording(a, p):
+            inputs.append(a.shape)
+            return echelon(a, p)
+
+        def panel_recording(a, p):
+            cores.append((inputs[-1], a.shape))
+            return panel(a, p)
+
+        monkeypatch.setattr(oracle, "_echelon", echelon_recording)
+        monkeypatch.setattr(oracle, "_panel_echelon", panel_recording)
+        # every column of the nilpotent shift is a singleton, and so is
+        # every column of each power and restriction of it
+        shift = oracle._shift_block(200, 5)
+        np.fill_diagonal(shift, 0)
+        assert rank_profile(shift, 5) == list(range(199, 0, -1))
+        assert inputs and not any(m for _, (m, _) in cores)
+        inputs.clear()
+        oracle._tensor_pair.__wrapped__(5, 2, 24, 24)
+        assert cores
+        assert all(core[0] < shape[0] and core[1] < shape[1]
+                   for shape, core in cores)
+
+
 class TestNarrowTypes:
     """Residues fit int16 while p - 1 does, and the oracle keeps them
     there: every kernel function returns the integer type it is given."""

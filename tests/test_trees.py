@@ -414,3 +414,15 @@ class TestCanonicalCodeProperties:
                           GroupSpec(5, 1))
         with pytest.raises(ValueError, match="not a tree"):
             canonical_code(tree)
+
+    def test_two_centers_that_are_not_an_edge(self):
+        # two disjoint paths a-b-c and d-e-f: stripping leaves keeps b and e
+        tree = BrauerTree(tuple("abcdef"),
+                          {"a": ("b",), "b": ("a", "c"), "c": ("b",),
+                           "d": ("e",), "e": ("d", "f"), "f": ("e",)},
+                          GroupSpec(7, 1))
+        message = "^not a tree: graph is disconnected or has a cycle$"
+        with pytest.raises(ValueError, match=message):
+            canonical_code(tree)
+        with pytest.raises(ValueError, match=message):
+            canonical_planar_code(tree)
