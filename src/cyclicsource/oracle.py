@@ -14,14 +14,14 @@ given.  One rule, `_int_type`, names every integer type: int16 if it holds
 the bound at hand, else int64.  Every matrix the oracle builds is stored
 in `_int_type(p - 1)` from the start, so the rank profile below
 `jordan_type` stays in that type; the elimination works in the type of its
-panel bound, and a product, taken through float32 BLAS below 2^24, else
-float64 BLAS below 2^53 (always, for the sizes admitted by the capacity
-check), is cast to the type of its bound and reduced there once.
+bound, and a product, taken through float32 BLAS below 2^24, else float64
+BLAS below 2^53 (always, for the sizes admitted by the capacity check), is
+cast to the type of its bound and reduced there once.
 
 The one elimination routine, `_echelon`, takes the rows of singleton
-columns as pivots in bulk before its panel kernel runs on the rest: peeled
-rows join no dependency, so the output is identical to that of the panel
-kernel on the whole matrix.
+columns as pivots in bulk before one Gauss-Jordan pass runs on the rest:
+peeled rows join no dependency, so the output is identical to that of the
+pass on the whole matrix, and the elimination takes no matrix product.
 """
 
 from __future__ import annotations
@@ -69,12 +69,9 @@ def check_capacity(dim: int, cap: int | None = None) -> None:
 # exact linear algebra mod p
 
 
-# Rows eliminated per panel before the rows below see the panel's column
-# transform, in one matmul_mod call.
-PANEL = 64
 # Entries from which _mod divides rather than takes the remainder.
 SMALL = 1024
-# Panel cells from which a pivot updates only the rows its column hits.
+# Cells from which a pivot updates only the rows its column hits.
 SPARSE = 1 << 14
 
 
@@ -123,7 +120,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a^e mod p by repeated squaring, starting from the power of the lowest
     set bit of e and with no squaring after the highest: a^(2^k) takes k
-    products.  The result has a's integer type."""
+    products.  The result has a's integer type; a negative e is a
+    ValueError."""
+    if e < 0:
+        raise ValueError(f"matrix power needs an exponent >= 0, got {e}")
     base = _mod(np.asarray(a), p)
     if e == 0:
         return np.eye(base.shape[0], dtype=base.dtype)
@@ -153,10 +153,10 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     their non-zeros off the column counts, until no column is a singleton.
     Peeled rows join no dependency (in one, the first peeled row would be
     the only one to hit its column), so the output is identical to the
-    panel kernel's on all of `a`: rows is the peeled rows together with the
-    profile of the core, the other non-zero rows on the columns they still
-    hit, and E is unit columns at the peeled rows plus the core's E, which
-    `_panel_echelon` computes.
+    Gauss-Jordan pass's on all of `a`: rows is the peeled rows together
+    with the profile of the core, the other non-zero rows on the columns
+    they still hit, and E is unit columns at the peeled rows plus the
+    core's E, which `_gauss_jordan` computes.
     """
     m = a.shape[0]
     hit = _mod(a, p) != 0
@@ -171,7 +171,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     free = profile.nonzero()[0]
     core = hit.any(axis=1).nonzero()[0]
     if core.size:
-        basis_c, rows_c = _panel_echelon(a[np.ix_(core, counts.nonzero()[0])], p)
+        basis_c, rows_c = _gauss_jordan(a[np.ix_(core, counts.nonzero()[0])], p)
         core_rows = core[rows_c]
         profile[core_rows] = True
     rows = profile.nonzero()[0]
@@ -183,96 +183,57 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return basis, rows.tolist()
 
 
-def _panel_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`_echelon`'s (E, rows) by the panel kernel, on any matrix.
+def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`_echelon`'s (E, rows) by one Gauss-Jordan pass, on any matrix.
 
-    Column operations sweep the rows PANEL at a time.  Inside a panel each
-    pivot clears its row in every other column (Gauss-Jordan) with delayed
-    reduction: only the pivot row and column are reduced mod p, the panel
-    itself once per panel.  For the rows below, the panel's column
-    operations are a permutation followed by T = I + [Z; 0], Z on the
-    panel's new pivot positions, and are applied once, the permutation to
-    the columns it moves and T by one matmul_mod call: the FFLAS-FFPACK
-    scheme (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A pivot row
-    ends as a unit row, so its slot in the panel holds its row of T
-    instead.  The oracle's matrices are sparse, so in a panel of SPARSE
-    cells or more a pivot updates only the rows that its column hits.
-
-    The work array is of the `_int_type` of the larger of updates (p-1)^2
-    + p, a panel's excursion between reductions, and ceil(m / PANEL) p, as
-    the rows below gain less than p per panel above them; beyond int64 it
-    raises OverflowError.  The input is reduced on entry, so it may hold
-    any integers of its type.
+    Column operations sweep the rows in order: each pivot clears its row in
+    every other column, so a pivot row ends as a unit row, with delayed
+    reduction: only the pivot row and column are reduced mod p, the rest
+    once at the end.  An entry thus takes at most min(m, n) updates of at
+    most (p-1)^2 each, and the work array is of the `_int_type` of
+    min(m, n) (p-1)^2 + p; beyond int64 it raises OverflowError.  The
+    oracle's matrices are sparse, so in a matrix of SPARSE cells or more a
+    pivot updates only the rows that its column hits.  The input is reduced
+    on entry, so it may hold any integers of its type.
     """
     m, n = a.shape
-    updates = min(m, n, PANEL)
-    bound = max(updates * (p - 1) ** 2 + p, -(-m // PANEL) * p)
+    updates = min(m, n)
+    bound = updates * (p - 1) ** 2 + p
     if bound >= 2**63:
         raise OverflowError(
             f"elimination mod {p}: {updates} unreduced updates would "
             f"overflow int64"
         )
     w = _mod(a, p).astype(_int_type(bound), order="C", copy=False)
+    sparse = w.size >= SPARSE
     rows: list[int] = []
     r = 0
-    for i0 in range(0, m, PANEL):
+    for t in range(m):
         if r == n:
             break
-        panel = w[i0 : i0 + PANEL]
-        k = panel.shape[0]
-        if i0:  # the rows below gained less than p per panel above them
-            panel -= panel // p * p
-        below = i0 + k < m
-        sparse = panel.size >= SPARSE
-        r0 = r
-        # column position -> the column, at the panel's start, now there
-        moved: dict[int, int] = {}
-        for t in range(k):
-            row = panel[t] % p
-            nz = row[r:].nonzero()[0]
-            if nz.size == 0:
-                continue
-            j = r + int(nz[0])
-            if j != r:
-                # rows above are zero in both columns (dependent rows) or
-                # are set at the end (pivot rows); the rows below take the
-                # panel's permutation before its product
-                swap = panel[:, r].copy()
-                panel[:, r] = panel[:, j]
-                panel[:, j] = swap
-                row[r], row[j] = row[j], row[r]
-                moved[r], moved[j] = moved.get(j, j), moved.get(r, r)
-            if below:
-                panel[t] = 0
-                panel[t, r] = 1
-            pivot = int(row[r])
-            col = panel[:, r] % p
-            if pivot != 1:
-                col = col * pow(pivot, p - 2, p) % p
-            # with pivot - 1 in the pivot row, the update leaves col (mod p)
-            # in column r
-            row[r] = pivot - 1
-            if sparse:  # only the rows that col hits change
-                hit = col.nonzero()[0]
-                panel[hit] -= col[hit, None] * row
-            else:
-                panel -= col[:, None] * row
-            rows.append(i0 + t)
-            r += 1
-            if r == n:
-                break
-        if below and r > r0:
-            rest = w[i0 + k :]
-            if moved:
-                rest[:, list(moved)] = rest[:, list(moved.values())]
-            lead = _mod(rest[:, r0:r], p)
-            rest[:, r0:r] = 0
-            t_rows = _mod(panel[[i - i0 for i in rows[r0:]]], p)
-            rest += matmul_mod(lead, t_rows, p)
-    basis = _mod(w[:, :r], p).astype(a.dtype, copy=False)
-    if m > PANEL:
-        basis[rows] = np.eye(r, dtype=basis.dtype)
-    return basis, rows
+        row = w[t] % p
+        nz = row[r:].nonzero()[0]
+        if nz.size == 0:
+            continue
+        j = r + int(nz[0])
+        if j != r:  # the rows above are zero mod p in both columns
+            w[:, r], w[:, j] = w[:, j], w[:, r].copy()
+            row[r], row[j] = row[j], row[r]
+        pivot = int(row[r])
+        col = w[:, r] % p
+        if pivot != 1:
+            col = col * pow(pivot, p - 2, p) % p
+        # with pivot - 1 in the pivot row, the update leaves col (mod p) in
+        # column r and a unit row at t
+        row[r] = pivot - 1
+        if sparse:  # only the rows that col hits change
+            hit = col.nonzero()[0]
+            w[hit] -= col[hit, None] * row
+        else:
+            w -= col[:, None] * row
+        rows.append(t)
+        r += 1
+    return _mod(w[:, :r], p).astype(a.dtype, copy=False), rows
 
 
 def column_space(a: np.ndarray, p: int) -> np.ndarray:

@@ -124,15 +124,18 @@ def validate(t: BrauerTree) -> list[str]:
 
 def type_functions(t: BrauerTree) -> tuple[TypeFunction, TypeFunction]:
     """The two proper sign 2-colorings of the tree (unique up to a global
-    flip, since trees are bipartite and connected)."""
-    signs: dict[str, int] = {t.vertices[0]: 1}
-    stack = [t.vertices[0]]
+    flip, since trees are bipartite and connected); ValueError if the graph
+    has no vertex or is not connected."""
+    stack = list(t.vertices[:1])
+    signs = dict.fromkeys(stack, 1)
     while stack:
         v = stack.pop()
         for w in t.planar.get(v, ()):
             if w not in signs:
                 signs[w] = -signs[v]
                 stack.append(w)
+    if not signs or signs.keys() != set(t.vertices):
+        raise ValueError("not a tree: graph is disconnected or has a cycle")
     flipped = {v: -s for v, s in signs.items()}
     return TypeFunction(signs), TypeFunction(flipped)
 

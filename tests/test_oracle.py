@@ -120,6 +120,16 @@ class TestLinearAlgebra:
         assert np.array_equal(matpow_mod(a, e, 7), [[1, e % 7], [0, 1]])
         assert len(calls) == products
 
+    @pytest.mark.parametrize("e", [-1, -2, -64])
+    def test_matpow_negative_exponent_refused(self, monkeypatch, e):
+        # e >> 1 never reaches 0 from a negative e: refuse before a product
+        def refused(a, b, p):
+            raise AssertionError("matmul_mod called")
+
+        monkeypatch.setattr(oracle, "matmul_mod", refused)
+        with pytest.raises(ValueError, match="exponent"):
+            matpow_mod(np.eye(2, dtype=np.int64), e, 5)
+
 
 def reference_rref(a, p):
     """Reduced row echelon form of `a` over F_p, by Gauss-Jordan elimination
@@ -426,29 +436,31 @@ def reference_echelon(a, p):
 
 
 def panel_pivots(p, m, n, seed):
-    """An m x n matrix of rank n whose first n panels of PANEL rows each
-    bring one new independent row, so that every row below the n-th panel
-    has taken n panel updates unreduced."""
+    """An m x n matrix of rank n whose first n blocks of 64 rows each bring
+    one new independent row, so that every row below the n-th block has
+    taken n updates unreduced."""
     rng = np.random.default_rng(seed)
     basis = rng.integers(0, p, (n, n))
     while reference_rank(basis, p) < n:
         basis = rng.integers(0, p, (n, n))
     coeffs = rng.integers(0, p, (m, n))
     for k in range(n):
-        coeffs[k * oracle.PANEL : (k + 1) * oracle.PANEL, k + 1 :] = 0
-        coeffs[k * oracle.PANEL, k] = 1
+        coeffs[k * 64 : (k + 1) * 64, k + 1 :] = 0
+        coeffs[k * 64, k] = 1
     return coeffs @ basis % p
 
 
 class TestKernelWidths:
     """The elimination and the reduction of a product work in int16 or
     int64, the product in float32 or float64, whichever the exactness bound
-    allows; the results must not depend on it.  With PANEL = 64 updates,
-    23 | 29 is the int16 | int64 boundary of the elimination, and 5791, 5801
-    and 65521 put large entries in int64; with 8 columns, 8 updates keep
-    p = 61 in int16."""
+    allows; the results must not depend on it.  An elimination of k =
+    min(rows, columns) updates works in int16 while k (p-1)^2 + p < 2^15:
+    at 130 updates 13 | 17 is the int16 | int64 boundary (130 * 12^2 + 13 =
+    18,733 and 130 * 16^2 + 17 = 33,297), 23 and 29 run in int64, and
+    5791, 5801 and 65521 put large entries in int64; with 8 columns, 8
+    updates keep p = 61 in int16."""
 
-    @pytest.mark.parametrize("p", [23, 29, 5791, 5801, 65521])
+    @pytest.mark.parametrize("p", [13, 17, 23, 29, 5791, 5801, 65521])
     @pytest.mark.parametrize("m, n, k", [(150, 130, 130), (130, 150, 100),
                                          (200, 90, 70)])
     def test_column_space_across_type_boundaries(self, p, m, n, k):
@@ -466,7 +478,7 @@ class TestKernelWidths:
         a = panel_pivots(p, 1024, 8, seed=p)
         basis, rows = oracle._echelon(a, p)
         want, want_rows = reference_echelon(a, p)
-        assert rows == want_rows == [k * oracle.PANEL for k in range(8)]
+        assert rows == want_rows == [k * 64 for k in range(8)]
         assert np.array_equal(basis, want)
 
     @pytest.mark.parametrize("inner", [255, 256, 257, 300])
@@ -511,15 +523,22 @@ class TestKernelWidths:
 
     @pytest.mark.parametrize("p", [2, 5, 23, 29])
     @pytest.mark.parametrize("m, n, k", [(300, 280, 40), (280, 300, 200)])
-    def test_wide_panels(self, p, m, n, k):
-        # panels of SPARSE cells or more update only the rows a pivot
+    def test_wide_panels(self, monkeypatch, p, m, n, k):
+        # cores of SPARSE cells or more update only the rows a pivot
         # column hits
-        assert oracle.PANEL * n >= oracle.SPARSE
+        gauss_jordan, cores = oracle._gauss_jordan, []
+
+        def recording(a, p):
+            cores.append(a.size)
+            return gauss_jordan(a, p)
+
+        monkeypatch.setattr(oracle, "_gauss_jordan", recording)
         rng = np.random.default_rng(m * p + k)
         a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
         a[rng.random(a.shape) < 0.9] = 0  # sparse rows and columns
         a += p * rng.integers(-3, 4, (m, n))
         basis, rows = oracle._echelon(a, p)
+        assert len(cores) == 1 and cores[0] >= oracle.SPARSE
         want, want_rows = reference_echelon(a, p)
         assert rows == want_rows
         assert np.array_equal(basis, want)
@@ -536,14 +555,14 @@ def sparse_matrix(rng, p, m, n, density, dtype):
 
 
 class TestSingletonPeel:
-    """`_echelon` peels the rows of singleton columns before the panel
-    kernel runs on the core.  (E, rows) is unique, so the peel must give
-    exactly the panel kernel's output on the whole matrix."""
+    """`_echelon` peels the rows of singleton columns before the
+    Gauss-Jordan pass runs on the core.  (E, rows) is unique, so the peel
+    must give exactly the pass's output on the whole matrix."""
 
     @staticmethod
-    def assert_as_panel_kernel(a, p):
+    def assert_as_gauss_jordan(a, p):
         basis, rows = oracle._echelon(a, p)
-        want, want_rows = oracle._panel_echelon(a, p)
+        want, want_rows = oracle._gauss_jordan(a, p)
         assert rows == want_rows
         assert basis.dtype == want.dtype == a.dtype
         assert np.array_equal(basis, want)
@@ -554,10 +573,10 @@ class TestSingletonPeel:
         (40009, np.int64)])  # 40009 does not fit int16
     def test_random_sparse(self, p, dtype):
         rng = np.random.default_rng(p)
-        # square, wide, and tall with m > PANEL
+        # square, wide, and tall
         for m, n in [(120, 120), (40, 300), (300, 40)]:
             for density in [0.005, 0.02, 0.05, 0.2]:
-                self.assert_as_panel_kernel(
+                self.assert_as_gauss_jordan(
                     sparse_matrix(rng, p, m, n, density, dtype), p)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
@@ -571,10 +590,10 @@ class TestSingletonPeel:
                   np.zeros((0, 0), dtype=dtype), np.zeros((9, 7), dtype=dtype),
                   permutation,  # peeled whole
                   rng.integers(1, p, (n, n)).astype(dtype)]:  # no singleton
-            self.assert_as_panel_kernel(a, p)
+            self.assert_as_gauss_jordan(a, p)
 
     def test_peel_engages(self, monkeypatch):
-        panel = oracle._panel_echelon
+        gauss_jordan = oracle._gauss_jordan
         echelon = oracle._echelon
         inputs, cores = [], []
 
@@ -582,12 +601,12 @@ class TestSingletonPeel:
             inputs.append(a.shape)
             return echelon(a, p)
 
-        def panel_recording(a, p):
+        def gauss_jordan_recording(a, p):
             cores.append((inputs[-1], a.shape))
-            return panel(a, p)
+            return gauss_jordan(a, p)
 
         monkeypatch.setattr(oracle, "_echelon", echelon_recording)
-        monkeypatch.setattr(oracle, "_panel_echelon", panel_recording)
+        monkeypatch.setattr(oracle, "_gauss_jordan", gauss_jordan_recording)
         # every column of the nilpotent shift is a singleton, and so is
         # every column of each power and restriction of it
         shift = oracle._shift_block(200, 5)
@@ -599,6 +618,23 @@ class TestSingletonPeel:
         assert cores
         assert all(core[0] < shape[0] and core[1] < shape[1]
                    for shape, core in cores)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_echelon_takes_no_product(monkeypatch, p):
+    # neither the peel nor the Gauss-Jordan pass multiplies matrices, on a
+    # dense core of many rows nor on rows that take every pivot's update
+    def refused(a, b, p):
+        raise AssertionError("matmul_mod called")
+
+    monkeypatch.setattr(oracle, "matmul_mod", refused)
+    rng = np.random.default_rng(p)
+    dense = rng.integers(0, p, (300, 40)) @ rng.integers(0, p, (40, 300)) % p
+    for a in [dense, panel_pivots(p, 1024, 8, seed=p)]:
+        basis, rows = oracle._echelon(a, p)
+        want, want_rows = reference_echelon(a, p)
+        assert rows == want_rows
+        assert np.array_equal(basis, want)
 
 
 class TestNarrowTypes:

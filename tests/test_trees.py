@@ -172,6 +172,17 @@ class TestTypeFunctions:
             assert colorings[1].signs == {
                 v: -s for v, s in colorings[0].signs.items()}
 
+    @pytest.mark.parametrize("vertices, planar", [
+        ((), {}),
+        (("a", "b", "c", "d"),
+         {"a": ("b",), "b": ("a",), "c": ("d",), "d": ("c",)})])
+    def test_not_a_tree(self, vertices, planar):
+        # no vertex to start from, and two disjoint edges of which a
+        # traversal from a reaches only b
+        tree = BrauerTree(vertices, planar, C7)
+        with pytest.raises(ValueError, match="not a tree"):
+            type_functions(tree)
+
 
 class TestStar:
     def test_structure(self):
