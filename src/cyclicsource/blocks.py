@@ -134,8 +134,7 @@ def infer_w(b: BlockDescriptor) -> WResult:
 def is_trivial_by_signs(b: BlockDescriptor) -> bool:
     """True iff all character values share one strict sign, i.e. the source
     module is trivial."""
-    values = _checked_values(b)
-    return all(v > 0 for v in values) or all(v < 0 for v in values)
+    return infer_w(b).trivial
 
 
 def metadata_criteria(b: BlockDescriptor) -> WResult | None:

@@ -156,10 +156,11 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Gauss-Jordan pass's on all of `a`: rows is the peeled rows together
     with the profile of the core, the other non-zero rows on the columns
     they still hit, and E is unit columns at the peeled rows plus the
-    core's E, which `_gauss_jordan` computes.
+    core's E, which `_gauss_jordan` computes on the core, reduced once.
     """
     m = a.shape[0]
-    hit = _mod(a, p) != 0
+    a = _mod(a, p)
+    hit = a != 0
     counts = hit.sum(axis=0)
     profile = np.zeros(m, dtype=bool)
     while (single := (counts == 1).nonzero()[0]).size:
@@ -193,8 +194,8 @@ def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     most (p-1)^2 each, and the work array is of the `_int_type` of
     min(m, n) (p-1)^2 + p; beyond int64 it raises OverflowError.  The
     oracle's matrices are sparse, so in a matrix of SPARSE cells or more a
-    pivot updates only the rows that its column hits.  The input is reduced
-    on entry, so it may hold any integers of its type.
+    pivot updates only the rows that its column hits.  The input holds
+    entries in [0, p); it is copied, never written.
     """
     m, n = a.shape
     updates = min(m, n)
@@ -204,7 +205,7 @@ def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             f"elimination mod {p}: {updates} unreduced updates would "
             f"overflow int64"
         )
-    w = _mod(a, p).astype(_int_type(bound), order="C", copy=False)
+    w = a.astype(_int_type(bound), order="C")
     sparse = w.size >= SPARSE
     rows: list[int] = []
     r = 0

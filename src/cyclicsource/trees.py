@@ -9,17 +9,18 @@ Comparison comes in two strengths: `similar` ignores the embedding and asks
 for a tree isomorphism matching exceptional vertices and multiplicities;
 `planar_isomorphic` additionally preserves the cyclic orderings.  Embeddings
 are oriented, so mirror images are similar but not planar-isomorphic.  Both
-are decided through canonical codes of the tree rooted at the exceptional
-vertex, or at the graph-theoretic center (a vertex or an edge) when there
-is none.  A tree keeps both codes, from one traversal.  A code nests three
-deep (levels, keys, ranks), so comparing two codes never recurses deeper.
+are decided through canonical codes of the tree rooted at its center (a
+vertex or an edge), with the exceptional vertex marked in its key.  One
+leaf-stripping pass, `_strip`, is the tree test and gives the center, both
+codes and both sign colourings.  A tree keeps its codes, which nest three
+deep (levels, keys, ranks), so comparing two never recurses deeper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 
 from .groups import GroupSpec
 
@@ -53,9 +54,8 @@ class BrauerTree:
     @cached_property
     def _codes(self) -> tuple:
         """The (unordered, planar) codes, made once: `planar` is a copy."""
-        roots = _center(self) if self.exceptional is None else [self.exceptional]
         return tuple((self.multiplicity, self.exceptional is not None, code)
-                     for code in _rooted_codes(self, roots))
+                     for code in _rooted_codes(self))
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,9 @@ def validate(t: BrauerTree) -> list[str]:
         violations.append("no edges")
     if len(vset) != e + 1:
         violations.append("not a tree: |vertices| != |edges| + 1")
-    # connectivity (with |V| = |E| + 1 this also rules out cycles)
+    # connectivity (with |V| = |E| + 1 this also rules out cycles), by its
+    # own sweep: `_strip` stops at the first fault, and a connected graph
+    # with a cycle is to be named by its edge count alone
     seen, level = {t.vertices[0]}, [t.vertices[0]]
     while level:  # each vertex is marked when first reached
         level = [w for v in level for w in t.planar.get(v, ())
@@ -113,10 +115,16 @@ def validate(t: BrauerTree) -> list[str]:
         violations.append(f"exceptional vertex {t.exceptional!r} unknown")
     if t.exceptional is None and t.multiplicity != 1:
         violations.append("multiplicity > 1 requires an exceptional vertex")
-    if e * t.multiplicity != group.order - 1:
-        violations.append(
-            f"e*m != p^ell - 1 ({e}*{t.multiplicity} != {group.order - 1})"
-        )
+    violations += _numerical_violations(e, t.multiplicity, group)
+    return violations
+
+
+def _numerical_violations(e: int, m: int, group: GroupSpec) -> list[str]:
+    """The violated constraints of e edges and multiplicity m over `group`:
+    e * m = p^ell - 1, and e | p - 1 when there is an edge."""
+    violations = []
+    if e * m != group.order - 1:
+        violations.append(f"e*m != p^ell - 1 ({e}*{m} != {group.order - 1})")
     if e >= 1 and (group.p - 1) % e != 0:
         violations.append(f"e does not divide p - 1 ({e} does not divide {group.p - 1})")
     return violations
@@ -124,20 +132,17 @@ def validate(t: BrauerTree) -> list[str]:
 
 def type_functions(t: BrauerTree) -> tuple[TypeFunction, TypeFunction]:
     """The two proper sign 2-colorings of the tree (unique up to a global
-    flip, since trees are bipartite and connected); ValueError if the graph
-    has no vertex or is not connected."""
-    stack = list(t.vertices[:1])
-    signs = dict.fromkeys(stack, 1)
-    while stack:
-        v = stack.pop()
-        for w in t.planar.get(v, ()):
-            if w not in signs:
-                signs[w] = -signs[v]
-                stack.append(w)
-    if not signs or signs.keys() != set(t.vertices):
-        raise ValueError("not a tree: graph is disconnected or has a cycle")
-    flipped = {v: -s for v, s in signs.items()}
-    return TypeFunction(signs), TypeFunction(flipped)
+    flip, since trees are bipartite and connected), the first with
+    vertices[0] at +1; ValueError if the graph is not a tree.  Read off
+    `_strip`: a vertex takes the negated sign of its parent."""
+    levels, parent = _strip(t)
+    signs = dict(zip(levels[-1], (1, -1)))  # the center, a vertex or an edge
+    for level in reversed(levels[:-1]):
+        for v in level:
+            signs[v] = -signs[parent[v]]
+    first = signs[t.vertices[0]]
+    one = {v: first * signs[v] for v in t.vertices}
+    return TypeFunction(one), TypeFunction({v: -s for v, s in one.items()})
 
 
 def star(e: int, m: int, group: GroupSpec) -> BrauerTree:
@@ -145,10 +150,8 @@ def star(e: int, m: int, group: GroupSpec) -> BrauerTree:
     that cyclic order at c, which is exceptional when m > 1."""
     if e < 1:
         raise ValueError("a star needs at least one edge")
-    if e * m != group.order - 1:
-        raise ValueError(f"e*m != p^ell - 1 ({e}*{m} != {group.order - 1})")
-    if (group.p - 1) % e != 0:
-        raise ValueError(f"e does not divide p - 1 ({e} does not divide {group.p - 1})")
+    if violations := _numerical_violations(e, m, group):
+        raise ValueError(violations[0])
     center = "c"
     leaves = tuple(f"v{i + 1}" for i in range(e))
     return BrauerTree(
@@ -161,25 +164,42 @@ def star(e: int, m: int, group: GroupSpec) -> BrauerTree:
 
 
 # ---------------------------------------------------------------------------
-# canonical codes
+# the rooting pass and canonical codes
 
 
-def _center(t: BrauerTree) -> list[str]:
-    """The 1 or 2 middle vertices, found by stripping leaves layer by layer."""
+def _strip(t: BrauerTree) -> tuple[list[list[str]], dict[str, str]]:
+    """(levels, parent) of `t` rooted at its center, from stripping leaves
+    round by round: each round is one height level, the leaves first, and a
+    stripped vertex's parent is its one neighbour not yet stripped.  The
+    last level is the center, one vertex or the two ends of an edge, which
+    are each other's parent.  The one tree test of this module: ValueError
+    on a graph with no vertex, a cycle (nothing left to strip) or a vertex
+    without a parent (disconnected), given mirrored orders without loops or
+    repeats, as `validate` checks first.  O(E) time."""
     degree = {v: len(t.planar.get(v, ())) for v in t.vertices}
-    remaining = set(t.vertices)
-    leaves = [v for v in remaining if degree[v] <= 1]
-    while len(remaining) > 2 and leaves:  # no leaves: a cycle, not a tree
-        next_leaves = []
+    leaves = [v for v, d in degree.items() if d <= 1]
+    levels, parent, live = [], {}, set(degree)
+    while len(live) > 2 and leaves:
+        live.difference_update(leaves)
+        above = []
         for v in leaves:
-            remaining.discard(v)
             for w in t.planar.get(v, ()):
-                if w in remaining:
+                if w in live:  # its one neighbour left
+                    parent[v] = w
                     degree[w] -= 1
                     if degree[w] == 1:
-                        next_leaves.append(w)
-        leaves = next_leaves
-    return sorted(remaining)
+                        above.append(w)
+                    break
+        levels.append(leaves)
+        leaves = above
+    # once every stripped vertex has a parent, `leaves` is all that is left,
+    # a vertex or an edge when each has one neighbour left per other one
+    if not leaves or len(parent) + len(leaves) != len(degree) or any(
+            degree[v] != len(leaves) - 1 for v in leaves):
+        raise ValueError("not a tree: graph is disconnected or has a cycle")
+    if len(leaves) == 2:  # the ends of the central edge
+        parent.update(zip(leaves, reversed(leaves)))
+    return [*levels, leaves], parent
 
 
 def _least_rotation(seq) -> int:
@@ -202,76 +222,55 @@ def _least_rotation(seq) -> int:
     return i
 
 
-def _rooted_codes(t: BrauerTree, roots: list[str]) -> tuple[tuple, tuple]:
-    """The (unordered, planar) pair of canonical codes of `t` rooted at the
-    vertex or central edge `roots`, from one breadth-first traversal.
-
-    AHU ranks (Aho, Hopcroft and Ullman, 1974), level by level from the
-    deepest: a vertex's key is the tuple of its children's ranks, sorted in
-    the unordered code and in cyclic order after the parent in the planar
-    one, and its rank is the position of its key among the distinct keys of
-    its level.  Rank order is the lexicographic order of keys, so ranks do
-    not depend on the vertex names.  A planar code reads the cyclic order at
-    a single root from its least rotation; a central edge is a top level of
-    two keys, so it never matches the copy with that edge subdivided.  A
-    code is the tuple of its levels, deepest first, each the sorted tuple of
-    its keys: three deep at any height, so comparing codes never recurses
-    deeper.  The tree can be rebuilt from it up to isomorphism, so equal
-    codes mean isomorphic rooted trees.  O(E log E) time; ValueError on a
-    graph that is not a tree.
-    """
-    # breadth-first levels; a vertex's children follow its parent in its
-    # cyclic order, and the two ends of a central edge are each other's parent
-    children = {}
-    for root, parent in zip(roots, reversed(roots)):
-        order = t.planar.get(root, ())
-        if len(roots) == 2:
-            if parent not in order:  # two centers that are not an edge
-                raise ValueError(
-                    "not a tree: graph is disconnected or has a cycle")
-            idx = order.index(parent)
-            order = order[idx + 1:] + order[:idx]
-        children[root] = order
-    levels = [roots]
-    reached = len(roots)
-    while True:
-        below = []
-        for v in levels[-1]:
-            for w in children[v]:
-                order = t.planar[w]
-                idx = order.index(v)
-                children[w] = order[idx + 1:] + order[:idx]
-            below.extend(children[v])
-        reached += len(below)
-        if not below or reached > len(t.vertices):
-            break
-        levels.append(below)
-    if reached != len(t.vertices):
-        raise ValueError("not a tree: graph is disconnected or has a cycle")
+def _rooted_codes(t: BrauerTree) -> tuple[tuple, tuple]:
+    """The (unordered, planar) canonical codes of `t` rooted at its center,
+    from the one pass of `_strip`.  AHU ranks (Aho, Hopcroft and Ullman,
+    1974), from the leaves up: a vertex's key is its children's ranks,
+    sorted (unordered) or in cyclic order after the parent (planar), led by
+    -1 at the exceptional vertex.  Its rank is the key's place among the
+    distinct keys of its level, in lexicographic order, offset by the number
+    of vertices below, since a vertex's children sit at several heights.  At
+    a single root the planar key is its least rotation; a central edge is a
+    top level of two keys, so it never matches its subdivision.  A code is
+    the tuple of the levels' sorted keys, three deep at any height.  The tree
+    can be rebuilt from it, so equal codes mean isomorphic trees, with the
+    exceptional vertices matched.  O(E log E) time."""
+    levels, parent = _strip(t)
+    children = {v: t.planar.get(v, ()) for v in levels[-1]}
+    for v, up in parent.items():  # in cyclic order after the parent
+        order = t.planar[v]
+        idx = order.index(up)
+        children[v] = order[idx + 1:] + order[:idx]
 
     codes, ranks = ([], []), ({}, {})  # (unordered, planar) each
-    for level in reversed(levels):
+    ranked = 0
+    for level in levels:
         # keys taken in C: map(map, repeat(f), kids) gives map(f, ch) per ch
         kids = list(map(children.__getitem__, level))
         unordered = list(map(tuple, map(sorted, map(
             map, repeat(ranks[0].__getitem__), kids))))
         planar = list(map(tuple, map(map, repeat(ranks[1].__getitem__), kids)))
-        if len(level) == 1 and level is levels[0]:
+        if level is levels[-1] and len(level) == 1:
             # the embedding fixes only the cyclic order at a single root
             start = _least_rotation(planar[0])
             planar[0] = planar[0][start:] + planar[0][:start]
+        if t.exceptional in level:
+            idx = level.index(t.exceptional)
+            unordered[idx] = (-1, *unordered[idx])
+            planar[idx] = (-1, *planar[idx])
         for code, rank, keys in zip(codes, ranks, (unordered, planar)):
             ordered = sorted(keys)
             code.append(tuple(ordered))
-            position = dict(zip(dict.fromkeys(ordered), range(len(ordered))))
+            position = dict(zip(dict.fromkeys(ordered), count(ranked)))
             rank.update(zip(level, map(position.__getitem__, keys)))
+        ranked += len(level)
     return tuple(codes[0]), tuple(codes[1])
 
 
 def canonical_code(t: BrauerTree):
-    """Embedding-free canonical form, rooted at the exceptional vertex or at
-    the center, a vertex or an edge.  Its nesting depth is fixed (see
-    `_rooted_codes`)."""
+    """Embedding-free canonical form, rooted at the center, a vertex or an
+    edge, with the exceptional vertex marked.  Its nesting depth is fixed
+    (see `_rooted_codes`)."""
     return t._codes[0]
 
 

@@ -394,18 +394,16 @@ class TestTree:
                                                         monkeypatch):
         # bicentral trees over C_7, the path v0-v1-v2-v3 with a leaf at v1
         # and two at v2, and a relabelled copy: both codes of a tree come
-        # from one center and one traversal from its central edge
+        # from one leaf-stripping pass, which also finds its central edge
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (2, 6)]
         first = self._record("a", edges, [f"v{k}" for k in range(7)], 7)
         second = self._record("b", edges, [f"w{6 - k}" for k in range(7)], 7)
         calls = []
-        for name in ("_center", "_rooted_codes"):
-            monkeypatch.setattr(trees, name,
-                                lambda *args, fn=getattr(trees, name), name=name:
-                                calls.append(name) or fn(*args))
+        strip = trees._strip
+        monkeypatch.setattr(trees, "_strip",
+                            lambda t: calls.append(t.label) or strip(t))
         assert self._compare(capsys, tmp_path, first, second) == (True, True)
-        assert calls.count("_center") == 2
-        assert calls.count("_rooted_codes") == 2
+        assert sorted(calls) == ["a", "b"]
 
     def test_emit_star_round_trip(self, capsys):
         code, out, _ = run(capsys, "tree", "emit-star", "2", "4", "3", "2")

@@ -6,6 +6,11 @@ unused: a dead import is dead API in waiting.  `__init__.py` re-exports
 by importing, and `from __future__` imports are directives, so neither
 counts.
 
+No private module-level function or class without a reader: a name
+that starts with an underscore is read somewhere in the package (by name,
+as an attribute, by a from-import or in a string annotation), or it is
+dead code.
+
 No cache without a size bound: every `lru_cache` names a `maxsize`
 other than None and `functools.cache` is not used, so a long sweep holds a
 bounded number of results.
@@ -47,8 +52,14 @@ def unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = names(tree)
-    # names read only inside string annotations, such as "ModuleSum"
+    used = names(tree) | annotation_names(tree)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def annotation_names(tree):
+    """Names read only inside string annotations, such as "ModuleSum"."""
+    found = set()
     annotations = [ann for node in ast.walk(tree)
                    for ann in (getattr(node, "annotation", None),
                                getattr(node, "returns", None))
@@ -56,9 +67,27 @@ def unused_imports(tree):
     for ann in annotations:
         for const in ast.walk(ann):
             if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                used |= names(ast.parse(const.value, mode="eval"))
-    return sorted((line, name) for name, line in imported.items()
-                  if name not in used)
+                found |= names(ast.parse(const.value, mode="eval"))
+    return found
+
+
+def unread_privates(trees):
+    """(module, line, name) of each private module-level function or class
+    of `trees` (module name -> syntax tree) that no module reads: by name,
+    as an attribute, by a from-import or in a string annotation."""
+    read = set()
+    for tree in trees.values():
+        read |= names(tree) | annotation_names(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        read |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and node.name not in read)
 
 
 CACHES = ("lru_cache", "functools.lru_cache")
@@ -151,6 +180,22 @@ def test_unused_import_is_seen():
                      "import os.path\nfrom x import a, b as c\n"
                      "def f(y: 'a') -> None:\n    return os\n")
     assert unused_imports(tree) == [(3, "c")]
+
+
+def test_private_definitions_are_read():
+    assert unread_privates({p.name: tree_of(p) for p in SOURCES}) == []
+
+
+def test_unread_private_is_seen():
+    a = ast.parse("def _dead(): pass\ndef _called(): pass\n"
+                  "class _Imported: pass\nclass _Hinted: pass\n"
+                  "def _by_attribute(): pass\ndef __getattr__(name): pass\n"
+                  "def f(x: '_Hinted'):\n    def _nested(): pass\n"
+                  "    return _called()\n")
+    b = ast.parse("from a import _Imported\nimport a\na._by_attribute()\n"
+                  "class _Dead:\n    def _method(self): pass\n")
+    assert unread_privates({"a.py": a, "b.py": b}) == [
+        ("a.py", 1, "_dead"), ("b.py", 4, "_Dead")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -10,6 +10,7 @@ from cyclicsource.groups import GroupSpec
 from cyclicsource.trees import (
     BrauerTree,
     _least_rotation,
+    _strip,
     canonical_code,
     canonical_planar_code,
     planar_isomorphic,
@@ -171,6 +172,7 @@ class TestTypeFunctions:
                     assert tf.signs[v] == -tf.signs[w]
             assert colorings[1].signs == {
                 v: -s for v, s in colorings[0].signs.items()}
+            assert colorings[0].signs[t.vertices[0]] == 1
 
     @pytest.mark.parametrize("vertices, planar", [
         ((), {}),
@@ -180,6 +182,15 @@ class TestTypeFunctions:
         # no vertex to start from, and two disjoint edges of which a
         # traversal from a reaches only b
         tree = BrauerTree(vertices, planar, C7)
+        with pytest.raises(ValueError, match="not a tree"):
+            type_functions(tree)
+
+    def test_cycle_is_an_error(self):
+        # the triangle has no proper 2-coloring; a traversal that colours
+        # each vertex when first reached gives b and c one sign
+        tree = BrauerTree(("a", "b", "c"),
+                          {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")},
+                          C7)
         with pytest.raises(ValueError, match="not a tree"):
             type_functions(tree)
 
@@ -201,6 +212,16 @@ class TestStar:
             star(3, 2, C9)
         with pytest.raises(ValueError, match="does not divide"):
             star(4, 2, C9)
+
+    @pytest.mark.parametrize("e, m, group, message", [
+        (3, 0, C7, "e*m != p^ell - 1 (3*0 != 6)"),
+        (4, -2, C7, "e*m != p^ell - 1 (4*-2 != 6)"),  # 4 does not divide 6
+        (4, 2, C9, "e does not divide p - 1 (4 does not divide 2)"),
+        (0, 1, C7, "a star needs at least one edge")])
+    def test_first_violation_raised(self, e, m, group, message):
+        with pytest.raises(ValueError) as info:
+            star(e, m, group)
+        assert str(info.value) == message
 
 
 class TestComparison:
@@ -437,3 +458,87 @@ class TestCanonicalCodeProperties:
             canonical_code(tree)
         with pytest.raises(ValueError, match=message):
             canonical_planar_code(tree)
+
+    def test_isolated_vertex_is_an_error(self):
+        # the path a-b-c and a vertex d: stripping leaves ends at b, but d
+        # has no neighbour to be its parent
+        tree = BrauerTree(tuple("abcd"),
+                          {"a": ("b",), "b": ("a", "c"), "c": ("b",)},
+                          GroupSpec(5, 1))
+        with pytest.raises(ValueError, match="not a tree"):
+            canonical_code(tree)
+        with pytest.raises(ValueError, match="not a tree"):
+            type_functions(tree)
+
+
+class TestStrip:
+    def test_rounds_are_heights(self):
+        # the path a-b-c-d-e with a leaf f at b: rooted at its center c,
+        # the heights are a, e, f: 0; b, d: 1; c: 2
+        planar = {"a": ("b",), "b": ("a", "c", "f"), "c": ("b", "d"),
+                  "d": ("c", "e"), "e": ("d",), "f": ("b",)}
+        levels, parent = _strip(BrauerTree(tuple("abcdef"), planar, C7))
+        assert [sorted(level) for level in levels] == [
+            ["a", "e", "f"], ["b", "d"], ["c"]]
+        assert parent == {"a": "b", "f": "b", "e": "d", "b": "c", "d": "c"}
+
+    def test_central_edge_ends_are_each_others_parent(self):
+        levels, parent = _strip(path_tree(list("abcd"), C7))
+        assert [sorted(level) for level in levels] == [["a", "d"], ["b", "c"]]
+        assert parent == {"a": "b", "d": "c", "b": "c", "c": "b"}
+
+
+def labelled_trees(n):
+    """Every labelled tree on the vertices 0..n-1, decoded from its Pruefer
+    sequence, as adjacency lists in increasing order."""
+    if n == 1:
+        yield [[]]
+        return
+    for code in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        adj = [[] for _ in range(n)]
+        for v in code:
+            leaf = degree.index(1)
+            adj[leaf].append(v)
+            adj[v].append(leaf)
+            degree[leaf] -= 1
+            degree[v] -= 1
+        u, w = (k for k in range(n) if degree[k] == 1)
+        adj[u].append(w)
+        adj[w].append(u)
+        yield [sorted(ns) for ns in adj]
+
+
+class TestSmallTreesExhaustively:
+    def test_partitions_agree_with_brute_force(self):
+        # every labelled tree on at most 5 vertices, with no exceptional
+        # vertex or any one, in its given and its mirrored embedding: 1,694
+        # trees.  The codes split them into classes, and the brute force
+        # must find each tree isomorphic to its class's first member and no
+        # two first members isomorphic.
+        forms = []
+        for n in range(1, 6):
+            names = [f"v{k}" for k in range(n)]
+            for adj in labelled_trees(n):
+                planar = {v: tuple(names[w] for w in ns)
+                          for v, ns in zip(names, adj)}
+                for exceptional in (None, *names):
+                    t = BrauerTree(tuple(names), planar, C7,
+                                   multiplicity=2 if exceptional else 1,
+                                   exceptional=exceptional)
+                    forms += [t, mirror(t)]
+        assert len(forms) == 1694
+        for planar, code in ((False, canonical_code),
+                             (True, canonical_planar_code)):
+            classes = {}
+            for t in forms:
+                classes.setdefault(code(t), []).append(t)
+            firsts = [members[0] for members in classes.values()]
+            for members in classes.values():
+                assert all(brute_force_isomorphic(members[0], t, planar)
+                           for t in members[1:])
+            for i, t1 in enumerate(firsts):
+                assert not any(brute_force_isomorphic(t1, t2, planar)
+                               for t2 in firsts[i + 1:])
