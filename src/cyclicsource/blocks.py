@@ -12,6 +12,7 @@ here as Dade-group arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import dade
@@ -52,14 +53,15 @@ class BlockDescriptor:
         if self.group.ell < 1:
             raise ValueError("block defect group must be non-trivial")
         if self.chi_values is not None:
-            values = tuple(int(v) for v in self.chi_values)
+            values = tuple(map(operator.index, self.chi_values))
             object.__setattr__(self, "chi_values", values)
             if len(values) != self.group.ell:
                 raise ValueError(
                     f"need {self.group.ell} character values, got {len(values)}"
                 )
-        e = self.inertial_index
-        if e is not None:
+        if self.inertial_index is not None:
+            e = operator.index(self.inertial_index)
+            object.__setattr__(self, "inertial_index", e)
             if e < 1:
                 raise ValueError("inertial index must be positive")
             # then e | p^ell - 1 as well, since p = 1 (mod e)

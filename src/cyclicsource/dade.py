@@ -19,6 +19,7 @@ bijection onto {+-1}^ell with an explicit inverse.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,7 +41,7 @@ class DadeElement:
     alpha: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        alpha = tuple(int(a) for a in self.alpha)
+        alpha = tuple(map(operator.index, self.alpha))
         object.__setattr__(self, "alpha", alpha)
         if len(alpha) != self.group.ell:
             raise ValueError(
@@ -65,7 +66,7 @@ class SignVector:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        signs = tuple(int(s) for s in self.signs)
+        signs = tuple(map(operator.index, self.signs))
         object.__setattr__(self, "signs", signs)
         if len(signs) != self.group.ell:
             raise ValueError(

@@ -19,9 +19,10 @@ records and an optional list of tree records:
 
 The tables `_BLOCK_FIELDS` and `_TREE_FIELDS` are the format: each maps every
 field but `label`, `p` and `ell` to its JSON kind, in the order the fields
-are checked.  Integers are decimal with no exponents; floating point values
-are rejected.  Unknown fields are rejected by name.  Errors carry the JSON
-path of the offending value.
+are checked.  Kinds are exact: an integer is decimal with no exponent, and a
+float is refused by the kind check of the place where it stands.  Unknown
+fields are rejected by name.  Errors carry the JSON path of the offending
+value.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ _KIND_NOUNS = {int: "integer", str: "string", bool: "boolean",
                list: "array", dict: "object"}
 
 
-class _Float(float):
-    """Marker for floats seen by the JSON parser, so validation can reject
-    them with a positioned error instead of silently truncating."""
-
-
 @dataclass
 class ParseIssue:
     path: str
@@ -70,7 +66,6 @@ class DescriptorError(ValueError):
 
 @dataclass
 class DescriptorFile:
-    version: int = FORMAT_VERSION
     blocks: list[BlockDescriptor] = field(default_factory=list)
     trees: list[BrauerTree] = field(default_factory=list)
 
@@ -197,22 +192,6 @@ def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
     return BrauerTree(vertices, planar, group, multiplicity, exceptional, label)
 
 
-def _check_floats(data, v: _Validator) -> None:
-    """Report every float in document order, walking with an explicit stack
-    so that no nesting depth the JSON parser accepts can exhaust it."""
-    stack = [(data, "$")]
-    while stack:
-        value, path = stack.pop()
-        if isinstance(value, _Float):
-            v.fail(path, "integer required")
-        elif isinstance(value, dict):
-            stack.extend((entry, f"{path}.{key}")
-                         for key, entry in reversed(value.items()))
-        elif isinstance(value, list):
-            stack.extend((value[k], f"{path}[{k}]")
-                         for k in reversed(range(len(value))))
-
-
 # a JSON string, or a JSON number split into its integer digits and the
 # rest (fraction and exponent, empty for an integer literal)
 _STRING = r'"(?:[^"\\]|\\.)*"'
@@ -261,16 +240,8 @@ def parse_descriptor(text: str) -> DescriptorFile:
     an issue at its deepest bracket, and an integer literal too long to
     convert an issue at that literal.
     """
-    v = _Validator()
-    saw_float = False
-
-    def parse_float(literal: str) -> _Float:
-        nonlocal saw_float
-        saw_float = True
-        return _Float(literal)
-
     try:
-        data = json.loads(text, parse_float=parse_float)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(
             [ParseIssue(f"line {exc.lineno} column {exc.colno}", exc.msg)]
@@ -281,16 +252,13 @@ def parse_descriptor(text: str) -> DescriptorFile:
         raise DescriptorError([_long_int_issue(text)]) from None
     if not isinstance(data, dict):
         raise DescriptorError([ParseIssue("$", "top-level object required")])
-    if saw_float:
-        _check_floats(data, v)
-    if v.issues:
-        raise DescriptorError(v.issues)
+    v = _Validator()
     for key in sorted(set(data) - _TOP_FIELDS):
         v.fail(f"$.{key}", "unknown field")
     version = v.require(data.get("version"), int, "$.version")
     if version is not None and version != FORMAT_VERSION:
         v.fail("$.version", f"unsupported version {version}")
-    out = DescriptorFile(version=version or FORMAT_VERSION)
+    out = DescriptorFile()
     raw_blocks = v.require(data.get("blocks", []), list, "$.blocks") or []
     for k, record in enumerate(raw_blocks):
         block = _parse_block(v, record, f"$.blocks[{k}]")
@@ -318,7 +286,7 @@ def tree_record(t: BrauerTree) -> dict:
 
 
 def emit_descriptor(doc: DescriptorFile) -> str:
-    data: dict = {"version": doc.version}
+    data: dict = {"version": FORMAT_VERSION}
     if doc.blocks:
         data["blocks"] = [block_record(b) for b in doc.blocks]
     if doc.trees:

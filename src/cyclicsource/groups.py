@@ -8,6 +8,7 @@ referred to by their chain index i.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -70,6 +71,7 @@ class GroupSpec:
     ell: int
 
     def __post_init__(self) -> None:
+        self.__dict__.update(p=operator.index(self.p), ell=operator.index(self.ell))
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.ell < 0:

@@ -10,6 +10,7 @@ certifies every formula here.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ class ModuleSum:
     parts: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, reverse=True))
+        parts = tuple(sorted(map(operator.index, self.parts), reverse=True))
         object.__setattr__(self, "parts", parts)
         bound = self.group.order
         for n in parts:

@@ -18,6 +18,7 @@ deep (levels, keys, ranks), so comparing two never recurses deeper.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, repeat
@@ -36,6 +37,7 @@ class BrauerTree:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "multiplicity", operator.index(self.multiplicity))
         object.__setattr__(
             self, "planar", {v: tuple(ns) for v, ns in self.planar.items()}
         )
@@ -173,10 +175,11 @@ def _strip(t: BrauerTree) -> tuple[list[list[str]], dict[str, str]]:
     stripped vertex's parent is its one neighbour not yet stripped.  The
     last level is the center, one vertex or the two ends of an edge, which
     are each other's parent.  The one tree test of this module: ValueError
-    on a graph with no vertex, a cycle (nothing left to strip) or a vertex
-    without a parent (disconnected), given mirrored orders without loops or
-    repeats, as `validate` checks first.  O(E) time."""
-    degree = {v: len(t.planar.get(v, ())) for v in t.vertices}
+    unless the orders list each edge of a tree on `t.vertices` once at each
+    end and nothing else, so nothing is read off another graph.  O(E) time."""
+    degree = dict.fromkeys(t.vertices, 0)
+    named = len(degree)  # then an order of no vertex adds one
+    degree.update(zip(t.planar, map(len, t.planar.values())))
     leaves = [v for v, d in degree.items() if d <= 1]
     levels, parent, live = [], {}, set(degree)
     while len(live) > 2 and leaves:
@@ -192,13 +195,20 @@ def _strip(t: BrauerTree) -> tuple[list[list[str]], dict[str, str]]:
                     break
         levels.append(leaves)
         leaves = above
-    # once every stripped vertex has a parent, `leaves` is all that is left,
-    # a vertex or an edge when each has one neighbour left per other one
-    if not leaves or len(parent) + len(leaves) != len(degree) or any(
-            degree[v] != len(leaves) - 1 for v in leaves):
-        raise ValueError("not a tree: graph is disconnected or has a cycle")
+    # a tree if the parents span the vertices, each named once and alone in
+    # having an order, and each lists its parent (found there) and children
+    # once each: every child at its parent (none in the first level), and
+    # 2(|V| - 1) listings in all
+    spanning = len(parent) + len(leaves) == len(degree)
     if len(leaves) == 2:  # the ends of the central edge
         parent.update(zip(leaves, reversed(leaves)))
+    up = parent.get
+    children = {w for level in (*levels[1:], leaves) for v in level
+                for w in t.planar.get(v, ()) if up(w) == v}
+    if not spanning or len(children) != len(parent) \
+            or not len(t.vertices) == named == len(degree) \
+            or sum(map(len, t.planar.values())) != 2 * len(degree) - 2:
+        raise ValueError("not a tree: graph is disconnected or has a cycle")
     return [*levels, leaves], parent
 
 

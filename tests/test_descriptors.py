@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import operator
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from cyclicsource.blocks import BlockDescriptor
 from cyclicsource.descriptors import (
     _BLOCK_FIELDS,
     _TREE_FIELDS,
+    FORMAT_VERSION,
     DescriptorError,
     DescriptorFile,
     emit_descriptor,
@@ -57,6 +60,23 @@ KIND_ERRORS = [
 ]
 
 
+# the kind a place of good.json needs, by the type of the value there
+NEEDED_KIND = {int: "integer", str: "string", bool: "boolean", list: "array",
+               dict: "object", type(None): "string"}
+
+
+def value_places(value, path="$", keys=()):
+    """(path, keys, value) of `value` and of every value nested in it, the
+    keys leading there from the top."""
+    yield path, keys, value
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield from value_places(entry, f"{path}.{key}", (*keys, key))
+    elif isinstance(value, list):
+        for k, entry in enumerate(value):
+            yield from value_places(entry, f"{path}[{k}]", (*keys, k))
+
+
 def issues_of(text: str):
     with pytest.raises(DescriptorError) as err:
         parse_descriptor(text)
@@ -100,13 +120,30 @@ class TestParsing:
         assert any(i.path == "$.blocks[0].chi_values[1]"
                    and i.message == "integer required" for i in issues)
 
-    def test_floats_reported_in_document_order(self):
-        issues = issues_of(
-            '{"version": 1, "blocks": [{"p": 3, "ell": 2, "chi_values": '
-            '[1.0, 2, 3.5]}], "trees": [{"multiplicity": 1e3}]}')
-        assert [i.path for i in issues] == [
-            "$.blocks[0].chi_values[0]", "$.blocks[0].chi_values[2]",
-            "$.trees[0].multiplicity"]
+    def test_float_refused_by_the_kind_of_its_place(self):
+        # 1.5 in place of each value of good.json gives one issue, at its
+        # path, naming the kind the place needs: the kind of the value it
+        # replaces, a string for the one null (no exceptional vertex)
+        good = json.loads(load("good.json"))
+        places = list(value_places(good))
+        assert len(places) == 119
+        for path, keys, value in places:
+            data = json.loads(load("good.json"))
+            if keys:
+                *up, last = keys
+                reduce(operator.getitem, up, data)[last] = 1.5
+            else:
+                data = 1.5
+            need = ("top-level object" if not keys
+                    else NEEDED_KIND[type(value)])
+            assert [(i.path, i.message) for i in issues_of(json.dumps(data))] \
+                == [(path, f"{need} required")], path
+
+    def test_float_in_an_unknown_field_is_that_field(self):
+        issues = issues_of('{"version": 1, "x": 1.5, "blocks": '
+                           '[{"p": 3, "ell": 1, "weight": 2e3}]}')
+        assert [(i.path, i.message) for i in issues] == [
+            ("$.x", "unknown field"), ("$.blocks[0].weight", "unknown field")]
 
     def test_too_deep_positioned(self):
         text = '{"version": 1,\n "trees": ' + "[" * 3000 + "]" * 3000 + "}"
@@ -186,6 +223,14 @@ class TestRoundTrip:
         doc = DescriptorFile()
         again = parse_descriptor(emit_descriptor(doc))
         assert again.blocks == [] and again.trees == []
+
+    def test_emitted_version_is_the_format_version(self):
+        # a document holds no version of its own, so none but the one the
+        # parser reads can be emitted
+        assert [f.name for f in dataclasses.fields(DescriptorFile)] == [
+            "blocks", "trees"]
+        assert json.loads(emit_descriptor(DescriptorFile()))["version"] \
+            == FORMAT_VERSION
 
 
 class TestGroupOncePerPair:

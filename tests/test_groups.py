@@ -1,8 +1,12 @@
-"""Cyclic p-group bookkeeping: the primality test behind GroupSpec."""
+"""Cyclic p-group bookkeeping: the primality test behind GroupSpec, and
+the integer fields of GroupSpec and the records built on it."""
 
+import numpy as np
 import pytest
 
 from cyclicsource import groups
+from cyclicsource.blocks import BlockDescriptor
+from cyclicsource.dade import DadeElement, SignVector
 from cyclicsource.groups import (
     MAX_ORDER_DIGITS,
     PRIME_LIMIT,
@@ -10,6 +14,8 @@ from cyclicsource.groups import (
     is_prime,
     order_too_large,
 )
+from cyclicsource.modules import ModuleSum
+from cyclicsource.trees import star
 
 
 def sieve(limit):
@@ -77,3 +83,32 @@ class TestSubgroup:
         with pytest.raises(ValueError,
                            match=rf"^subgroup index {i} out of range 0\.\.3$"):
             GroupSpec(5, 3).subgroup(i)
+
+
+C9 = GroupSpec(3, 2)
+# a non-integer where an integer is needed; coerced, these would give C_9.0,
+# a part 2.5, chi values (2, -1), the element 01, the sign 1, and an
+# inertial index or multiplicity emitted as a float the parser refuses
+NOT_INTEGERS = {
+    "group": lambda: GroupSpec(3.0, 2.0),
+    "group-ell": lambda: GroupSpec(3, 2.0),
+    "module-part": lambda: ModuleSum(C9, (2.5,)),
+    "chi-floats": lambda: BlockDescriptor(C9, chi_values=(2.5, -1.7)),
+    "chi-strings": lambda: BlockDescriptor(C9, chi_values=("2", "-1")),
+    "inertial-index": lambda: BlockDescriptor(C9, inertial_index=2.0),
+    "dade-bits": lambda: DadeElement(C9, (0.5, 1)),
+    "signs": lambda: SignVector(C9, (1.5, -1)),
+    "multiplicity": lambda: star(2, 4.0, C9),
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("make", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+    def test_non_integers_refused(self, make):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make()
+
+    def test_numpy_integers_become_ints(self):
+        group = GroupSpec(np.int64(3), np.int32(2))
+        assert group == C9 and type(group.p) is type(group.ell) is int
+        assert list(map(type, ModuleSum(C9, (np.int64(2),)).parts)) == [int]

@@ -19,6 +19,10 @@ One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
 oracle's every integer type is chosen in one place.
 
+No coercion in a constructor: no `__post_init__` calls the builtin `int`
+or `float` (nor maps it), which would turn 2.5 or "2" into an integer
+field; `operator.index` refuses whatever is not an integer.
+
 Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
 appear nowhere else in the package, and `sys.exit` only in a
 `if __name__ == "__main__"` guard.  Commands return records and raise to
@@ -157,6 +161,28 @@ def int_type_uses(tree, rule="_int_type"):
     return sorted(found)
 
 
+COERCIONS = ("int", "float")
+
+
+def post_init_coercions(tree):
+    """(line, name) of each call of the builtin `int` or `float` in a
+    `__post_init__`, directly or as the function a `map` applies."""
+    found = []
+    for init in ast.walk(tree):
+        if not (isinstance(init, ast.FunctionDef)
+                and init.name == "__post_init__"):
+            continue
+        for node in ast.walk(init):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _dotted(node.func)
+            if called == "map" and node.args:
+                called = _dotted(node.args[0])
+            if called in COERCIONS:
+                found.append((node.lineno, called))
+    return sorted(found)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "oracle.py", "verify.py"}
 
@@ -246,3 +272,20 @@ def test_unbounded_cache_is_seen():
     assert unbounded_caches(tree) == [
         (3, "lru_cache"), (5, "functools.lru_cache"), (7, "cache"),
         (13, "lru_cache")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_coercion_in_post_init(path):
+    assert post_init_coercions(tree_of(path)) == []
+
+
+def test_coercion_in_post_init_is_seen():
+    tree = ast.parse("import operator\n"
+                     "class A:\n    def __post_init__(self):\n"
+                     "        self.a = tuple(int(v) for v in self.a)\n"
+                     "        self.b = list(map(float, self.b))\n"
+                     "        self.c = tuple(map(operator.index, self.c))\n"
+                     "        isinstance(self.c, int)\n"
+                     "class B:\n    def scale(self):\n"
+                     "        return float(self.b)\n")
+    assert post_init_coercions(tree) == [(4, "int"), (5, "float")]

@@ -487,6 +487,63 @@ class TestStrip:
         assert [sorted(level) for level in levels] == [["a", "d"], ["b", "c"]]
         assert parent == {"a": "b", "d": "c", "b": "c", "c": "b"}
 
+    @pytest.mark.parametrize("vertices, planar", [
+        ("v0 v1 v2", {"v0": ("v2", "z"), "v1": ("v0",), "v2": ("v0",)}),
+        ("v0 v1 v2", {"v0": ("v1", "v1"), "v1": ("v0",), "v2": ("v0",)}),
+        ("r x y x1 y1", {"r": ("x", "y"), "x": ("r", "y1"), "y": ("r", "x1"),
+                         "x1": ("x",), "y1": ("y",)}),
+        ("a b a", {"a": ("b", "z"), "b": ("a",), "z": ("a",)}),
+    ], ids=["unknown-neighbour", "repeated-child", "swapped-grandchildren",
+            "twice-named-for-unnamed"])
+    def test_stripping_graph_that_is_no_tree(self, vertices, planar):
+        # each strips like a tree, with every count right, yet a vertex
+        # lists a neighbour in place of a child, or the orders are a tree's
+        # on other vertices than those named: the codes would read a rank
+        # that is not there (KeyError) or a tree that is not this graph
+        tree = BrauerTree(tuple(vertices.split()), planar, C7)
+        for read in (canonical_code, canonical_planar_code, type_functions):
+            with pytest.raises(ValueError, match="not a tree"):
+                read(tree)
+
+    def test_refuses_exactly_what_validate_calls_no_tree(self):
+        # random orders on up to 6 vertices, half of them a tree's with up
+        # to two neighbours added or replaced, and a few with an order for
+        # no vertex or a vertex named twice: `_strip` raises exactly when
+        # `validate` names a fault of the graph (not of its numbers)
+        rng = random.Random(20)
+        numerical = ("e*m", "e does not divide", "no edges")
+        refused = 0
+        for _ in range(4000):
+            names = [f"v{k}" for k in range(rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                planar = dict(random_planar_tree(rng, len(names), C7).planar)
+                for _ in range(rng.randint(0, 2)):
+                    v = rng.choice(names)
+                    ns = list(planar.get(v, ()))
+                    if ns and rng.random() < 0.5:
+                        ns.pop(rng.randrange(len(ns)))
+                    ns.insert(rng.randint(0, len(ns)),
+                              rng.choice([*names, "z"]))
+                    planar[v] = tuple(ns)
+            else:
+                planar = {v: tuple(rng.choices([*names, "z"], k=rng.randint(0, 3)))
+                          for v in names if rng.random() < 0.9}
+            extra = rng.random()
+            if extra < 0.05:
+                planar["z"] = tuple(rng.choices(names, k=rng.randint(0, 2)))
+            elif extra < 0.1:
+                names.append(rng.choice(names))
+            tree = BrauerTree(tuple(names), planar, C7)
+            faults = [f for f in validate(tree) if not f.startswith(numerical)]
+            try:
+                _strip(tree)
+            except ValueError:
+                refused += 1
+                assert faults, planar
+            else:
+                assert not faults, planar
+        assert 2500 < refused < 3500  # both outcomes well sampled
+
 
 def labelled_trees(n):
     """Every labelled tree on the vertices 0..n-1, decoded from its Pruefer
