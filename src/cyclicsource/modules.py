@@ -42,6 +42,13 @@ class ModuleSum:
                     f"part {n} out of range 1..{bound} for {self.group}"
                 )
 
+    @classmethod
+    def _of(cls, group: GroupSpec, parts) -> "ModuleSum":
+        """Built without __post_init__, from int parts computed in range."""
+        m = object.__new__(cls)
+        m.__dict__.update(group=group, parts=tuple(sorted(parts, reverse=True)))
+        return m
+
     @property
     def dim(self) -> int:
         return sum(self.parts)
@@ -104,7 +111,7 @@ def relative_heller(m: ModuleSum, i: int) -> ModuleSum:
             continue
         cover = q * (-(-n // q))
         out.append(cover - n)
-    return ModuleSum(m.group, tuple(out))
+    return ModuleSum._of(m.group, out)
 
 
 def restrict(m: ModuleSum, i: int) -> ModuleSum:
@@ -124,7 +131,7 @@ def restrict(m: ModuleSum, i: int) -> ModuleSum:
         out.extend([a + 1] * b)
         if a > 0:
             out.extend([a] * (q - b))
-    return ModuleSum(sub, tuple(out))
+    return ModuleSum._of(sub, out)
 
 
 def induce(m: ModuleSum, to: GroupSpec) -> ModuleSum:
@@ -135,7 +142,7 @@ def induce(m: ModuleSum, to: GroupSpec) -> ModuleSum:
     """
     _check_subgroup(m.group, to)
     q = to.p ** (to.ell - m.group.ell)
-    return ModuleSum(to, tuple(n * q for n in m.parts))
+    return ModuleSum._of(to, [n * q for n in m.parts])
 
 
 def vertex(n: int, group: GroupSpec) -> int:

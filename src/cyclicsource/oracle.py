@@ -406,7 +406,7 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
             check_capacity(n1 * n2, limit)
             lo, hi = sorted((n1, n2))
             parts.extend(_tensor_pair(a.group.p, a.group.ell, lo, hi))
-    return ModuleSum(a.group, tuple(parts))
+    return ModuleSum._of(a.group, parts)
 
 
 @lru_cache(maxsize=4096)
@@ -425,7 +425,7 @@ def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     for n in m.parts:
         check_capacity(n, limit)
         parts.extend(_restricted_jordan(m.group.p, m.group.ell, i, n))
-    return ModuleSum(sub, tuple(parts))
+    return ModuleSum._of(sub, parts)
 
 
 @lru_cache(maxsize=4096)
@@ -450,7 +450,7 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
     for n in m.parts:
         check_capacity(n * q, limit)
         parts.extend(_induced_jordan(to.p, to.ell, m.group.ell, n))
-    return ModuleSum(to, tuple(parts))
+    return ModuleSum._of(to, parts)
 
 
 @lru_cache(maxsize=4096)
@@ -494,7 +494,7 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
         if cover > n:  # cover == n: J_n is relatively projective
             check_capacity(cover, limit)
             out.extend(_kernel_jordan(p, ell, cover - n))
-    return ModuleSum(m.group, tuple(out))
+    return ModuleSum._of(m.group, out)
 
 
 def is_endo_permutation(m: ModuleSum, cap: int | None = None) -> bool:

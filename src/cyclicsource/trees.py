@@ -11,9 +11,10 @@ for a tree isomorphism matching exceptional vertices and multiplicities;
 are oriented, so mirror images are similar but not planar-isomorphic.  Both
 are decided through canonical codes of the tree rooted at its center (a
 vertex or an edge), with the exceptional vertex marked in its key.  One
-leaf-stripping pass, `_strip`, is the tree test and gives the center, both
-codes and both sign colourings.  A tree keeps its codes, which nest three
-deep (levels, keys, ranks), so comparing two never recurses deeper.
+leaf-stripping pass, `_strip`, is the tree test for `validate` too, and
+gives the center, both codes and both sign colourings.  A tree keeps that
+pass and its codes, which nest three deep (levels, keys, ranks), so
+comparing two never recurses deeper.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class BrauerTree:
         return sum(map(len, self.planar.values())) // 2
 
     @cached_property
+    def _stripped(self) -> tuple[list[list[str]], dict[str, str]]:
+        return _strip(self)  # made once; a refusal is not kept
+
+    @cached_property
     def _codes(self) -> tuple:
         """The (unordered, planar) codes, made once: `planar` is a copy."""
         return tuple((self.multiplicity, self.exceptional is not None, code)
@@ -66,16 +71,42 @@ class TypeFunction:
 
 
 def validate(t: BrauerTree) -> list[str]:
-    """All structural and numerical invariants; each violation is named.
-    An empty list means the tree is valid.  Runs in time linear in the size
-    of the planar orders."""
-    violations: list[str] = []
+    """Every violated structural and numerical invariant, by name; [] if valid.
+    Tree-ness is `_strip`'s test: only a graph it refuses is swept for names."""
+    e, faults = t.num_edges, []
+    try:
+        t._stripped
+    except ValueError:
+        if faults := _order_faults(t):
+            return faults
+        # a simple graph that is no tree is disconnected if |V| = |E| + 1,
+        # and named by its edge count alone if connected with a cycle
+        seen, level = {t.vertices[0]}, [t.vertices[0]]
+        while level:  # each vertex is marked when first reached
+            level = [w for v in level for w in t.planar.get(v, ())
+                     if w not in seen and not seen.add(w)]
+        if len(t.vertices) != e + 1:
+            faults.append("not a tree: |vertices| != |edges| + 1")
+        if len(seen) < len(t.vertices) or len(t.vertices) == e + 1:
+            faults.append("not a tree: graph is disconnected or has a cycle")
+    violations = ([] if e else ["no edges"]) + faults
+    if t.multiplicity < 1:
+        violations.append("multiplicity must be positive")
+    if t.exceptional is not None and t.exceptional not in t.vertices:
+        violations.append(f"exceptional vertex {t.exceptional!r} unknown")
+    if t.exceptional is None and t.multiplicity != 1:
+        violations.append("multiplicity > 1 requires an exceptional vertex")
+    violations += _numerical_violations(e, t.multiplicity, t.defect)
+    return violations
+
+
+def _order_faults(t: BrauerTree) -> list[str]:
+    """The faults of the vertex names and the planar orders themselves."""
     vset = set(t.vertices)
-    if len(vset) != len(t.vertices):
-        violations.append("duplicate vertex identifiers")
     if not vset:
-        violations.append("no vertices")
-        return violations
+        return ["no vertices"]
+    violations = [] if len(vset) == len(t.vertices) else [
+        "duplicate vertex identifiers"]
     for v in t.planar:
         if v not in vset:
             violations.append(f"planar order for unknown vertex {v!r}")
@@ -90,34 +121,6 @@ def validate(t: BrauerTree) -> list[str]:
                 violations.append(f"edge {v!r}-{w!r} not mirrored at {w!r}")
         if v in neighbour_sets[v]:
             violations.append(f"loop at {v!r}")
-    if violations:
-        return violations
-
-    # every edge is mirrored and no order repeats a vertex or holds a loop,
-    # so each edge appears exactly twice
-    e = t.num_edges
-    if e < 1:
-        violations.append("no edges")
-    if len(vset) != e + 1:
-        violations.append("not a tree: |vertices| != |edges| + 1")
-    # connectivity (with |V| = |E| + 1 this also rules out cycles), by its
-    # own sweep: `_strip` stops at the first fault, and a connected graph
-    # with a cycle is to be named by its edge count alone
-    seen, level = {t.vertices[0]}, [t.vertices[0]]
-    while level:  # each vertex is marked when first reached
-        level = [w for v in level for w in t.planar.get(v, ())
-                 if w not in seen and not seen.add(w)]
-    if seen != vset:
-        violations.append("not a tree: graph is disconnected or has a cycle")
-
-    group = t.defect
-    if t.multiplicity < 1:
-        violations.append("multiplicity must be positive")
-    if t.exceptional is not None and t.exceptional not in vset:
-        violations.append(f"exceptional vertex {t.exceptional!r} unknown")
-    if t.exceptional is None and t.multiplicity != 1:
-        violations.append("multiplicity > 1 requires an exceptional vertex")
-    violations += _numerical_violations(e, t.multiplicity, group)
     return violations
 
 
@@ -137,7 +140,7 @@ def type_functions(t: BrauerTree) -> tuple[TypeFunction, TypeFunction]:
     flip, since trees are bipartite and connected), the first with
     vertices[0] at +1; ValueError if the graph is not a tree.  Read off
     `_strip`: a vertex takes the negated sign of its parent."""
-    levels, parent = _strip(t)
+    levels, parent = t._stripped
     signs = dict(zip(levels[-1], (1, -1)))  # the center, a vertex or an edge
     for level in reversed(levels[:-1]):
         for v in level:
@@ -245,7 +248,7 @@ def _rooted_codes(t: BrauerTree) -> tuple[tuple, tuple]:
     the tuple of the levels' sorted keys, three deep at any height.  The tree
     can be rebuilt from it, so equal codes mean isomorphic trees, with the
     exceptional vertices matched.  O(E log E) time."""
-    levels, parent = _strip(t)
+    levels, parent = t._stripped
     children = {v: t.planar.get(v, ()) for v in levels[-1]}
     for v, up in parent.items():  # in cyclic order after the parent
         order = t.planar[v]

@@ -7,6 +7,11 @@ Jordan basis of its source, independently of the composite
 `cyclicsource.modules`.  It and its helpers `jordan_chains`,
 `nullspace_mod` and `rank_mod` run on the oracle's one elimination kernel,
 so they also exercise that kernel.
+
+`validate_by_sweep` is Brauer tree validation that decides tree-ness by a
+sweep of its own (per-vertex neighbour sets, mirror checks, a breadth-first
+search), independently of `trees._strip`; `trees.validate`, which takes
+its verdict from `_strip`, must name the same violations in the same order.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from cyclicsource.oracle import (
     matmul_mod,
     matpow_mod,
 )
+from cyclicsource.trees import BrauerTree
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
@@ -146,3 +152,61 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
             raise AssertionError("counit kernel is not invariant under the action")
         return jordan_type(MatrixModule(group, action))
     raise AssertionError("no single chain summand covers the target")
+
+
+def validate_by_sweep(t: BrauerTree) -> list[str]:
+    """All structural and numerical invariants of `t`, each violation named,
+    with tree-ness decided by the sweep alone; [] for a valid tree."""
+    violations: list[str] = []
+    vset = set(t.vertices)
+    if len(vset) != len(t.vertices):
+        violations.append("duplicate vertex identifiers")
+    if not vset:
+        violations.append("no vertices")
+        return violations
+    for v in t.planar:
+        if v not in vset:
+            violations.append(f"planar order for unknown vertex {v!r}")
+    neighbour_sets = {v: set(ns) for v, ns in t.planar.items()}
+    for v, neighbours in t.planar.items():
+        if len(neighbour_sets[v]) != len(neighbours):
+            violations.append(f"repeated neighbour in cyclic order at {v!r}")
+        for w in neighbours:
+            if w not in vset:
+                violations.append(f"edge to unknown vertex {w!r} at {v!r}")
+            elif v not in neighbour_sets.get(w, ()):
+                violations.append(f"edge {v!r}-{w!r} not mirrored at {w!r}")
+        if v in neighbour_sets[v]:
+            violations.append(f"loop at {v!r}")
+    if violations:
+        return violations
+
+    # every edge is mirrored and no order repeats a vertex or holds a loop,
+    # so each edge appears exactly twice
+    e = t.num_edges
+    if e < 1:
+        violations.append("no edges")
+    if len(vset) != e + 1:
+        violations.append("not a tree: |vertices| != |edges| + 1")
+    # connectivity (with |V| = |E| + 1 this also rules out cycles)
+    seen, level = {t.vertices[0]}, [t.vertices[0]]
+    while level:  # each vertex is marked when first reached
+        level = [w for v in level for w in t.planar.get(v, ())
+                 if w not in seen and not seen.add(w)]
+    if seen != vset:
+        violations.append("not a tree: graph is disconnected or has a cycle")
+
+    group = t.defect
+    if t.multiplicity < 1:
+        violations.append("multiplicity must be positive")
+    if t.exceptional is not None and t.exceptional not in vset:
+        violations.append(f"exceptional vertex {t.exceptional!r} unknown")
+    if t.exceptional is None and t.multiplicity != 1:
+        violations.append("multiplicity > 1 requires an exceptional vertex")
+    m, order = t.multiplicity, group.order
+    if e * m != order - 1:
+        violations.append(f"e*m != p^ell - 1 ({e}*{m} != {order - 1})")
+    if e >= 1 and (group.p - 1) % e != 0:
+        violations.append(
+            f"e does not divide p - 1 ({e} does not divide {group.p - 1})")
+    return violations

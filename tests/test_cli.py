@@ -393,8 +393,9 @@ class TestTree:
     def test_compare_roots_and_traverses_each_tree_once(self, capsys, tmp_path,
                                                         monkeypatch):
         # bicentral trees over C_7, the path v0-v1-v2-v3 with a leaf at v1
-        # and two at v2, and a relabelled copy: both codes of a tree come
-        # from one leaf-stripping pass, which also finds its central edge
+        # and two at v2, and a relabelled copy: `validate` and both codes of
+        # a tree read one leaf-stripping pass, which also finds its central
+        # edge, and a valid tree is never swept for faults to name
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (2, 6)]
         first = self._record("a", edges, [f"v{k}" for k in range(7)], 7)
         second = self._record("b", edges, [f"w{6 - k}" for k in range(7)], 7)
@@ -402,8 +403,20 @@ class TestTree:
         strip = trees._strip
         monkeypatch.setattr(trees, "_strip",
                             lambda t: calls.append(t.label) or strip(t))
+        monkeypatch.setattr(trees, "_order_faults", lambda t: pytest.fail(
+            f"{t.label} swept for faults"))
         assert self._compare(capsys, tmp_path, first, second) == (True, True)
         assert sorted(calls) == ["a", "b"]
+
+    def test_refused_tree_is_refused_again(self):
+        # a refusal is not kept on the tree: after `validate` names the
+        # triangle, the codes still raise rather than read a cached result
+        doc = parse_descriptor((FIXTURES / "tree_error_cycle.json").read_text())
+        cycle = doc.trees[0]
+        assert "not a tree: |vertices| != |edges| + 1" in trees.validate(cycle)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a tree"):
+                trees.canonical_code(cycle)
 
     def test_emit_star_round_trip(self, capsys):
         code, out, _ = run(capsys, "tree", "emit-star", "2", "4", "3", "2")

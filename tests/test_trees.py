@@ -20,6 +20,7 @@ from cyclicsource.trees import (
     type_functions,
     validate,
 )
+from oracle_reference import validate_by_sweep
 
 C7 = GroupSpec(7, 1)
 C9 = GroupSpec(3, 2)
@@ -543,6 +544,74 @@ class TestStrip:
             else:
                 assert not faults, planar
         assert 2500 < refused < 3500  # both outcomes well sampled
+
+
+def random_orders(rng):
+    """Names and planar orders drawn as in
+    `TestStrip.test_refuses_exactly_what_validate_calls_no_tree`, so the same
+    seed gives the same graphs."""
+    names = [f"v{k}" for k in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        planar = dict(random_planar_tree(rng, len(names), C7).planar)
+        for _ in range(rng.randint(0, 2)):
+            v = rng.choice(names)
+            ns = list(planar.get(v, ()))
+            if ns and rng.random() < 0.5:
+                ns.pop(rng.randrange(len(ns)))
+            ns.insert(rng.randint(0, len(ns)), rng.choice([*names, "z"]))
+            planar[v] = tuple(ns)
+    else:
+        planar = {v: tuple(rng.choices([*names, "z"], k=rng.randint(0, 3)))
+                  for v in names if rng.random() < 0.9}
+    extra = rng.random()
+    if extra < 0.05:
+        planar["z"] = tuple(rng.choices(names, k=rng.randint(0, 2)))
+    elif extra < 0.1:
+        names.append(rng.choice(names))
+    return names, planar
+
+
+class TestValidateAgainstSweep:
+    """`validate` takes tree-ness from `_strip` and sweeps only a graph it
+    refuses; `validate_by_sweep` decides by its own sweep.  The two name the
+    same violations, in the same order."""
+
+    def test_seeded_orders(self):
+        # the orders of the `_strip` fuzz, which accepts about a fifth of
+        # them, each with a multiplicity and an exceptional vertex drawn
+        # apart (none, a vertex, an unknown name)
+        rng, numbers = random.Random(20), random.Random(21)
+        valid = 0
+        for _ in range(4000):
+            names, planar = random_orders(rng)
+            m = numbers.choice((-1, 0, 1, 1, 2, 3, 6))
+            exceptional = numbers.choice((None, None, names[0], names[-1], "z"))
+            tree = BrauerTree(tuple(names), planar, C7, m, exceptional)
+            violations = validate(tree)
+            assert violations == validate_by_sweep(tree), (planar, m,
+                                                           exceptional)
+            valid += violations == []
+        assert valid > 20  # valid trees are sampled too
+
+    @pytest.mark.parametrize("m, exceptional, planar", [
+        (1, "a", {}), (6, "a", {"a": ()}), (0, None, {}), (0, "a", {}),
+        (2, None, {"a": ()}), (2, "a", {}), (2, "b", {}),
+    ])
+    def test_lone_vertex(self, m, exceptional, planar):
+        # `_strip` accepts a lone vertex, which has no edge and no order
+        tree = BrauerTree(("a",), planar, C7, m, exceptional)
+        assert validate(tree) == validate_by_sweep(tree)
+        assert "no edges" in validate(tree)
+
+    @pytest.mark.parametrize("e, m, group", [
+        (3, 3, C7), (2, 4, C7), (4, 2, C9), (4, 3, C9), (6, 1, C7),
+    ], ids=["e*m", "e*m-again", "e-divides", "both", "valid"])
+    def test_valid_tree_with_wrong_numbers(self, e, m, group):
+        tree = path_tree([f"v{k}" for k in range(e + 1)], group,
+                         multiplicity=m, exceptional="v0" if m > 1 else None)
+        assert validate(tree) == validate_by_sweep(tree)
+        assert bool(validate(tree)) == (e * m != group.order - 1
+                                        or (group.p - 1) % e != 0)
 
 
 def labelled_trees(n):
