@@ -105,13 +105,8 @@ def relative_heller(m: ModuleSum, i: int) -> ModuleSum:
     """
     m.group.subgroup(i)  # checks the index
     q = m.group.p ** (m.group.ell - i)
-    out = []
-    for n in m.parts:
-        if n % q == 0:
-            continue
-        cover = q * (-(-n // q))
-        out.append(cover - n)
-    return ModuleSum._of(m.group, out)
+    # J_{m-n} above: m - n = q ceil(n / q) - n = -n mod q
+    return ModuleSum._of(m.group, [-n % q for n in m.parts if n % q])
 
 
 def restrict(m: ModuleSum, i: int) -> ModuleSum:

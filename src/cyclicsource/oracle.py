@@ -22,18 +22,37 @@ The one elimination routine, `_echelon`, takes the rows of singleton
 columns as pivots in bulk before one Gauss-Jordan pass runs on the rest:
 peeled rows join no dependency, so the output is identical to that of the
 pass on the whole matrix, and the elimination takes no matrix product.
+numpy loads at the oracle's first computation, not at import: `infer`,
+`tree` and `dade` never load it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .groups import GroupSpec
 from .modules import ModuleSum, _check_group, _check_subgroup, is_permutation
 
+
+def _lazy_import(name: str):
+    """Module `name`, imported at its first attribute access by the
+    `importlib.util.LazyLoader` recipe; older CPython releases did not make
+    that step thread-safe (the CLI has one thread).  An imported module is
+    returned as it is, a missing one is a ModuleNotFoundError at once."""
+    if name in sys.modules:
+        return sys.modules[name]
+    if (spec := importlib.util.find_spec(name)) is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 DEFAULT_CAPACITY = 1 << 20  # matrix entries (dim^2)
 
 
@@ -453,28 +472,15 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
     return ModuleSum._of(to, parts)
 
 
-@lru_cache(maxsize=4096)
-def _kernel_jordan(p: int, ell: int, size: int) -> tuple[int, ...]:
-    """Jordan type of the kernel of the quotient surjection J_m ->> J_n.
-
-    With the lower-shift basis e_0..e_{m-1}, the span of e_n..e_{m-1} is the
-    kernel submodule; the generator action restricted to it, the slice
-    _shift_block(m, p)[n:, n:] = _shift_block(size, p) for size = m - n, is
-    decomposed by the rank sequence."""
-    kernel = _shift_block(size, p)
-    return jordan_type(MatrixModule(GroupSpec(p, ell), kernel)).parts
-
-
 def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     """Kernel of the minimal relatively D_i-projective cover, by matrices.
 
     Per part J_n: restrict to D_i by explicit matrix power, induce each
     restricted part back up through explicit block matrices, decompose the
-    result by rank sequences, pick the smallest summand J_c admitting a
-    surjection onto J_n (c >= n), and decompose the kernel of the explicit
-    quotient surjection J_c ->> J_n.  Induction over a direct sum is block
-    diagonal, so assembling the induced-restricted module summand-wise is
-    structural, not a closed form.
+    result by rank sequences, and take its smallest part J_c with c >= n.
+    Induction over a direct sum is block diagonal, and the kernel of
+    J_c ->> J_n is J_(c-n), the span of e_n..e_(c-1) in the lower-shift
+    basis: both are structure, not closed forms.
     """
     m.group.subgroup(i)  # checks the index
     limit = capacity_limit(cap)
@@ -492,8 +498,7 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
         if cover is None:
             raise AssertionError("induced-restricted module admits no cover")
         if cover > n:  # cover == n: J_n is relatively projective
-            check_capacity(cover, limit)
-            out.extend(_kernel_jordan(p, ell, cover - n))
+            out.append(cover - n)
     return ModuleSum._of(m.group, out)
 
 

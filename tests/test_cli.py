@@ -1,11 +1,16 @@
 """Command-line surface: exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
+import cyclicsource
 from cyclicsource import dade, trees
 from cyclicsource.cli import (
     EXIT_OK,
@@ -469,3 +474,50 @@ class TestDade:
                            "add", "1", "11")
         assert code == EXIT_RECORD_ERROR
         assert "bits" in err
+
+
+class TestNumpyLoad:
+    """numpy loads at the oracle's first computation: the commands that
+    build no matrix, and a verify refused before its first oracle call,
+    never run numpy's import.  Checked in a fresh process, since this one
+    has numpy loaded already."""
+
+    CHILD = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from cyclicsource.cli import main
+        seen = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            seen.append([code, "numpy._core" in sys.modules])
+        print(json.dumps(seen))
+    """)
+
+    def test_only_the_oracle_loads_numpy(self):
+        good = fixture("good.json")
+        argvs = [
+            (["infer", good], EXIT_OK),
+            (["tree", "check", good], EXIT_OK),
+            (["tree", "compare", good, "spine", "spine-mirror"], EXIT_OK),
+            (["tree", "emit-star", "2", "1", "3", "1"], EXIT_OK),
+            (["dade", "--p", "3", "--ell", "2", "module", "10"], EXIT_OK),
+            (["verify", "--p", "4", "--ell", "1"], EXIT_PARSE_ERROR),
+            (["--oracle-cap", "0", "verify", "--p", "3", "--ell", "1"],
+             EXIT_PARSE_ERROR),
+            (["verify", "--p", "3", "--ell", "9"], EXIT_RECORD_ERROR),
+            (["verify", "--p", "3", "--ell", "2"], EXIT_OK),
+        ]
+        # the child imports the package this process imported
+        src = str(Path(cyclicsource.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD,
+             json.dumps([argv for argv, _ in argvs])],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert [code for code, _ in seen] == [code for _, code in argvs]
+        # loaded by the last command only, the one verify that computes
+        assert [loaded for _, loaded in seen] == [False] * 8 + [True]

@@ -507,33 +507,13 @@ class TestStrip:
                 read(tree)
 
     def test_refuses_exactly_what_validate_calls_no_tree(self):
-        # random orders on up to 6 vertices, half of them a tree's with up
-        # to two neighbours added or replaced, and a few with an order for
-        # no vertex or a vertex named twice: `_strip` raises exactly when
+        # on the orders of `random_orders`, `_strip` raises exactly when
         # `validate` names a fault of the graph (not of its numbers)
         rng = random.Random(20)
         numerical = ("e*m", "e does not divide", "no edges")
         refused = 0
         for _ in range(4000):
-            names = [f"v{k}" for k in range(rng.randint(1, 6))]
-            if rng.random() < 0.5:
-                planar = dict(random_planar_tree(rng, len(names), C7).planar)
-                for _ in range(rng.randint(0, 2)):
-                    v = rng.choice(names)
-                    ns = list(planar.get(v, ()))
-                    if ns and rng.random() < 0.5:
-                        ns.pop(rng.randrange(len(ns)))
-                    ns.insert(rng.randint(0, len(ns)),
-                              rng.choice([*names, "z"]))
-                    planar[v] = tuple(ns)
-            else:
-                planar = {v: tuple(rng.choices([*names, "z"], k=rng.randint(0, 3)))
-                          for v in names if rng.random() < 0.9}
-            extra = rng.random()
-            if extra < 0.05:
-                planar["z"] = tuple(rng.choices(names, k=rng.randint(0, 2)))
-            elif extra < 0.1:
-                names.append(rng.choice(names))
+            names, planar = random_orders(rng)
             tree = BrauerTree(tuple(names), planar, C7)
             faults = [f for f in validate(tree) if not f.startswith(numerical)]
             try:
@@ -547,9 +527,11 @@ class TestStrip:
 
 
 def random_orders(rng):
-    """Names and planar orders drawn as in
-    `TestStrip.test_refuses_exactly_what_validate_calls_no_tree`, so the same
-    seed gives the same graphs."""
+    """Names and planar orders on up to 6 vertices: half of them a tree's
+    with up to two neighbours added or replaced, the rest random, and a few
+    with an order for no vertex or a vertex named twice.  The `_strip` fuzz
+    of `TestStrip` and `TestValidateAgainstSweep` draw from it with the same
+    seed, so they see the same graphs."""
     names = [f"v{k}" for k in range(rng.randint(1, 6))]
     if rng.random() < 0.5:
         planar = dict(random_planar_tree(rng, len(names), C7).planar)
