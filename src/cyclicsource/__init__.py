@@ -28,6 +28,8 @@ from .dade import (
 from .groups import GroupSpec
 from .modules import (
     ModuleSum,
+    NotCappedError,
+    cap_part,
     heller,
     induce,
     is_permutation,
@@ -38,9 +40,7 @@ from .modules import (
 )
 from .oracle import (
     MatrixModule,
-    NotCappedError,
     OracleCapacityError,
-    cap_part,
     is_endo_permutation,
     jordan_type,
     realize,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from . import dade
 from .dade import DadeElement, OddPrimeRequiredError, SignVector
 from .groups import GroupSpec
-from .modules import ModuleSum, restrict
-from .oracle import cap_part
+from .modules import ModuleSum, cap_part, restrict
 
 PROVENANCE_CHARACTER = "character-values"
 PROVENANCE_PRINCIPAL = "principal-block"
@@ -73,25 +72,30 @@ class BlockDescriptor:
 
 @dataclass(frozen=True)
 class WResult:
-    """The inferred source module: its Dade element, Jordan size, sign
-    vector, triviality flag, and which criterion produced it."""
+    """The inferred source module: its Dade element, sign vector, and which
+    criterion produced it; its Jordan size and triviality are read off the
+    element."""
 
     dade: DadeElement
-    jordan: int
     signs: SignVector
-    trivial: bool
     provenance: str
 
     def __post_init__(self) -> None:
         if self.dade.alpha and self.dade.alpha[0] != 0:
             raise ValueError("source module must have trivial bottom-layer action")
-        if self.trivial != self.dade.is_zero or self.trivial != (self.jordan == 1):
-            raise ValueError("triviality flag inconsistent with the element")
+
+    @property
+    def jordan(self) -> int:
+        return dade.w_module(self.dade)
+
+    @property
+    def trivial(self) -> bool:
+        return self.dade.is_zero
 
 
 def _trivial_result(group: GroupSpec, provenance: str) -> WResult:
     zero = dade.dade_zero(group)
-    return WResult(zero, 1, dade.psi(zero), True, provenance)
+    return WResult(zero, dade.psi(zero), provenance)
 
 
 def _checked_values(b: BlockDescriptor) -> tuple[int, ...]:
@@ -124,13 +128,7 @@ def infer_w(b: BlockDescriptor) -> WResult:
         signs = [-s for s in signs]
     sv = SignVector(b.group, tuple(signs))
     element = dade.psi_inverse(sv)
-    return WResult(
-        dade=element,
-        jordan=dade.w_module(element),
-        signs=sv,
-        trivial=element.is_zero,
-        provenance=PROVENANCE_CHARACTER,
-    )
+    return WResult(dade=element, signs=sv, provenance=PROVENANCE_CHARACTER)
 
 
 def is_trivial_by_signs(b: BlockDescriptor) -> bool:
@@ -187,12 +185,7 @@ def restrict_w(w: WResult, i: int) -> int:
     block must meet the defect group non-trivially)."""
     if i == 0:
         raise ValueError("restriction target must be a non-trivial subgroup")
-    group = w.dade.group
-    group.subgroup(i)  # the range check
-    if i == group.ell or w.jordan == 1:
-        return w.jordan
-    res = restrict(ModuleSum(group, (w.jordan,)), i)
-    return cap_part(res)
+    return cap_part(restrict(ModuleSum(w.dade.group, (w.jordan,)), i))
 
 
 def fong_shift(w_hat: DadeElement, cap_v: int) -> DadeElement:

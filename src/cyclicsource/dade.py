@@ -87,11 +87,14 @@ class LiftCharacter:
     layer_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.layer_values) != self.group.ell:
+        values = tuple(map(operator.index, self.layer_values))
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "layer_values", values)
+        if len(values) != self.group.ell:
             raise ValueError(
-                f"need {self.group.ell} layer values, got {len(self.layer_values)}"
+                f"need {self.group.ell} layer values, got {len(values)}"
             )
-        if self.dim <= 0 or any(v == 0 for v in self.layer_values):
+        if self.dim <= 0 or any(v == 0 for v in values):
             raise ValueError("degree must be positive and layer values non-zero")
 
 

@@ -21,6 +21,10 @@ class GroupMismatchError(ValueError):
     pass
 
 
+class NotCappedError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class ModuleSum:
     """A finite multiset of Jordan sizes over a fixed cyclic p-group.
@@ -53,20 +57,12 @@ class ModuleSum:
     def dim(self) -> int:
         return sum(self.parts)
 
-    def counter(self) -> Counter:
-        return Counter(self.parts)
-
-    def __add__(self, other: "ModuleSum") -> "ModuleSum":
-        _check_group(self, other)
-        return ModuleSum(self.group, self.parts + other.parts)
-
     def __str__(self) -> str:
         if not self.parts:
             return "0"
-        c = self.counter()
         return " + ".join(
             f"{mult}*J_{n}" if mult > 1 else f"J_{n}"
-            for n, mult in sorted(c.items(), reverse=True)
+            for n, mult in sorted(Counter(self.parts).items(), reverse=True)
         )
 
 
@@ -159,3 +155,21 @@ def is_permutation(m: ModuleSum) -> bool:
     over a cyclic p-group are exactly the J_{p^i})."""
     p_powers = {m.group.p ** i for i in range(m.group.ell + 1)}
     return all(n in p_powers for n in m.parts)
+
+
+def cap_part(m: ModuleSum) -> int:
+    """The unique part with full vertex (size coprime to p), if it exists.
+
+    For a capped endo-permutation module this is its cap.  Uniqueness is up
+    to isomorphism: repeated copies of one coprime size are fine, two
+    different coprime sizes are not.  Whether m is endo-permutation at all
+    is `oracle.is_endo_permutation`'s question.
+    """
+    if not m.parts:
+        raise NotCappedError("not capped endo-permutation: zero module")
+    coprime = {n for n in m.parts if n % m.group.p != 0}
+    if len(coprime) != 1:
+        raise NotCappedError(
+            f"not capped endo-permutation: full-vertex parts {sorted(coprime)}"
+        )
+    return coprime.pop()

@@ -60,10 +60,6 @@ class OracleCapacityError(ValueError):
     pass
 
 
-class NotCappedError(ValueError):
-    pass
-
-
 def capacity_limit(cap: int | None = None, source: str = "cap") -> int:
     """The oracle capacity in matrix entries: `cap` (named `source` in
     errors) if given, else DEFAULT_CAPACITY.  Anything but a positive
@@ -506,21 +502,3 @@ def is_endo_permutation(m: ModuleSum, cap: int | None = None) -> bool:
     """True iff End(M) = M (x) M* is a permutation module.  J_n is
     self-dual, so the endomorphism module is the tensor square."""
     return is_permutation(tensor_decompose(m, m, cap))
-
-
-def cap_part(m: ModuleSum) -> int:
-    """The unique part with full vertex (size coprime to p), if it exists.
-
-    For a capped endo-permutation module this is its cap.  Uniqueness is up
-    to isomorphism: repeated copies of one coprime size are fine, two
-    different coprime sizes are not.  Whether m is endo-permutation at all
-    is `is_endo_permutation`'s question.
-    """
-    if not m.parts:
-        raise NotCappedError("not capped endo-permutation: zero module")
-    coprime = {n for n in m.parts if n % m.group.p != 0}
-    if len(coprime) != 1:
-        raise NotCappedError(
-            f"not capped endo-permutation: full-vertex parts {sorted(coprime)}"
-        )
-    return coprime.pop()

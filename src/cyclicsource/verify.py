@@ -58,8 +58,8 @@ class SuiteResult:
         """The cap of m, or None after recording m as a mismatch: a module
         without a cap is a wrong formula to report, not a crash."""
         try:
-            return oracle.cap_part(m)
-        except oracle.NotCappedError as exc:
+            return modules.cap_part(m)
+        except modules.NotCappedError as exc:
             self.check(False, {**witness, "module": str(m), "error": str(exc)})
             return None
 

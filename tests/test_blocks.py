@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclicsource import dade, oracle
+from cyclicsource import dade, modules, oracle
 from cyclicsource.blocks import (
     PROVENANCE_C4,
     PROVENANCE_CHARACTER,
@@ -51,6 +51,10 @@ class TestBlockDescriptor:
     def test_inertial_index_positive(self):
         with pytest.raises(ValueError, match="positive"):
             BlockDescriptor(C9, inertial_index=0)
+
+    def test_defect_group_non_trivial(self):
+        with pytest.raises(ValueError, match="defect group must be non-trivial"):
+            BlockDescriptor(GroupSpec(3, 0))
 
 
 class TestInferW:
@@ -220,13 +224,11 @@ class TestAnalyze:
 class TestRestrictW:
     def _w(self, group, bits):
         e = DadeElement(group, bits)
-        return WResult(e, dade.w_module(e), dade.psi(e),
-                       e.is_zero, PROVENANCE_CHARACTER)
+        return WResult(e, dade.psi(e), PROVENANCE_CHARACTER)
 
     def test_witness_value(self):
         # J_8 over C_9 restricts to J_3 + J_3 + J_2; the cap is J_2
-        from cyclicsource.modules import ModuleSum, restrict
-        from cyclicsource.oracle import cap_part
+        from cyclicsource.modules import ModuleSum, cap_part, restrict
         assert cap_part(restrict(ModuleSum(C9, (8,)), 1)) == 2
 
     def test_trivial_restricts_trivially(self):
@@ -281,16 +283,19 @@ class TestFongShift:
                     shifted
                 tensor = oracle.tensor_decompose(
                     dade.w_module_sum(w_hat), ModuleSum(c8, (cap_v,)))
-                assert oracle.cap_part(tensor) == dade.w_module(shifted)
+                assert modules.cap_part(tensor) == dade.w_module(shifted)
 
 
 class TestWResultValidation:
     def test_leading_bit_must_be_zero(self):
         e = DadeElement(C9, (1, 0))
         with pytest.raises(ValueError, match="bottom-layer"):
-            WResult(e, 8, dade.psi(e), False, PROVENANCE_CHARACTER)
+            WResult(e, dade.psi(e), PROVENANCE_CHARACTER)
 
-    def test_triviality_coherence(self):
+    def test_jordan_and_triviality_read_off_the_element(self):
         e = DadeElement(C9, (0, 1))
-        with pytest.raises(ValueError, match="triviality"):
-            WResult(e, 2, dade.psi(e), True, PROVENANCE_CHARACTER)
+        w = WResult(e, dade.psi(e), PROVENANCE_CHARACTER)
+        assert (w.jordan, w.trivial) == (2, False)
+        zero = dade.dade_zero(C9)
+        w = WResult(zero, dade.psi(zero), PROVENANCE_PRINCIPAL)
+        assert (w.jordan, w.trivial) == (1, True)

@@ -127,6 +127,16 @@ class TestInfer:
                        "5000 digits, more than 4300\n")
         assert out == ""
 
+    def test_bad_inertial_index_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "inertial.json"
+        path.write_text('{"version": 1, "blocks": '
+                        '[{"p": 3, "ell": 2, "inertial_index": 0}]}')
+        code, out, err = run(capsys, "infer", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert err == ("parse error at $.blocks[0]: inertial index must be "
+                       "positive\n")
+        assert out == ""
+
     def test_record_error_exit_one_batch_isolated(self, capsys):
         code, out, _ = run(capsys, "--format", "json-lines",
                            "infer", fixture("record_error_zero_chi.json"))

@@ -5,9 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclicsource import dade, oracle
+from cyclicsource import dade, modules, oracle
 from cyclicsource.dade import (
     DadeElement,
+    LiftCharacter,
     OddPrimeRequiredError,
     SignVector,
     dade_add,
@@ -141,7 +142,7 @@ class TestWModule:
             for b in enumerate_elements(C9):
                 tensor = oracle.tensor_decompose(w_module_sum(a),
                                                  w_module_sum(b))
-                assert oracle.cap_part(tensor) == w_module(dade_add(a, b))
+                assert modules.cap_part(tensor) == w_module(dade_add(a, b))
 
 
 class TestLiftCharacter:
@@ -164,6 +165,16 @@ class TestLiftCharacter:
         with pytest.raises(OddPrimeRequiredError):
             lift_character(DadeElement(GroupSpec(2, 2), (0, 1)))
 
+    @pytest.mark.parametrize("dim, values, message", [
+        (2, (1,), "need 2 layer values, got 1"),
+        (2, (1, 1, 1), "need 2 layer values, got 3"),
+        (0, (1, 1), "degree must be positive"),
+        (2, (1, 0), "layer values non-zero"),
+    ])
+    def test_fields_validated(self, dim, values, message):
+        with pytest.raises(ValueError, match=message):
+            LiftCharacter(C9, dim, values)
+
     @given(elements())
     def test_degree_matches_module(self, e):
         assert lift_character(e).dim == w_module(e)
@@ -185,6 +196,16 @@ class TestSignCalculus:
     def test_psi_inverse_reads_sign_changes(self):
         sv = SignVector(C27, (-1, -1, 1))
         assert psi_inverse(sv) == DadeElement(C27, (1, 0, 1))
+
+    @pytest.mark.parametrize("signs, message", [
+        ((1,), "signs must have length 2, got 1"),
+        ((1, -1, 1), "signs must have length 2, got 3"),
+        ((1, 0), "sign entries must be"),
+        ((1, 2), "sign entries must be"),
+    ])
+    def test_sign_vector_validated(self, signs, message):
+        with pytest.raises(ValueError, match=message):
+            SignVector(C9, signs)
 
     @given(elements())
     def test_round_trip(self, e):

@@ -177,6 +177,19 @@ class TestParsing:
         doc = parse_descriptor('{"version": 1, "blocks": [{"p": 2, "ell": 14284}]}')
         assert len(str(doc.blocks[0].group.order)) == 4300
 
+    def test_ell_at_least_one(self):
+        issues = issues_of('{"version": 1, "blocks": [{"p": 3, "ell": 0}]}')
+        assert [(i.path, i.message) for i in issues] == [
+            ("$.blocks[0].ell", "ell must be at least 1")]
+
+    @pytest.mark.parametrize("e, message", [
+        (0, "inertial index must be positive"),
+        (4, "inertial index 4 does not divide p - 1 = 2"),
+    ])
+    def test_inertial_index_refused_at_the_record(self, e, message):
+        issues = issues_of(_block(f', "inertial_index": {e}'))
+        assert [(i.path, i.message) for i in issues] == [("$.blocks[0]", message)]
+
     def test_nonprime_p(self):
         issues = issues_of(load("bad_nonprime.json"))
         assert any(i.path == "$.blocks[0].p"

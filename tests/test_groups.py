@@ -6,7 +6,7 @@ import pytest
 
 from cyclicsource import groups
 from cyclicsource.blocks import BlockDescriptor
-from cyclicsource.dade import DadeElement, SignVector
+from cyclicsource.dade import DadeElement, LiftCharacter, SignVector
 from cyclicsource.groups import (
     MAX_ORDER_DIGITS,
     PRIME_LIMIT,
@@ -87,8 +87,9 @@ class TestSubgroup:
 
 C9 = GroupSpec(3, 2)
 # a non-integer where an integer is needed; coerced, these would give C_9.0,
-# a part 2.5, chi values (2, -1), the element 01, the sign 1, and an
-# inertial index or multiplicity emitted as a float the parser refuses
+# a part 2.5, chi values (2, -1), the element 01, the sign 1, the lift
+# character of degree 2 with values (1, -1), and an inertial index or
+# multiplicity emitted as a float the parser refuses
 NOT_INTEGERS = {
     "group": lambda: GroupSpec(3.0, 2.0),
     "group-ell": lambda: GroupSpec(3, 2.0),
@@ -98,6 +99,8 @@ NOT_INTEGERS = {
     "inertial-index": lambda: BlockDescriptor(C9, inertial_index=2.0),
     "dade-bits": lambda: DadeElement(C9, (0.5, 1)),
     "signs": lambda: SignVector(C9, (1.5, -1)),
+    "lift-degree": lambda: LiftCharacter(C9, 2.5, (1, -1)),
+    "lift-values": lambda: LiftCharacter(C9, 2, (1.5, -1)),
     "multiplicity": lambda: star(2, 4.0, C9),
 }
 

@@ -48,10 +48,6 @@ class TestModuleSum:
         with pytest.raises(ValueError, match="out of range"):
             module(C3, 0)
 
-    def test_add_requires_same_group(self):
-        with pytest.raises(GroupMismatchError, match="group mismatch"):
-            module(C3, 1) + module(C9, 1)
-
     def test_str(self):
         assert str(module(C9, 3, 3, 1)) == "2*J_3 + J_1"
         assert str(module(C9)) == "0"

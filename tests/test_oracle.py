@@ -19,12 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 import cyclicsource
 from cyclicsource import modules, oracle
 from cyclicsource.groups import GroupSpec
-from cyclicsource.modules import ModuleSum, module
+from cyclicsource.modules import ModuleSum, NotCappedError, cap_part, module
 from cyclicsource.oracle import (
     MatrixModule,
-    NotCappedError,
     OracleCapacityError,
-    cap_part,
     check_capacity,
     column_space,
     induce_oracle,
@@ -743,6 +741,14 @@ class TestNarrowTypes:
         with pytest.raises(ValueError, match="must be an integer matrix"):
             MatrixModule(C3, action)
 
+    @pytest.mark.parametrize("action", [
+        np.ones((2, 3), dtype=np.int64), np.ones(4, dtype=np.int64),
+        np.ones((2, 2, 2), dtype=np.int64),
+    ], ids=["2x3", "vector", "cube"])
+    def test_non_square_action_refused(self, action):
+        with pytest.raises(ValueError, match="must be a square matrix"):
+            MatrixModule(C3, action)
+
 
 class TestJordanType:
     def test_round_trip_realize(self):
@@ -865,6 +871,8 @@ class TestEndoPermutationAndCap:
         assert cap_part(module(C9, 3, 3, 2)) == 2
 
     def test_cap_requires_unique_coprime_part(self):
+        with pytest.raises(NotCappedError, match="zero module"):
+            cap_part(module(C9))
         with pytest.raises(NotCappedError):
             cap_part(module(C9, 3, 3))
         with pytest.raises(NotCappedError):

@@ -27,6 +27,12 @@ Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
 appear nowhere else in the package, and `sys.exit` only in a
 `if __name__ == "__main__"` guard.  Commands return records and raise to
 stop, so the exit code and every byte written are decided in one place.
+
+One direction across the certification boundary: the closed-form modules
+import nothing from `oracle`, `verify` or `cli`, and `oracle` imports from
+the package only the group, the module multiset, the two group checks and
+`is_permutation`, so the oracle never calls the closed forms it certifies.
+Imports inside functions count as well.
 """
 
 import ast
@@ -34,7 +40,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "cyclicsource").glob("*.py"))
+PACKAGE = Path(__file__).parents[1] / "src" / "cyclicsource"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def tree_of(path):
@@ -161,6 +168,36 @@ def int_type_uses(tree, rule="_int_type"):
     return sorted(found)
 
 
+def package_imports(tree):
+    """(line, module, name) of each import from the package, at any depth:
+    `from .m import n` gives (line, "m", "n"), and `from . import m` or
+    `import cyclicsource.m` gives (line, "m", None)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "cyclicsource":
+                    continue
+                module = module.removeprefix("cyclicsource").lstrip(".")
+            if module:
+                found += [(node.lineno, module, a.name) for a in node.names]
+            else:
+                found += [(node.lineno, a.name, None) for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.removeprefix("cyclicsource."), None)
+                      for a in node.names
+                      if a.name.startswith("cyclicsource.")]
+    return sorted(found, key=lambda item: item[0])
+
+
+CLOSED_FORMS = ("groups", "modules", "dade", "blocks", "trees", "descriptors")
+CERTIFIERS = ("oracle", "verify", "cli")
+ORACLE_IMPORTS = {("groups", "GroupSpec"), ("modules", "ModuleSum"),
+                  ("modules", "_check_group"), ("modules", "_check_subgroup"),
+                  ("modules", "is_permutation")}
+
+
 COERCIONS = ("int", "float")
 
 
@@ -277,6 +314,31 @@ def test_unbounded_cache_is_seen():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_coercion_in_post_init(path):
     assert post_init_coercions(tree_of(path)) == []
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_import_no_certifier(name):
+    tree = tree_of(PACKAGE / f"{name}.py")
+    assert [found for found in package_imports(tree)
+            if found[1] in CERTIFIERS] == []
+
+
+def test_oracle_imports_only_what_it_does_not_certify():
+    tree = tree_of(PACKAGE / "oracle.py")
+    assert [found for found in package_imports(tree)
+            if found[1:] not in ORACLE_IMPORTS] == []
+
+
+def test_package_import_is_seen():
+    tree = ast.parse("import os\nimport cyclicsource.oracle\n"
+                     "from . import dade, verify\n"
+                     "from .modules import ModuleSum, cap_part as cap\n"
+                     "from cyclicsource.cli import main\nfrom numpy import eye\n"
+                     "def f():\n    from .groups import GroupSpec\n")
+    assert package_imports(tree) == [
+        (2, "oracle", None), (3, "dade", None), (3, "verify", None),
+        (4, "modules", "ModuleSum"), (4, "modules", "cap_part"),
+        (5, "cli", "main"), (8, "groups", "GroupSpec")]
 
 
 def test_coercion_in_post_init_is_seen():

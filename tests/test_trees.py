@@ -299,8 +299,7 @@ class TestStronglySimilar:
         from cyclicsource import dade
         from cyclicsource.blocks import PROVENANCE_CHARACTER, WResult
         e = dade.element_from_jordan(C9, jordan)
-        return WResult(e, jordan, dade.psi(e), e.is_zero,
-                       PROVENANCE_CHARACTER)
+        return WResult(e, dade.psi(e), PROVENANCE_CHARACTER)
 
     def test_same_pair(self):
         t = star(2, 4, C9)
