@@ -8,13 +8,15 @@ Commands:
     tree emit-star E M P ELL   write a star tree record
     dade add|signs|module ...  Dade group arithmetic on bit vectors
 
-Each command returns its records (`tree emit-star` its descriptor text) or
-raises CommandError; `main` alone writes output and picks the exit code.
-Exit codes: 1 iff any record is an error or a command stops on a
-record-level error, 2 for a parse or argument error (a file, the group
-given by --p and --ell, which needs ell >= 1, or the oracle capacity),
-else 0.  The oracle capacity is `--oracle-cap` if given, else the oracle's
-default; nothing is read from the environment.
+argparse alone dispatches, to the handler that each leaf subcommand sets.
+A handler returns its records (`tree emit-star` its descriptor text) or
+raises: CommandError for a parse or argument error (a file, the group
+given by --p and --ell, which needs ell >= 1, or the oracle capacity), and
+the library's ValueError or OverflowError for a record-level error.
+`main` alone writes output and picks the exit code: 2 for a CommandError,
+1 for a record-level error or if any record is an error, else 0.  The
+oracle capacity is `--oracle-cap` if given, else the oracle's default;
+nothing is read from the environment.
 Reports render as human-readable text or as one JSON object per line
 (`--format json-lines`), byte-deterministic for fixed input.
 """
@@ -62,12 +64,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 
 
 class CommandError(Exception):
-    """Stops a command: `main` writes the message to stderr and returns
-    `code`."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """An argument or parse error: `main` writes the message to stderr and
+    exits 2."""
 
 
 def _load(path: str) -> DescriptorFile:
@@ -75,11 +73,11 @@ def _load(path: str) -> DescriptorFile:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CommandError(EXIT_PARSE_ERROR, f"cannot read {path}: {exc}")
+        raise CommandError(f"cannot read {path}: {exc}")
     try:
         return parse_descriptor(text)
     except DescriptorError as exc:
-        raise CommandError(EXIT_PARSE_ERROR, "\n".join(
+        raise CommandError("\n".join(
             f"parse error at {issue.path}: {issue.message}"
             for issue in exc.issues))
 
@@ -88,10 +86,9 @@ def _group(p: int, ell: int) -> GroupSpec:
     try:
         group = GroupSpec(p, ell)
     except ValueError as exc:
-        raise CommandError(EXIT_PARSE_ERROR, f"argument error: {exc}")
+        raise CommandError(f"argument error: {exc}")
     if ell < 1:
-        raise CommandError(EXIT_PARSE_ERROR,
-                           "argument error: ell must be at least 1")
+        raise CommandError("argument error: ell must be at least 1")
     return group
 
 
@@ -120,14 +117,10 @@ def cmd_verify(args) -> list[dict]:
     try:
         cap = capacity_limit(args.oracle_cap, "--oracle-cap")
     except ValueError as exc:
-        raise CommandError(EXIT_PARSE_ERROR, f"argument error: {exc}")
-    try:
-        check_capacity(group.order, cap)
-        results = verify.run_suites(group, args.suite or None, cap)
-    except (ValueError, OverflowError) as exc:  # overflow: p too large
-        raise CommandError(EXIT_RECORD_ERROR, str(exc))
+        raise CommandError(f"argument error: {exc}")
+    check_capacity(group.order, cap)
     records = []
-    for result in results:
+    for result in verify.run_suites(group, args.suite or None, cap):
         record = {
             "record": "suite",
             "label": result.name,
@@ -143,49 +136,39 @@ def cmd_verify(args) -> list[dict]:
     return records
 
 
-def cmd_tree(args) -> list[dict] | str:
-    if args.tree_command == "emit-star":
-        group = _group(args.p, args.ell)
-        try:
-            t = trees.star(args.e, args.m, group)
-        except ValueError as exc:
-            raise CommandError(EXIT_RECORD_ERROR, str(exc))
-        return emit_descriptor(DescriptorFile(trees=[t]))
+def cmd_tree_check(args) -> list[dict]:
+    records = []
+    for idx, t in enumerate(_load(args.file).trees):
+        label = t.label or f"trees[{idx}]"
+        if violations := trees.validate(t):
+            records.append({
+                "record": "tree", "label": label, "status": "error",
+                "error": "invalid tree", "violations": violations,
+            })
+        else:
+            records.append({
+                "record": "tree", "label": label, "status": "ok",
+                "edges": t.num_edges, "multiplicity": t.multiplicity,
+            })
+    return records
 
+
+def cmd_tree_compare(args) -> list[dict]:
     doc = _load(args.file)
-    if args.tree_command == "check":
-        records = []
-        for idx, t in enumerate(doc.trees):
-            label = t.label or f"trees[{idx}]"
-            violations = trees.validate(t)
-            if violations:
-                records.append({
-                    "record": "tree", "label": label, "status": "error",
-                    "error": "invalid tree", "violations": violations,
-                })
-            else:
-                records.append({
-                    "record": "tree", "label": label, "status": "ok",
-                    "edges": t.num_edges, "multiplicity": t.multiplicity,
-                })
-        return records
-
-    # compare
     counts = Counter(t.label for t in doc.trees)
     missing = [name for name in (args.a, args.b) if not counts[name]]
     shared = [f"{name} ({counts[name]} records)"
               for name in dict.fromkeys((args.a, args.b)) if counts[name] > 1]
     for problem, names in (("not found", missing), ("not unique", shared)):
         if names:
-            raise CommandError(EXIT_RECORD_ERROR,
-                               f"tree record(s) {problem}: {', '.join(names)}")
+            raise ValueError(f"tree record(s) {problem}: {', '.join(names)}")
     by_label = {t.label: t for t in doc.trees}
     t1, t2 = by_label[args.a], by_label[args.b]
     # each tree once, also when it is compared with itself
     bad = [f"{label}: {v}" for label in dict.fromkeys((args.a, args.b))
            for v in trees.validate(by_label[label])]
     if bad:
-        raise CommandError(EXIT_RECORD_ERROR, "invalid tree(s): " + "; ".join(bad))
+        raise ValueError("invalid tree(s): " + "; ".join(bad))
     return [{
         "record": "comparison",
         "label": f"{args.a} vs {args.b}",
@@ -195,31 +178,35 @@ def cmd_tree(args) -> list[dict] | str:
     }]
 
 
+def cmd_tree_emit_star(args) -> str:
+    t = trees.star(args.e, args.m, _group(args.p, args.ell))
+    return emit_descriptor(DescriptorFile(trees=[t]))
+
+
 def _parse_alpha(text: str, group: GroupSpec) -> dade.DadeElement:
     if len(text) != group.ell or set(text) - {"0", "1"}:
         raise ValueError(f"alpha must be {group.ell} bits, got {text!r}")
     return dade.DadeElement(group, tuple(int(c) for c in text))
 
 
-def cmd_dade(args) -> list[dict]:
+def cmd_dade_add(args) -> list[dict]:
     group = _group(args.p, args.ell)
-    try:
-        if args.dade_command == "add":
-            a = _parse_alpha(args.a, group)
-            b = _parse_alpha(args.b, group)
-            result = {"record": "dade", "label": f"{args.a}+{args.b}",
-                      "status": "ok", "alpha": str(dade.dade_add(a, b))}
-        elif args.dade_command == "signs":
-            e = _parse_alpha(args.alpha, group)
-            result = {"record": "dade", "label": args.alpha, "status": "ok",
-                      "signs": list(dade.psi(e).signs)}
-        else:  # module
-            e = _parse_alpha(args.alpha, group)
-            result = {"record": "dade", "label": args.alpha, "status": "ok",
-                      "jordan": dade.w_module(e)}
-    except ValueError as exc:
-        raise CommandError(EXIT_RECORD_ERROR, str(exc))
-    return [result]
+    total = dade.dade_add(_parse_alpha(args.a, group),
+                          _parse_alpha(args.b, group))
+    return [{"record": "dade", "label": f"{args.a}+{args.b}",
+             "status": "ok", "alpha": str(total)}]
+
+
+def cmd_dade_signs(args) -> list[dict]:
+    e = _parse_alpha(args.alpha, _group(args.p, args.ell))
+    return [{"record": "dade", "label": args.alpha, "status": "ok",
+             "signs": list(dade.psi(e).signs)}]
+
+
+def cmd_dade_module(args) -> list[dict]:
+    e = _parse_alpha(args.alpha, _group(args.p, args.ell))
+    return [{"record": "dade", "label": args.alpha, "status": "ok",
+             "jordan": dade.w_module(e)}]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     tree_sub = p_tree.add_subparsers(dest="tree_command", required=True)
     t_check = tree_sub.add_parser("check")
     t_check.add_argument("file")
+    t_check.set_defaults(func=cmd_tree_check)
     t_compare = tree_sub.add_parser("compare")
     t_compare.add_argument("file")
     t_compare.add_argument("a")
     t_compare.add_argument("b")
+    t_compare.set_defaults(func=cmd_tree_compare)
     t_star = tree_sub.add_parser("emit-star")
-    t_star.add_argument("e", type=int)
-    t_star.add_argument("m", type=int)
-    t_star.add_argument("p", type=int)
-    t_star.add_argument("ell", type=int)
-    p_tree.set_defaults(func=cmd_tree)
+    for name in ("e", "m", "p", "ell"):
+        t_star.add_argument(name, type=int)
+    t_star.set_defaults(func=cmd_tree_emit_star)
 
     p_dade = sub.add_parser("dade", help="Dade group arithmetic")
     p_dade.add_argument("--p", type=int, required=True)
@@ -269,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     d_add = dade_sub.add_parser("add")
     d_add.add_argument("a")
     d_add.add_argument("b")
-    d_signs = dade_sub.add_parser("signs")
-    d_signs.add_argument("alpha")
-    d_module = dade_sub.add_parser("module")
-    d_module.add_argument("alpha")
-    p_dade.set_defaults(func=cmd_dade)
+    d_add.set_defaults(func=cmd_dade_add)
+    for name, func in (("signs", cmd_dade_signs), ("module", cmd_dade_module)):
+        d_one = dade_sub.add_parser(name)
+        d_one.add_argument("alpha")
+        d_one.set_defaults(func=func)
 
     return parser
 
@@ -284,7 +271,10 @@ def main(argv: list[str] | None = None) -> int:
         result = args.func(args)
     except CommandError as exc:
         print(exc, file=sys.stderr)
-        return exc.code
+        return EXIT_PARSE_ERROR
+    except (ValueError, OverflowError) as exc:  # a record-level refusal
+        print(exc, file=sys.stderr)
+        return EXIT_RECORD_ERROR
     if isinstance(result, str):
         sys.stdout.write(result)
         return EXIT_OK

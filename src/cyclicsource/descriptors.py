@@ -259,16 +259,12 @@ def parse_descriptor(text: str) -> DescriptorFile:
     if version is not None and version != FORMAT_VERSION:
         v.fail("$.version", f"unsupported version {version}")
     out = DescriptorFile()
-    raw_blocks = v.require(data.get("blocks", []), list, "$.blocks") or []
-    for k, record in enumerate(raw_blocks):
-        block = _parse_block(v, record, f"$.blocks[{k}]")
-        if block is not None:
-            out.blocks.append(block)
-    raw_trees = v.require(data.get("trees", []), list, "$.trees") or []
-    for k, record in enumerate(raw_trees):
-        tree = _parse_tree(v, record, f"$.trees[{k}]")
-        if tree is not None:
-            out.trees.append(tree)
+    for name, parse, parsed in (("blocks", _parse_block, out.blocks),
+                                ("trees", _parse_tree, out.trees)):
+        raw = v.require(data.get(name, []), list, f"$.{name}") or []
+        for k, record in enumerate(raw):
+            if (item := parse(v, record, f"$.{name}[{k}]")) is not None:
+                parsed.append(item)
     if v.issues:
         raise DescriptorError(v.issues)
     return out

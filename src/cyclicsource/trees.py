@@ -150,13 +150,20 @@ def type_functions(t: BrauerTree) -> tuple[TypeFunction, TypeFunction]:
     return TypeFunction(one), TypeFunction({v: -s for v, s in one.items()})
 
 
+STAR_EDGES_MAX = 10**5  # as descriptor text, 8.3 MB
+
+
 def star(e: int, m: int, group: GroupSpec) -> BrauerTree:
     """The star tree: e edges from the center c to the leaves v1..ve, in
-    that cyclic order at c, which is exceptional when m > 1."""
+    that cyclic order at c, which is exceptional when m > 1.  ValueError
+    for more than STAR_EDGES_MAX edges, before any leaf is built: e is
+    bounded by p - 1 only, and p may have 25 digits."""
     if e < 1:
         raise ValueError("a star needs at least one edge")
     if violations := _numerical_violations(e, m, group):
         raise ValueError(violations[0])
+    if e > STAR_EDGES_MAX:
+        raise ValueError(f"a star has at most {STAR_EDGES_MAX} edges, got {e}")
     center = "c"
     leaves = tuple(f"v{i + 1}" for i in range(e))
     return BrauerTree(

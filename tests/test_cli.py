@@ -160,10 +160,16 @@ class TestInfer:
         assert code == EXIT_RECORD_ERROR
         assert "odd prime" in out
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "infer", fixture("nonexistent.json"))
+    @pytest.mark.parametrize("command, labels", [
+        (("infer",), ()),
+        (("tree", "check"), ()),
+        (("tree", "compare"), ("a", "b"))], ids=["infer", "check", "compare"])
+    def test_missing_file(self, capsys, command, labels):
+        code, out, err = run(capsys, *command,
+                             fixture("nonexistent.json"), *labels)
         assert code == EXIT_PARSE_ERROR
-        assert "cannot read" in err
+        assert err.startswith("cannot read") and err.count("\n") == 1
+        assert out == ""
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "--format", "json-lines",
@@ -446,6 +452,15 @@ class TestTree:
         assert code == EXIT_RECORD_ERROR
         assert "e*m" in err
 
+    def test_emit_star_over_the_edge_limit(self, capsys):
+        # p is prime, e = p - 1 and e*m = p - 1: refused before any leaf
+        code, out, err = run(capsys, "tree", "emit-star",
+                             "1000000000000000002", "1",
+                             "1000000000000000003", "1")
+        assert code == EXIT_RECORD_ERROR and out == ""
+        assert err == ("a star has at most 100000 edges, "
+                       "got 1000000000000000002\n")
+
 
 class TestDade:
     def test_add(self, capsys):
@@ -479,11 +494,14 @@ class TestDade:
         assert code == EXIT_PARSE_ERROR
         assert err.startswith(message) and out == ""
 
-    def test_bad_alpha(self, capsys):
-        code, _, err = run(capsys, "dade", "--p", "3", "--ell", "2",
-                           "add", "1", "11")
-        assert code == EXIT_RECORD_ERROR
-        assert "bits" in err
+    @pytest.mark.parametrize("operation, alphas", [
+        ("add", ("1", "11")), ("signs", ("1",)), ("module", ("1",))],
+        ids=["add", "signs", "module"])
+    def test_bad_alpha(self, capsys, operation, alphas):
+        code, out, err = run(capsys, "dade", "--p", "3", "--ell", "2",
+                             operation, *alphas)
+        assert code == EXIT_RECORD_ERROR and out == ""
+        assert err == "alpha must be 2 bits, got '1'\n"
 
 
 class TestNumpyLoad:

@@ -155,6 +155,8 @@ def run_cli(argv):
                                  HealthCheck.data_too_large])
 @given(case=cases())
 @example(case=(["--oracle-cap", "-3", "verify", "--p", "3", "--ell", "1"], ""))
+@example(case=(["tree", "emit-star", "1000000000000000002", "1",
+                "1000000000000000003", "1"], ""))
 @example(case=(["infer", FILE],
                '{"version":1,"blocks":[{"p":' + LONG_INT + ',"ell":1}]}'))
 def test_every_run_ends_cleanly(tmp_path_factory, case):

@@ -26,7 +26,9 @@ field; `operator.index` refuses whatever is not an integer.
 Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
 appear nowhere else in the package, and `sys.exit` only in a
 `if __name__ == "__main__"` guard.  Commands return records and raise to
-stop, so the exit code and every byte written are decided in one place.
+stop, so the exit code and every byte written are decided in one place:
+the exit codes `EXIT_OK`, `EXIT_RECORD_ERROR` and `EXIT_PARSE_ERROR` are
+read nowhere else either.
 
 One direction across the certification boundary: the closed-form modules
 import nothing from `oracle`, `verify` or `cli`, and `oracle` imports from
@@ -147,6 +149,25 @@ def output_uses(tree, writer=None):
         found += [(node.lineno, name) for node in ast.walk(top)
                   if (name := _dotted(node)) in (*OUTPUT, "sys.exit")
                   and name not in allowed]
+    return sorted(found)
+
+
+EXIT_CODES = ("EXIT_OK", "EXIT_RECORD_ERROR", "EXIT_PARSE_ERROR")
+
+
+def exit_code_reads(tree, reader=None):
+    """(line, name) of each read of an exit code, by name or as an
+    attribute, outside the top-level function named `reader`; the
+    assignments that define them are no reads."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == reader:
+            continue
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) \
+                else getattr(node, "attr", None)
+            if name in EXIT_CODES and isinstance(node.ctx, ast.Load):
+                found.append((node.lineno, name))
     return sorted(found)
 
 
@@ -275,6 +296,24 @@ def test_output_use_is_seen():
                      "    print(2)\n")
     assert output_uses(tree, "main") == [
         (4, "sys.exit"), (5, "sys.stderr"), (6, "sys.stdout"), (9, "print")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exit_codes_only_in_cli_main(path):
+    reader = "main" if path.name == "cli.py" else None
+    assert exit_code_reads(tree_of(path), reader) == []
+
+
+def test_exit_code_read_is_seen():
+    tree = ast.parse("EXIT_OK = 0\nEXIT_PARSE_ERROR = 2\n"
+                     "class E(Exception):\n"
+                     "    def __init__(self, code=EXIT_PARSE_ERROR):\n"
+                     "        self.code = code\n"
+                     "def cmd():\n    raise E(EXIT_OK)\n"
+                     "def main():\n    return EXIT_OK\n"
+                     "code = cli.EXIT_RECORD_ERROR\n")
+    assert exit_code_reads(tree, "main") == [
+        (4, "EXIT_PARSE_ERROR"), (7, "EXIT_OK"), (10, "EXIT_RECORD_ERROR")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -218,7 +218,9 @@ class TestStar:
         (3, 0, C7, "e*m != p^ell - 1 (3*0 != 6)"),
         (4, -2, C7, "e*m != p^ell - 1 (4*-2 != 6)"),  # 4 does not divide 6
         (4, 2, C9, "e does not divide p - 1 (4 does not divide 2)"),
-        (0, 1, C7, "a star needs at least one edge")])
+        (0, 1, C7, "a star needs at least one edge"),
+        (100001, 2, GroupSpec(200003, 1),
+         "a star has at most 100000 edges, got 100001")])
     def test_first_violation_raised(self, e, m, group, message):
         with pytest.raises(ValueError) as info:
             star(e, m, group)
