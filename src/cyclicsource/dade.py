@@ -142,7 +142,7 @@ def element_from_jordan(group: GroupSpec, n: int) -> DadeElement:
     p^(d-1), and undoing the step gives the size at depth d - 1; n is a
     class exactly when this ends at 1.  Injective on the classes of
     `enumerate_elements`; for p = 2 the image is the odd n < 2^ell."""
-    alpha, size = [], n
+    alpha, size = [], operator.index(n)
     for depth in range(group.ell, 0, -1):
         alpha.append(int(size > group.p ** (depth - 1)))
         if alpha[-1]:

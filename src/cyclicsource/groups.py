@@ -86,6 +86,7 @@ class GroupSpec:
 
     def subgroup(self, i: int) -> "GroupSpec":
         """The subgroup D_i of order p^i."""
+        i = operator.index(i)
         if not 0 <= i <= self.ell:
             raise ValueError(f"subgroup index {i} out of range 0..{self.ell}")
         # built without __post_init__: p is prime and p^i <= p^ell

@@ -4,8 +4,8 @@ The indecomposable modules over the group algebra of a cyclic p-group in
 characteristic p are uniserial, one of each dimension 1..p^ell; we write J_n
 for the one of dimension n.  A module up to isomorphism is therefore a finite
 multiset of Jordan sizes, and everything in this file is closed-form
-arithmetic on such multisets.  Explicit matrices live in `oracle`, which
-certifies every formula here.
+arithmetic on such multisets.  `oracle` certifies `restrict`, `induce` and
+`relative_heller` on explicit matrices; `vertex` is in no sweep.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def relative_heller(m: ModuleSum, i: int) -> ModuleSum:
     J_m with m = p^(ell-i) * ceil(n / p^(ell-i)), and the kernel is J_{m-n}
     by uniseriality.  i = 0 is the ordinary Heller operator.
     """
-    m.group.subgroup(i)  # checks the index
-    q = m.group.p ** (m.group.ell - i)
+    q = m.group.p ** (m.group.ell - m.group.subgroup(i).ell)
     # J_{m-n} above: m - n = q ceil(n / q) - n = -n mod q
     return ModuleSum._of(m.group, [-n % q for n in m.parts if n % q])
 
@@ -115,7 +114,7 @@ def restrict(m: ModuleSum, i: int) -> ModuleSum:
     i = 0 gives n copies of J_1 over the trivial group.
     """
     sub = m.group.subgroup(i)
-    q = m.group.p ** (m.group.ell - i)
+    q = m.group.p ** (m.group.ell - sub.ell)
     out: list[int] = []
     for n in m.parts:
         a, b = divmod(n, q)
@@ -141,6 +140,7 @@ def vertex(n: int, group: GroupSpec) -> int:
 
     J_{p^ell} is projective (vertex index 0); J_1 has full vertex ell.
     """
+    n = operator.index(n)
     if not 1 <= n <= group.order:
         raise ValueError(f"Jordan size {n} out of range 1..{group.order}")
     v = 0

@@ -1,7 +1,9 @@
 """Brute-force matrix oracle over the prime field F_p.
 
-Every closed form in `modules` and `dade` is certified against explicit
-matrices: a module is realized as the action of a chosen generator, and its
+The `verify` sweeps hold `modules.restrict`, `induce`, `relative_heller` and
+`dade.w_module`, `dade_add` to explicit matrices; `dade.psi`, `psi_inverse`
+and `lift_character` are only cross-checked, and `modules.vertex` is in no
+sweep.  A module is realized as the action of a chosen generator, and its
 isomorphism type is recovered from the rank sequence r_s = rank((A - I)^s),
 since the number of Jordan blocks of size >= s+1 equals r_s - r_{s+1}.
 
@@ -392,9 +394,9 @@ def jordan_type(m: MatrixModule) -> ModuleSum:
 
 
 # ---------------------------------------------------------------------------
-# oracle operations on ModuleSums: each works part by part, checks the
-# capacity of the matrix that the part needs, then asks a kernel cached on
-# the part's mathematical inputs (p, ell, ...) for its Jordan type
+# oracle operations on ModuleSums: each builds one kind of matrix per part,
+# checks its capacity and asks its kernel, cached on (p, ell, ...), for the
+# Jordan type; the relative syzygy composes restriction and induction
 
 
 @lru_cache(maxsize=4096)
@@ -439,7 +441,7 @@ def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     parts: list[int] = []
     for n in m.parts:
         check_capacity(n, limit)
-        parts.extend(_restricted_jordan(m.group.p, m.group.ell, i, n))
+        parts.extend(_restricted_jordan(m.group.p, m.group.ell, sub.ell, n))
     return ModuleSum._of(sub, parts)
 
 
@@ -471,25 +473,20 @@ def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> Module
 def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     """Kernel of the minimal relatively D_i-projective cover, by matrices.
 
-    Per part J_n: restrict to D_i by explicit matrix power, induce each
-    restricted part back up through explicit block matrices, decompose the
-    result by rank sequences, and take its smallest part J_c with c >= n.
-    Induction over a direct sum is block diagonal, and the kernel of
-    J_c ->> J_n is J_(c-n), the span of e_n..e_(c-1) in the lower-shift
+    Per part J_n: `restrict_oracle` to D_i, `induce_oracle` of the distinct
+    restricted parts back to D, and the smallest induced part J_c with
+    c >= n.  Induction over a direct sum is block diagonal, and the kernel
+    of J_c ->> J_n is J_(c-n), the span of e_n..e_(c-1) in the lower-shift
     basis: both are structure, not closed forms.
     """
-    m.group.subgroup(i)  # checks the index
-    limit = capacity_limit(cap)
-    p, ell = m.group.p, m.group.ell
-    q = p ** (ell - i)
+    sub = m.group.subgroup(i)  # checks the index, of the zero module too
+    limit = capacity_limit(cap)  # and the cap
     out: list[int] = []
     for n in m.parts:
-        check_capacity(n, limit)
-        induced: list[int] = []
+        restricted = restrict_oracle(ModuleSum._of(m.group, (n,)), i, limit)
         # each distinct restricted part once, largest first
-        for a in dict.fromkeys(_restricted_jordan(p, ell, i, n)):
-            check_capacity(a * q, limit)
-            induced.extend(_induced_jordan(p, ell, i, a))
+        distinct = ModuleSum._of(sub, dict.fromkeys(restricted.parts))
+        induced = induce_oracle(distinct, m.group, limit).parts
         cover = min((c for c in induced if c >= n), default=None)
         if cover is None:
             raise AssertionError("induced-restricted module admits no cover")

@@ -1,13 +1,14 @@
-"""Verification sweeps: every closed form against the matrix oracle.
+"""Verification sweeps: the closed forms against the matrix oracle.
 
 Each suite enumerates a family of cases for one (p, ell), recomputes the
-closed-form answer through explicit matrices, and records any mismatch with
-its full witness.  A clean run has zero mismatches by construction; a
-mismatch means a formula (or the oracle) is wrong.  A module that should be
-capped but is not is such a mismatch, recorded with the module and the
-reason.  The capacity is the `cap` argument (the oracle's default if None),
-and every oracle call goes through `SuiteResult.oracle`: a case the oracle
-refuses as over the capacity counts as skipped, in every suite.
+closed-form answer through explicit matrices (`characters` checks closed
+forms against each other), and records any mismatch with its full witness.
+A clean run has zero mismatches by construction; a mismatch means a formula
+(or the oracle) is wrong.  A module that should be capped but is not is
+such a mismatch, recorded with the module and the reason.  The capacity is
+the `cap` argument (the oracle's default if None), and every oracle call
+goes through `SuiteResult.oracle`: a case the oracle refuses as over the
+capacity counts as skipped, in every suite.
 """
 
 from __future__ import annotations

@@ -4,9 +4,21 @@ the integer fields of GroupSpec and the records built on it."""
 import numpy as np
 import pytest
 
-from cyclicsource import groups
-from cyclicsource.blocks import BlockDescriptor
-from cyclicsource.dade import DadeElement, LiftCharacter, SignVector
+from cyclicsource import groups, modules, oracle
+from cyclicsource.blocks import (
+    PROVENANCE_PRINCIPAL,
+    BlockDescriptor,
+    WResult,
+    restrict_w,
+)
+from cyclicsource.dade import (
+    DadeElement,
+    LiftCharacter,
+    SignVector,
+    dade_zero,
+    element_from_jordan,
+    psi,
+)
 from cyclicsource.groups import (
     MAX_ORDER_DIGITS,
     PRIME_LIMIT,
@@ -89,7 +101,9 @@ C9 = GroupSpec(3, 2)
 # a non-integer where an integer is needed; coerced, these would give C_9.0,
 # a part 2.5, chi values (2, -1), the element 01, the sign 1, the lift
 # character of degree 2 with values (1, -1), and an inertial index or
-# multiplicity emitted as a float the parser refuses
+# multiplicity emitted as a float the parser refuses; a subgroup index or a
+# Jordan size would give C_3.0, a module over ell = 1.5, J_1.0, the vertex
+# 2, the class 11, or a TypeError from inside the matrix oracle
 NOT_INTEGERS = {
     "group": lambda: GroupSpec(3.0, 2.0),
     "group-ell": lambda: GroupSpec(3, 2.0),
@@ -102,6 +116,18 @@ NOT_INTEGERS = {
     "lift-degree": lambda: LiftCharacter(C9, 2.5, (1, -1)),
     "lift-values": lambda: LiftCharacter(C9, 2, (1.5, -1)),
     "multiplicity": lambda: star(2, 4.0, C9),
+    "subgroup-index": lambda: C9.subgroup(1.0),
+    "restrict-index": lambda: modules.restrict(ModuleSum(C9, ()), 1.5),
+    "relative-heller-index":
+        lambda: modules.relative_heller(ModuleSum(C9, (5,)), 1.0),
+    "restrict-oracle-index":
+        lambda: oracle.restrict_oracle(ModuleSum(C9, (5,)), 1.0),
+    "relative-heller-oracle-index":
+        lambda: oracle.relative_heller_oracle(ModuleSum(C9, (5,)), 1.0),
+    "restrict-w-index": lambda: restrict_w(
+        WResult(dade_zero(C9), psi(dade_zero(C9)), PROVENANCE_PRINCIPAL), 1.0),
+    "vertex-size": lambda: modules.vertex(7.5, C9),
+    "class-size": lambda: element_from_jordan(C9, 7.0),
 }
 
 
@@ -115,3 +141,15 @@ class TestIntegerFields:
         group = GroupSpec(np.int64(3), np.int32(2))
         assert group == C9 and type(group.p) is type(group.ell) is int
         assert list(map(type, ModuleSum(C9, (np.int64(2),)).parts)) == [int]
+
+    def test_numpy_subgroup_index_becomes_int(self):
+        # taken as given, the index made p^(ell - i) an int64, which wraps
+        # to 0 for C_{2^70}: J_3's relative syzygy came out as 0
+        big = GroupSpec(2, 70)
+        assert type(big.subgroup(np.int64(1)).ell) is int
+        m = ModuleSum(big, (3,))
+        for fn in (modules.restrict, modules.relative_heller):
+            got = fn(m, np.int64(1))
+            assert got == fn(m, 1) and list(map(type, got.parts)) == \
+                [int] * len(got.parts)
+        assert modules.relative_heller(m, np.int64(1)).parts == (2**69 - 3,)

@@ -945,3 +945,27 @@ class TestInduceOracle:
             induce_oracle(ModuleSum(C9.subgroup(0), (1,)), C9, cap=80)
         assert induce_oracle(ModuleSum(C9.subgroup(0), (1,)), C9, cap=81) \
             == module(C9, 9)
+
+
+class TestZeroModule:
+    # the zero module builds no matrix, yet its arguments are checked
+
+    @pytest.mark.parametrize(
+        "fn", [restrict_oracle, relative_heller_oracle,
+               modules.restrict, modules.relative_heller],
+        ids=lambda fn: f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__name__}")
+    def test_subgroup_index_checked(self, fn):
+        with pytest.raises(ValueError,
+                           match=r"^subgroup index 5 out of range 0\.\.2$"):
+            fn(ModuleSum(C9, ()), 5)
+
+    @pytest.mark.parametrize("fn", [
+        lambda m, cap: restrict_oracle(m, 1, cap),
+        lambda m, cap: relative_heller_oracle(m, 1, cap),
+        lambda m, cap: induce_oracle(m, C9, cap),
+        lambda m, cap: tensor_decompose(m, m, cap),
+    ], ids=["restrict", "relative-heller", "induce", "tensor"])
+    def test_cap_checked(self, fn):
+        with pytest.raises(ValueError,
+                           match="^cap must be a positive integer, got 0$"):
+            fn(ModuleSum(C9, ()), 0)

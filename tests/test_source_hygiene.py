@@ -13,7 +13,10 @@ dead code.
 
 No cache without a size bound: every `lru_cache` names a `maxsize`
 other than None and `functools.cache` is not used, so a long sweep holds a
-bounded number of results.
+bounded number of results.  One caller per oracle kernel: each cached
+function of `oracle` is called from one function of that module, its own
+operation, so each kernel's matrices are checked against the capacity in
+one place and every other operation composes operations, not kernels.
 
 One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
@@ -104,6 +107,13 @@ def unread_privates(trees):
 
 
 CACHES = ("lru_cache", "functools.lru_cache")
+BARE_CACHES = ("cache", "functools.cache")
+
+
+def cache_decorator(dec):
+    """The name of `dec` if it is a cache decorator, called or bare."""
+    name = _dotted(dec.func if isinstance(dec, ast.Call) else dec)
+    return name if name in (*CACHES, *BARE_CACHES) else None
 
 
 def unbounded_caches(tree):
@@ -112,8 +122,8 @@ def unbounded_caches(tree):
     found = []
     for node in ast.walk(tree):
         for dec in getattr(node, "decorator_list", ()):
-            if _dotted(dec) in ("cache", "functools.cache"):
-                found.append((dec.lineno, _dotted(dec)))
+            if (name := cache_decorator(dec)) in BARE_CACHES:
+                found.append((dec.lineno, name))
         if isinstance(node, ast.Call) and _dotted(node.func) in CACHES:
             sizes = [*node.args[:1],
                      *(k.value for k in node.keywords if k.arg == "maxsize")]
@@ -121,6 +131,20 @@ def unbounded_caches(tree):
                    for s in sizes):
                 found.append((node.lineno, _dotted(node.func)))
     return sorted(found)
+
+
+def kernel_callers(tree):
+    """{kernel: callers} for each cached top-level function of `tree`: the
+    top-level definitions (or "<module>") that call it by name."""
+    callers = {node.name: set() for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and any(map(cache_decorator, node.decorator_list))}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and \
+                    (name := _dotted(node.func)) in callers:
+                callers[name].add(getattr(top, "name", "<module>"))
+    return {name: sorted(found) for name, found in callers.items()}
 
 
 OUTPUT = ("print", "sys.stdout", "sys.stderr")
@@ -348,6 +372,30 @@ def test_unbounded_cache_is_seen():
     assert unbounded_caches(tree) == [
         (3, "lru_cache"), (5, "functools.lru_cache"), (7, "cache"),
         (13, "lru_cache")]
+
+
+def test_one_caller_per_oracle_kernel():
+    callers = kernel_callers(tree_of(PACKAGE / "oracle.py"))
+    assert callers, "no cached kernel found in oracle.py"
+    assert {name: found for name, found in callers.items()
+            if len(found) != 1} == {}
+
+
+def test_kernel_callers_are_seen():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@lru_cache(maxsize=8)\ndef _a(n): return n\n"
+                     "@functools.lru_cache(8)\ndef _b(n): return _a(n)\n"
+                     "@cache\ndef _c(n): pass\n"
+                     "@lru_cache\ndef _d(n): pass\n"
+                     "def one(n):\n    return _a(n) + _a(n + 1) + len(_d)\n"
+                     "def two(n):\n    def inner(): return _a(n)\n"
+                     "    return inner() + _b(n)\n"
+                     "class K:\n    def f(self): return _c(1)\n"
+                     "@other\ndef plain(n): return _b(n)\n"
+                     "x = _b(1)\n")
+    assert kernel_callers(tree) == {
+        "_a": ["_b", "one", "two"], "_b": ["<module>", "plain", "two"],
+        "_c": ["K"], "_d": []}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
