@@ -1,15 +1,14 @@
 """Exact-arithmetic toolkit for source modules of blocks with cyclic defect
-groups, with every closed form certified by a matrix oracle over F_p."""
+groups; `verify.CERTIFIED` names the closed forms that a matrix oracle over
+F_p certifies."""
 
 from .blocks import (
     BlockDescriptor,
     WResult,
     analyze,
-    fong_shift,
     infer_w,
     is_trivial_by_signs,
     metadata_criteria,
-    restrict_w,
 )
 from .dade import (
     DadeElement,
@@ -33,7 +32,6 @@ from .modules import (
     heller,
     induce,
     is_permutation,
-    module,
     relative_heller,
     restrict,
     vertex,
@@ -43,7 +41,6 @@ from .oracle import (
     OracleCapacityError,
     is_endo_permutation,
     jordan_type,
-    realize,
     tensor_decompose,
 )
 from .trees import (

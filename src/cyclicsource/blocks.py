@@ -5,9 +5,8 @@ group determine the source module up to isomorphism: their signs, after a
 global flip that normalizes the bottom layer to +1, are exactly the sign
 vector of the Dade element of the source.  Group-theoretic triviality
 criteria (principal block, centralizer/normalizer equalities, defect C_4)
-enter as user-asserted metadata flags, and the reduction bookkeeping
-(restriction-cap along subgroups, the defect-zero tensor shift) is wrapped
-here as Dade-group arithmetic.
+enter as user-asserted metadata flags.  `verify.CERTIFIED` and
+`verify.CROSS_CHECKED` name the closed forms that the `verify` sweeps check.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from . import dade
 from .dade import DadeElement, OddPrimeRequiredError, SignVector
 from .groups import GroupSpec
-from .modules import ModuleSum, cap_part, restrict
 
 PROVENANCE_CHARACTER = "character-values"
 PROVENANCE_PRINCIPAL = "principal-block"
@@ -177,21 +175,4 @@ def analyze(b: BlockDescriptor) -> WResult:
             f"character values give J_{from_chi.jordan}"
         )
     return from_flags
-
-
-def restrict_w(w: WResult, i: int) -> int:
-    """Jordan size of the source module of a covered block with defect
-    group D_i: the cap of the restriction.  Requires i >= 1 (the covered
-    block must meet the defect group non-trivially)."""
-    if i == 0:
-        raise ValueError("restriction target must be a non-trivial subgroup")
-    return cap_part(restrict(ModuleSum(w.dade.group, (w.jordan,)), i))
-
-
-def fong_shift(w_hat: DadeElement, cap_v: int) -> DadeElement:
-    """Dade-group shift for the defect-zero covered-block reduction: the
-    source class of the original block is the class of the cap of the
-    covered simple module plus the source class of the reduced block."""
-    shift = dade.element_from_jordan(w_hat.group, cap_v)
-    return dade.dade_add(w_hat, shift)
 

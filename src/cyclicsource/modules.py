@@ -4,8 +4,8 @@ The indecomposable modules over the group algebra of a cyclic p-group in
 characteristic p are uniserial, one of each dimension 1..p^ell; we write J_n
 for the one of dimension n.  A module up to isomorphism is therefore a finite
 multiset of Jordan sizes, and everything in this file is closed-form
-arithmetic on such multisets.  `oracle` certifies `restrict`, `induce` and
-`relative_heller` on explicit matrices; `vertex` is in no sweep.
+arithmetic on such multisets.  `verify.CERTIFIED` says which of these
+functions the matrix oracle holds to explicit matrices.
 """
 
 from __future__ import annotations
@@ -76,16 +76,12 @@ def _check_subgroup(sub: GroupSpec, group: GroupSpec) -> None:
         raise GroupMismatchError(f"{sub} is not a subgroup of {group}")
 
 
-def module(group: GroupSpec, *parts: int) -> ModuleSum:
-    return ModuleSum(group, tuple(parts))
-
-
 def heller(m: ModuleSum) -> ModuleSum:
     """Kernel-of-projective-cover operator, summand-wise.
 
     Projective parts (n = p^ell) are discarded; J_n goes to J_{p^ell - n}.
     An involution on projective-free modules.  It is the relative syzygy
-    for i = 0, and is computed (and certified) as that.
+    for i = 0, and is computed as that.
     """
     return relative_heller(m, 0)
 

@@ -1,11 +1,10 @@
 """Brute-force matrix oracle over the prime field F_p.
 
-The `verify` sweeps hold `modules.restrict`, `induce`, `relative_heller` and
-`dade.w_module`, `dade_add` to explicit matrices; `dade.psi`, `psi_inverse`
-and `lift_character` are only cross-checked, and `modules.vertex` is in no
-sweep.  A module is realized as the action of a chosen generator, and its
-isomorphism type is recovered from the rank sequence r_s = rank((A - I)^s),
-since the number of Jordan blocks of size >= s+1 equals r_s - r_{s+1}.
+The `verify` sweeps hold the closed forms named in `verify.CERTIFIED` to
+the explicit matrices built here.  A module is realized as the action of a
+chosen generator, and its isomorphism type is recovered from the rank
+sequence r_s = rank((A - I)^s), since the number of Jordan blocks of size
+>= s+1 equals r_s - r_{s+1}.
 
 Jordan types of unipotent matrices are insensitive to field extension, so
 the prime field stands in for the algebraically closed coefficient field.
@@ -292,16 +291,6 @@ def _shift_block(n: int, p: int) -> np.ndarray:
     """Unipotent lower-shift Jordan block: I + N with N e_t = e_{t+1}."""
     dtype = _int_type(p - 1)
     return np.eye(n, dtype=dtype) + np.eye(n, k=-1, dtype=dtype)
-
-
-def realize(m: ModuleSum, cap: int | None = None) -> MatrixModule:
-    """Block-diagonal matrix realization of a Jordan-size multiset."""
-    check_capacity(m.dim, cap)
-    a = _shift_block(m.dim, m.group.p)
-    # cut the shift into the first row of every block but the first
-    starts = np.cumsum(m.parts[:-1], dtype=int)
-    a[starts, starts - 1] = 0
-    return MatrixModule(m.group, a)
 
 
 def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:

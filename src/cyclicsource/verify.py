@@ -8,7 +8,8 @@ A clean run has zero mismatches by construction; a mismatch means a formula
 such a mismatch, recorded with the module and the reason.  The capacity is
 the `cap` argument (the oracle's default if None), and every oracle call
 goes through `SuiteResult.oracle`: a case the oracle refuses as over the
-capacity counts as skipped, in every suite.
+capacity counts as skipped, in every suite.  `CERTIFIED` names the closed
+forms that the suites hold to matrices.
 """
 
 from __future__ import annotations
@@ -246,6 +247,22 @@ SUITES = {
     "restriction": suite_restriction,
     "operator-composition": suite_operator_composition,
     "induction": suite_induction,
+}
+
+# Each public closed form of `modules`, `dade` and `blocks` that a suite
+# holds to the oracle's matrices, or only to other closed forms, with the
+# suites that do it.
+CERTIFIED = {
+    "modules.restrict": ("restriction",),
+    "modules.induce": ("induction",),
+    "modules.relative_heller": ("relative-heller",),
+    "dade.w_module": ("dade-law", "classification"),
+    "dade.dade_add": ("dade-law",),
+}
+CROSS_CHECKED = {
+    "dade.lift_character": ("characters",),
+    "dade.psi": ("characters",),
+    "dade.psi_inverse": ("characters",),
 }
 
 

@@ -8,6 +8,9 @@ Jordan basis of its source, independently of the composite
 `nullspace_mod` and `rank_mod` run on the oracle's one elimination kernel,
 so they also exercise that kernel.
 
+`realize` builds the block-diagonal action of a Jordan-size multiset
+with numpy alone, as input to `oracle.jordan_type`.
+
 `validate_by_sweep` is Brauer tree validation that decides tree-ness by a
 sweep of its own (per-vertex neighbour sets, mirror checks, a breadth-first
 search), independently of `trees._strip`; `trees.validate`, which takes
@@ -30,6 +33,16 @@ from cyclicsource.oracle import (
     matpow_mod,
 )
 from cyclicsource.trees import BrauerTree
+
+
+def realize(m: ModuleSum) -> MatrixModule:
+    """The block-diagonal action of a Jordan-size multiset: the identity
+    plus the lower shift inside each block."""
+    a = np.eye(m.dim, dtype=np.int64) + np.eye(m.dim, k=-1, dtype=np.int64)
+    # no shift from the last row of one block into the next block
+    starts = np.cumsum(m.parts[:-1], dtype=np.int64)
+    a[starts, starts - 1] = 0
+    return MatrixModule(m.group, a)
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:

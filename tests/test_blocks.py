@@ -1,11 +1,9 @@
 """Inference of the source module from block descriptors."""
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclicsource import dade, modules, oracle
+from cyclicsource import dade, modules
 from cyclicsource.blocks import (
     PROVENANCE_C4,
     PROVENANCE_CHARACTER,
@@ -17,11 +15,9 @@ from cyclicsource.blocks import (
     OddPrimeRequiredError,
     WResult,
     analyze,
-    fong_shift,
     infer_w,
     is_trivial_by_signs,
     metadata_criteria,
-    restrict_w,
 )
 from cyclicsource.dade import DadeElement
 from cyclicsource.groups import GroupSpec
@@ -222,68 +218,33 @@ class TestAnalyze:
 
 
 class TestRestrictW:
-    def _w(self, group, bits):
-        e = DadeElement(group, bits)
-        return WResult(e, dade.psi(e), PROVENANCE_CHARACTER)
+    """The source module of a covered block with defect group D_i is the
+    cap of W restricted to D_i: cap_part(restrict(J_w, i))."""
+
+    @staticmethod
+    def _restricted_cap(group, bits, i):
+        n = dade.w_module(DadeElement(group, bits))
+        return modules.cap_part(modules.restrict(ModuleSum(group, (n,)), i))
 
     def test_witness_value(self):
         # J_8 over C_9 restricts to J_3 + J_3 + J_2; the cap is J_2
-        from cyclicsource.modules import ModuleSum, cap_part, restrict
-        assert cap_part(restrict(ModuleSum(C9, (8,)), 1)) == 2
+        assert modules.cap_part(modules.restrict(ModuleSum(C9, (8,)), 1)) == 2
 
     def test_trivial_restricts_trivially(self):
-        w = self._w(C9, (0, 0))
-        assert restrict_w(w, 1) == 1
+        assert self._restricted_cap(C9, (0, 0), 1) == 1
 
     def test_small_class_restricts_to_its_cap(self):
-        w2 = self._w(C9, (0, 1))
-        assert w2.jordan == 2
-        assert restrict_w(w2, 1) == 1
+        assert dade.w_module(DadeElement(C9, (0, 1))) == 2
+        assert self._restricted_cap(C9, (0, 1), 1) == 1
 
     def test_identity_at_full_group(self):
-        w2 = self._w(C9, (0, 1))
-        assert restrict_w(w2, 2) == 2
-
-    def test_rejects_trivial_target(self):
-        w = self._w(C9, (0, 0))
-        with pytest.raises(ValueError, match="non-trivial subgroup"):
-            restrict_w(w, 0)
+        assert self._restricted_cap(C9, (0, 1), 2) == 2
 
     @pytest.mark.parametrize("i", [3, -1])
     def test_rejects_index_out_of_range(self, i):
         # the trivial class is no shortcut past the subgroup range check
-        w = self._w(C9, (0, 0))
         with pytest.raises(ValueError, match=rf"^subgroup index {i} out of range"):
-            restrict_w(w, i)
-
-
-class TestFongShift:
-    def test_shift_is_xor_with_cap_class(self):
-        w_hat = DadeElement(C9, (0, 1))
-        shifted = fong_shift(w_hat, 8)  # J_8 is the class (1, 0)
-        assert shifted == DadeElement(C9, (1, 1))
-
-    def test_shift_by_trivial_cap_is_identity(self):
-        w_hat = DadeElement(C9, (0, 1))
-        assert fong_shift(w_hat, 1) == w_hat
-
-    def test_unclassified_cap_rejected(self):
-        with pytest.raises(ValueError, match="not a capped"):
-            fong_shift(DadeElement(C9, (0, 0)), 4)
-
-    def test_well_defined_over_c8(self):
-        # both names of a class over C_8 shift to the same class, and the
-        # shift is the cap of the tensor product by the matrix oracle
-        c8 = GroupSpec(2, 3)
-        for bits in itertools.product((0, 1), repeat=2):
-            w_hat = DadeElement(c8, bits + (0,))
-            for cap_v in (1, 3, 5, 7):
-                shifted = fong_shift(w_hat, cap_v)
-                assert fong_shift(DadeElement(c8, bits + (1,)), cap_v) == \
-                    shifted
-                tensor = oracle.tensor_decompose(
-                    dade.w_module_sum(w_hat), ModuleSum(c8, (cap_v,)))
-                assert modules.cap_part(tensor) == dade.w_module(shifted)
+            self._restricted_cap(C9, (0, 0), i)
 
 
 class TestWResultValidation:

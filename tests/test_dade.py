@@ -22,7 +22,7 @@ from cyclicsource.dade import (
     w_module_sum,
 )
 from cyclicsource.groups import GroupSpec
-from cyclicsource.modules import GroupMismatchError
+from cyclicsource.modules import GroupMismatchError, ModuleSum
 
 C9 = GroupSpec(3, 2)
 C27 = GroupSpec(3, 3)
@@ -143,6 +143,43 @@ class TestWModule:
                 tensor = oracle.tensor_decompose(w_module_sum(a),
                                                  w_module_sum(b))
                 assert modules.cap_part(tensor) == w_module(dade_add(a, b))
+
+
+class TestFongShift:
+    """The defect-zero covered-block reduction in the Dade group: the
+    source class of the block is the class of the cap J_v of the covered
+    simple module plus the source class w_hat of the reduced block."""
+
+    @staticmethod
+    def _shift(w_hat, cap_v):
+        return dade_add(w_hat, element_from_jordan(w_hat.group, cap_v))
+
+    def test_shift_is_xor_with_cap_class(self):
+        w_hat = DadeElement(C9, (0, 1))
+        shifted = self._shift(w_hat, 8)  # J_8 is the class (1, 0)
+        assert shifted == DadeElement(C9, (1, 1))
+
+    def test_shift_by_trivial_cap_is_identity(self):
+        w_hat = DadeElement(C9, (0, 1))
+        assert self._shift(w_hat, 1) == w_hat
+
+    def test_unclassified_cap_rejected(self):
+        with pytest.raises(ValueError, match="not a capped"):
+            self._shift(DadeElement(C9, (0, 0)), 4)
+
+    def test_well_defined_over_c8(self):
+        # both names of a class over C_8 shift to the same class, and the
+        # shift is the cap of the tensor product by the matrix oracle
+        c8 = GroupSpec(2, 3)
+        for bits in product((0, 1), repeat=2):
+            w_hat = DadeElement(c8, bits + (0,))
+            for cap_v in (1, 3, 5, 7):
+                shifted = self._shift(w_hat, cap_v)
+                assert self._shift(DadeElement(c8, bits + (1,)), cap_v) == \
+                    shifted
+                tensor = oracle.tensor_decompose(
+                    w_module_sum(w_hat), ModuleSum(c8, (cap_v,)))
+                assert modules.cap_part(tensor) == w_module(shifted)
 
 
 class TestLiftCharacter:

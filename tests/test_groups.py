@@ -5,19 +5,12 @@ import numpy as np
 import pytest
 
 from cyclicsource import groups, modules, oracle
-from cyclicsource.blocks import (
-    PROVENANCE_PRINCIPAL,
-    BlockDescriptor,
-    WResult,
-    restrict_w,
-)
+from cyclicsource.blocks import BlockDescriptor
 from cyclicsource.dade import (
     DadeElement,
     LiftCharacter,
     SignVector,
-    dade_zero,
     element_from_jordan,
-    psi,
 )
 from cyclicsource.groups import (
     MAX_ORDER_DIGITS,
@@ -124,8 +117,6 @@ NOT_INTEGERS = {
         lambda: oracle.restrict_oracle(ModuleSum(C9, (5,)), 1.0),
     "relative-heller-oracle-index":
         lambda: oracle.relative_heller_oracle(ModuleSum(C9, (5,)), 1.0),
-    "restrict-w-index": lambda: restrict_w(
-        WResult(dade_zero(C9), psi(dade_zero(C9)), PROVENANCE_PRINCIPAL), 1.0),
     "vertex-size": lambda: modules.vertex(7.5, C9),
     "class-size": lambda: element_from_jordan(C9, 7.0),
 }

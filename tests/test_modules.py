@@ -10,7 +10,6 @@ from cyclicsource.modules import (
     heller,
     induce,
     is_permutation,
-    module,
     relative_heller,
     restrict,
     vertex,
@@ -35,32 +34,32 @@ def module_sums(draw):
 
 class TestModuleSum:
     def test_parts_sorted_descending(self):
-        m = module(C9, 1, 5, 3)
+        m = ModuleSum(C9, (1, 5, 3))
         assert m.parts == (5, 3, 1)
 
     def test_dim(self):
-        assert module(C9, 1, 5, 3).dim == 9
-        assert module(C9).dim == 0
+        assert ModuleSum(C9, (1, 5, 3)).dim == 9
+        assert ModuleSum(C9, ()).dim == 0
 
     def test_part_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            module(C3, 4)
+            ModuleSum(C3, (4,))
         with pytest.raises(ValueError, match="out of range"):
-            module(C3, 0)
+            ModuleSum(C3, (0,))
 
     def test_str(self):
-        assert str(module(C9, 3, 3, 1)) == "2*J_3 + J_1"
-        assert str(module(C9)) == "0"
+        assert str(ModuleSum(C9, (3, 3, 1))) == "2*J_3 + J_1"
+        assert str(ModuleSum(C9, ())) == "0"
 
 
 class TestHeller:
     def test_complements_dimension(self):
-        assert heller(module(C9, 2)).parts == (7,)
-        assert heller(module(C9, 8)).parts == (1,)
+        assert heller(ModuleSum(C9, (2,))).parts == (7,)
+        assert heller(ModuleSum(C9, (8,))).parts == (1,)
 
     def test_drops_projectives(self):
-        assert heller(module(C9, 9, 2)).parts == (7,)
-        assert heller(module(C3, 3)).parts == ()
+        assert heller(ModuleSum(C9, (9, 2))).parts == (7,)
+        assert heller(ModuleSum(C3, (3,))).parts == ()
 
     @given(module_sums())
     def test_involution_on_projective_free(self, m):
@@ -71,25 +70,25 @@ class TestHeller:
 
 class TestRelativeHeller:
     def test_matches_ordinary_heller_at_zero(self):
-        m = module(C9, 2, 5)
+        m = ModuleSum(C9, (2, 5))
         assert relative_heller(m, 0) == heller(m)
 
     def test_worked_value(self):
-        assert relative_heller(module(C9, 2), 1).parts == (1,)
+        assert relative_heller(ModuleSum(C9, (2,)), 1).parts == (1,)
 
     def test_drops_relatively_projective_parts(self):
         # parts divisible by p^(ell-i) are induced from D_i
-        assert relative_heller(module(C9, 3, 6, 2), 1).parts == (1,)
+        assert relative_heller(ModuleSum(C9, (3, 6, 2)), 1).parts == (1,)
 
     def test_top_index_is_identity_on_nothing(self):
         # i = ell: q = 1 divides everything, so everything is dropped
-        assert relative_heller(module(C9, 2, 5), 2).parts == ()
+        assert relative_heller(ModuleSum(C9, (2, 5)), 2).parts == ()
 
     def test_index_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            relative_heller(module(C9, 1), 3)
+            relative_heller(ModuleSum(C9, (1,)), 3)
         with pytest.raises(ValueError, match="out of range"):
-            relative_heller(module(C9, 1), -1)
+            relative_heller(ModuleSum(C9, (1,)), -1)
 
     @given(module_sums(), st.data())
     def test_double_application_reduces_mod_cover(self, m, data):
@@ -113,15 +112,15 @@ class TestRelativeHeller:
 
 class TestRestrict:
     def test_worked_value(self):
-        assert restrict(module(C9, 8), 1).parts == (3, 3, 2)
+        assert restrict(ModuleSum(C9, (8,)), 1).parts == (3, 3, 2)
 
     def test_to_trivial_group(self):
-        out = restrict(module(C9, 5), 0)
+        out = restrict(ModuleSum(C9, (5,)), 0)
         assert out.group == GroupSpec(3, 0)
         assert out.parts == (1,) * 5
 
     def test_identity_at_top(self):
-        m = module(C9, 5, 2)
+        m = ModuleSum(C9, (5, 2))
         assert restrict(m, 2) == m
 
     @given(module_sums(), st.data())
@@ -143,16 +142,16 @@ class TestInduce:
         assert induce(m, C27).parts == (18,)
 
     def test_identity_from_itself(self):
-        m = module(C9, 5)
+        m = ModuleSum(C9, (5,))
         assert induce(m, C9) == m
 
     def test_rejects_wrong_prime_or_bigger_group(self):
         with pytest.raises(GroupMismatchError,
                            match="^C_2 is not a subgroup of C_9$"):
-            induce(module(GroupSpec(2, 1), 1), C9)
+            induce(ModuleSum(GroupSpec(2, 1), (1,)), C9)
         with pytest.raises(GroupMismatchError,
                            match="^C_27 is not a subgroup of C_9$"):
-            induce(module(C27, 1), C9)
+            induce(ModuleSum(C27, (1,)), C9)
 
     @given(module_sums())
     def test_induced_parts_are_relatively_projective(self, m):
@@ -174,6 +173,6 @@ class TestVertexAndPermutation:
             vertex(10, C9)
 
     def test_is_permutation(self):
-        assert is_permutation(module(C9, 9, 3, 1, 1))
-        assert not is_permutation(module(C9, 2))
-        assert is_permutation(module(C9))
+        assert is_permutation(ModuleSum(C9, (9, 3, 1, 1)))
+        assert not is_permutation(ModuleSum(C9, (2,)))
+        assert is_permutation(ModuleSum(C9, ()))

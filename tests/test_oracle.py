@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import cyclicsource
 from cyclicsource import modules, oracle
 from cyclicsource.groups import GroupSpec
-from cyclicsource.modules import ModuleSum, NotCappedError, cap_part, module
+from cyclicsource.modules import ModuleSum, NotCappedError, cap_part
 from cyclicsource.oracle import (
     MatrixModule,
     OracleCapacityError,
@@ -31,7 +31,6 @@ from cyclicsource.oracle import (
     matmul_mod,
     matpow_mod,
     rank_profile,
-    realize,
     relative_heller_oracle,
     restrict_oracle,
     tensor_decompose,
@@ -40,6 +39,7 @@ from oracle_reference import (
     jordan_chains,
     nullspace_mod,
     rank_mod,
+    realize,
     relative_heller_oracle_counit,
 )
 
@@ -131,22 +131,21 @@ class TestLinearAlgebra:
 
 def reference_rref(a, p):
     """Reduced row echelon form of `a` over F_p, by Gauss-Jordan elimination
-    on lists of Python ints: (the non-zero rows, their pivot columns)."""
-    rows = [[int(x) % p for x in row] for row in np.asarray(a)]
-    n = np.asarray(a).shape[1]
+    on int64 rows reduced mod p after every pivot (exact: (p-1)^2 < 2^63):
+    (the non-zero rows, their pivot columns)."""
+    rows = np.asarray(a, dtype=np.int64) % p
     pivots = []
-    for c in range(n):
+    for c in range(rows.shape[1]):
         r = len(pivots)
-        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if hit is None:
+        hit = np.flatnonzero(rows[r:, c])
+        if hit.size == 0:
             continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        rows[[r, r + hit[0]]] = rows[[r + hit[0], r]]
+        rows[r] = rows[r] * pow(int(rows[r, c]), p - 2, p) % p
+        factors = rows[:, c].copy()
+        factors[r] = 0
+        rows -= np.outer(factors, rows[r])
+        rows %= p
         pivots.append(c)
     return rows[: len(pivots)], pivots
 
@@ -260,8 +259,8 @@ class TestKernelAgainstReference:
         while p**ell < max(a, b):
             ell += 1
         group = GroupSpec(p, ell)
-        kron = np.kron(realize(module(group, a)).action,
-                       realize(module(group, b)).action) % p
+        kron = np.kron(realize(ModuleSum(group, (a,))).action,
+                       realize(ModuleSum(group, (b,))).action) % p
         ranks = reference_power_ranks(
             (kron - np.eye(a * b, dtype=np.int64)) % p, p)
         seq = [a * b] + ranks + [0, 0]
@@ -358,7 +357,7 @@ class TestRankProfileGallop:
 
         monkeypatch.setattr(oracle, "_echelon", counted)
         group = GroupSpec(5, 3)
-        assert jordan_type(realize(module(group, 125))).parts == (125,)
+        assert jordan_type(realize(ModuleSum(group, (125,)))).parts == (125,)
         assert len(calls) <= 2 * math.ceil(math.log2(125)) + 4
 
     @pytest.mark.parametrize("group, parts, most", [
@@ -547,7 +546,7 @@ class TestKernelWidths:
 
     @pytest.mark.parametrize("p", [2, 5, 23, 29])
     @pytest.mark.parametrize("m, n, k", [(300, 280, 40), (280, 300, 200)])
-    def test_wide_panels(self, monkeypatch, p, m, n, k):
+    def test_sparse_core_updates(self, monkeypatch, p, m, n, k):
         # cores of SPARSE cells or more update only the rows a pivot
         # column hits
         gauss_jordan, cores = oracle._gauss_jordan, []
@@ -677,8 +676,8 @@ class TestNarrowTypes:
 
             monkeypatch.setattr(oracle, name, recording)
         group = GroupSpec(5, 2)
-        kron = np.kron(realize(module(group, 24)).action,
-                       realize(module(group, 24)).action)
+        kron = np.kron(realize(ModuleSum(group, (24,))).action,
+                       realize(ModuleSum(group, (24,))).action)
         # J_24 = Omega(J_1) over C_25, so its tensor square is J_1 plus
         # projectives
         parts = jordan_type(MatrixModule(group, kron)).parts
@@ -712,7 +711,7 @@ class TestNarrowTypes:
         assert block.dtype == dtype
         assert block.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0],
                                   [0, 0, 1, 1]]
-        realized = realize(module(group, 3, 2, 1))
+        realized = realize(ModuleSum(group, (3, 2, 1)))
         assert realized.action.dtype == dtype
         assert jordan_type(realized).parts == (3, 2, 1)
         narrow = MatrixModule(group, block.astype(np.int16))
@@ -752,7 +751,7 @@ class TestNarrowTypes:
 
 class TestJordanType:
     def test_round_trip_realize(self):
-        m = module(C9, 5, 3, 1)
+        m = ModuleSum(C9, (5, 3, 1))
         assert jordan_type(realize(m)) == m
 
     @given(st.data())
@@ -780,7 +779,7 @@ class TestJordanType:
                 jordan_type(MatrixModule(group, block(n)))
 
     def test_jordan_chains_recover_type(self):
-        m = module(C9, 6, 3, 3, 1)
+        m = ModuleSum(C9, (6, 3, 3, 1))
         mat = realize(m).action
         n = (mat - np.eye(m.dim, dtype=np.int64)) % 3
         chains = jordan_chains(n, 3)
@@ -835,16 +834,17 @@ class TestCapacity:
         # each part is its own 3 x 3 matrix; the 6-dimensional sum is never
         # built
         assert restrict_oracle(ModuleSum(C9, (3, 3)), 1, cap=9) == \
-            module(C3, 1, 1, 1, 1, 1, 1)
+            ModuleSum(C3, (1, 1, 1, 1, 1, 1))
 
 
 class TestTensor:
     def test_worked_value(self):
-        assert tensor_decompose(module(C3, 2), module(C3, 2)).parts == (3, 1)
+        j2 = ModuleSum(C3, (2,))
+        assert tensor_decompose(j2, j2).parts == (3, 1)
 
     def test_trivial_is_identity(self):
-        m = module(C9, 5, 2)
-        assert tensor_decompose(m, module(C9, 1)) == m
+        m = ModuleSum(C9, (5, 2))
+        assert tensor_decompose(m, ModuleSum(C9, (1,))) == m
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
@@ -861,24 +861,24 @@ class TestTensor:
 
 class TestEndoPermutationAndCap:
     def test_known_class_member(self):
-        assert is_endo_permutation(module(C9, 2))
-        assert is_endo_permutation(module(C9, 8))
+        assert is_endo_permutation(ModuleSum(C9, (2,)))
+        assert is_endo_permutation(ModuleSum(C9, (8,)))
 
     def test_known_non_member(self):
-        assert not is_endo_permutation(module(C9, 4))
+        assert not is_endo_permutation(ModuleSum(C9, (4,)))
 
     def test_cap_part(self):
-        assert cap_part(module(C9, 3, 3, 2)) == 2
+        assert cap_part(ModuleSum(C9, (3, 3, 2))) == 2
 
     def test_cap_requires_unique_coprime_part(self):
         with pytest.raises(NotCappedError, match="zero module"):
-            cap_part(module(C9))
+            cap_part(ModuleSum(C9, ()))
         with pytest.raises(NotCappedError):
-            cap_part(module(C9, 3, 3))
+            cap_part(ModuleSum(C9, (3, 3)))
         with pytest.raises(NotCappedError):
-            cap_part(module(C9, 2, 1))
+            cap_part(ModuleSum(C9, (2, 1)))
         # repeated copies of a single coprime size are a valid cap
-        assert cap_part(module(C9, 2, 2)) == 2
+        assert cap_part(ModuleSum(C9, (2, 2))) == 2
 
 
 class TestClosedFormsAgainstOracle:
@@ -944,7 +944,7 @@ class TestInduceOracle:
         with pytest.raises(OracleCapacityError, match="limit is 80"):
             induce_oracle(ModuleSum(C9.subgroup(0), (1,)), C9, cap=80)
         assert induce_oracle(ModuleSum(C9.subgroup(0), (1,)), C9, cap=81) \
-            == module(C9, 9)
+            == ModuleSum(C9, (9,))
 
 
 class TestZeroModule:

@@ -38,12 +38,20 @@ import nothing from `oracle`, `verify` or `cli`, and `oracle` imports from
 the package only the group, the module multiset, the two group checks and
 `is_permutation`, so the oracle never calls the closed forms it certifies.
 Imports inside functions count as well.
+
+One ledger of what is certified: every public top-level function of
+`modules`, `dade` and `blocks` is named in `verify.CERTIFIED` or
+`verify.CROSS_CHECKED`, or it is on `UNCERTIFIED` below with its reason;
+every name on these lists is such a function, and every suite they name
+is in `verify.SUITES`.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from cyclicsource import verify
 
 PACKAGE = Path(__file__).parents[1] / "src" / "cyclicsource"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -243,6 +251,52 @@ ORACLE_IMPORTS = {("groups", "GroupSpec"), ("modules", "ModuleSum"),
                   ("modules", "is_permutation")}
 
 
+LEDGER_MODULES = ("modules", "dade", "blocks")
+LATTICE = "waits for a lattice oracle of the characters (ROADMAP item 4)"
+UNCERTIFIED = {
+    "modules.heller": "it is relative_heller(m, 0)",
+    "modules.vertex": "waits for the relative syzygy above q (ROADMAP item 8)",
+    "modules.is_permutation": "a definition that the oracle reads",
+    "modules.cap_part": "a definition that the suites read",
+    "dade.dade_zero": "the zero bit vector",
+    "dade.w_module_sum": "it is w_module as a one-part module",
+    "dade.enumerate_elements": "the classes that the suites sweep",
+    "dade.element_from_jordan": "the inverse of w_module, held to it in "
+                                "tests/test_dade.py",
+    "blocks.infer_w": LATTICE,
+    "blocks.is_trivial_by_signs": LATTICE,
+    "blocks.metadata_criteria": "maps user-asserted flags to the trivial "
+                                "class, with nothing to compute",
+    "blocks.analyze": LATTICE,
+}
+
+
+def public_functions(trees):
+    """"module.name" of each public top-level function of `trees` (module
+    name -> syntax tree)."""
+    return {f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")}
+
+
+def ledger_faults(functions, ledgers, uncertified, suites):
+    """What the ledgers (name -> suites) and `uncertified` (name -> reason)
+    get wrong about `functions`: a function on no list, a name on two
+    lists or on one that is no function, and a suite not in `suites`."""
+    listed = [name for ledger in ledgers for name in ledger] + list(uncertified)
+    faults = [f"{name}: on no list" for name in sorted(functions)
+              if name not in listed]
+    faults += [f"{name}: listed twice" for name in sorted(set(listed))
+               if listed.count(name) > 1]
+    faults += [f"{name}: no such function" for name in listed
+               if name not in functions]
+    faults += [f"{name}: no suite {suite}" for ledger in ledgers
+               for name, named in ledger.items() for suite in named
+               if suite not in suites]
+    return faults
+
+
 COERCIONS = ("int", "float")
 
 
@@ -438,3 +492,29 @@ def test_coercion_in_post_init_is_seen():
                      "class B:\n    def scale(self):\n"
                      "        return float(self.b)\n")
     assert post_init_coercions(tree) == [(4, "int"), (5, "float")]
+
+
+def ledger_trees():
+    return {name: tree_of(PACKAGE / f"{name}.py") for name in LEDGER_MODULES}
+
+
+def test_every_public_closed_form_is_in_the_ledger():
+    assert ledger_faults(public_functions(ledger_trees()),
+                         (verify.CERTIFIED, verify.CROSS_CHECKED),
+                         UNCERTIFIED, verify.SUITES) == []
+
+
+def test_ledger_faults_are_seen():
+    # a public function added to modules, a stale name, a name on two
+    # lists and a suite that does not exist
+    trees = ledger_trees()
+    trees["modules"].body += ast.parse("def new_form(m): pass\n"
+                                       "def _helper(m): pass\n").body
+    certified = {**verify.CERTIFIED, "dade.gone": ("dade-law",),
+                 "modules.heller": ("no-such-suite",)}
+    assert ledger_faults(public_functions(trees),
+                         (certified, verify.CROSS_CHECKED),
+                         UNCERTIFIED, verify.SUITES) == [
+        "modules.new_form: on no list", "modules.heller: listed twice",
+        "dade.gone: no such function",
+        "modules.heller: no suite no-such-suite"]

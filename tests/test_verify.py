@@ -2,9 +2,11 @@
 
 import pytest
 
+import cyclicsource
 from cyclicsource import dade, verify
 from cyclicsource.dade import DadeElement
 from cyclicsource.groups import GroupSpec
+from cyclicsource.modules import ModuleSum
 
 
 def by_name(results):
@@ -124,3 +126,38 @@ class TestCapacitySkips:
         with pytest.raises(ValueError,
                            match=f"cap must be a positive integer, got {cap}"):
             verify.run_suites(GroupSpec(3, 1), ["dade-law"], cap=cap)
+
+
+def perturbed(result):
+    """A wrong answer of the type of `result`: one more J_1 part, the
+    Heller bit flipped, or the Jordan size plus one."""
+    if isinstance(result, ModuleSum):
+        return ModuleSum(result.group, result.parts + (1,))
+    if isinstance(result, DadeElement):
+        return DadeElement(result.group,
+                           (1 - result.alpha[0],) + result.alpha[1:])
+    return result + 1
+
+
+class TestLedger:
+    """Each closed form in `verify.CERTIFIED`, made wrong, fails every
+    suite that the ledger names for it: no suite claims a closed form that
+    it does not compare with the oracle.
+
+    This cannot catch an assumption that the closed form and the oracle
+    share.  Both take the relative syzygy of a part J_n above q = p^(ell-i)
+    as the kernel of J_(q ceil(n/q)) ->> J_n, a cover that does not split
+    on restriction to D_i (ROADMAP item 8), and they agree on it."""
+
+    @pytest.mark.parametrize("group", [GroupSpec(3, 2), GroupSpec(2, 3)],
+                             ids=["C9", "C8"])
+    @pytest.mark.parametrize("name", verify.CERTIFIED)
+    def test_a_wrong_closed_form_fails_its_suites(self, monkeypatch, name,
+                                                  group):
+        module, attr = name.split(".")
+        owner = getattr(cyclicsource, module)
+        right = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr,
+                            lambda *args: perturbed(right(*args)))
+        results = verify.run_suites(group, list(verify.CERTIFIED[name]))
+        assert [r.name for r in results if not r.mismatches] == []
