@@ -19,10 +19,11 @@ bound, and a product, taken through float32 BLAS below 2^24, else float64
 BLAS below 2^53 (always, for the sizes admitted by the capacity check), is
 cast to the type of its bound and reduced there once.
 
-The one elimination routine, `_echelon`, takes the rows of singleton
-columns as pivots in bulk before one Gauss-Jordan pass runs on the rest:
-peeled rows join no dependency, so the output is identical to that of the
-pass on the whole matrix, and the elimination takes no matrix product.
+The one elimination routine, `_eliminate`, takes the rows of singleton
+columns as pivots in bulk before one Gauss-Jordan pass runs on the rest,
+with no matrix product, and returns the parts: `rank_profile` restricts M
+to im M^j from them as [R[:, free] | R[:, core] E_core], R = M[free +
+core_rows], with no E, and with no product when the core is empty.
 numpy loads at the oracle's first computation, not at import: `infer`,
 `tree` and `dade` never load it.
 """
@@ -154,28 +155,20 @@ def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The one elimination routine of the oracle: (E, rows) with a = E @
-    a[rows], where rows is the row rank profile of `a` mod p (each row that
-    is independent of the rows above it) and E, of a's integer type, is in
-    reduced column echelon form: column k is zero above rows[k], and
-    E[rows] is the identity.  The contract makes (E, rows) unique.
-
-    Free pivots are taken first, in bulk: the singleton peel that opens
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """The one elimination routine of the oracle, on entries in [0, p):
+    (free, core, core_rows, E_core).  The singleton peel that opens
     structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
-    sparse linear systems over finite fields", CRYPTO 1990).  A column that
-    is non-zero in exactly one live row gives that row a pivot with no
-    fill, so each round peels the rows of every such column and takes
-    their non-zeros off the column counts, until no column is a singleton.
-    Peeled rows join no dependency (in one, the first peeled row would be
-    the only one to hit its column), so the output is identical to the
-    Gauss-Jordan pass's on all of `a`: rows is the peeled rows together
-    with the profile of the core, the other non-zero rows on the columns
-    they still hit, and E is unit columns at the peeled rows plus the
-    core's E, which `_gauss_jordan` computes on the core, reduced once.
-    """
+    sparse linear systems over finite fields", CRYPTO 1990) takes free
+    pivots in bulk: a column that is non-zero in exactly one live row gives
+    that row a pivot with no fill, so each round peels the rows of every
+    such column, `free`, and takes their non-zeros off the column counts,
+    until no column is a singleton.  Peeled rows join no dependency (in one,
+    the first peeled row would be the only one to hit its column), so E is
+    unit columns at them; `_gauss_jordan` on the other non-zero rows,
+    `core`, and the columns they still hit gives the core's profile rows
+    and E_core.  No matrix product is taken."""
     m = a.shape[0]
-    a = _mod(a, p)
     hit = a != 0
     counts = hit.sum(axis=0)
     profile = np.zeros(m, dtype=bool)
@@ -186,17 +179,28 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         hit[fresh] = False
         profile |= fresh
     free = profile.nonzero()[0]
+    if not counts.any():  # every non-zero row was peeled
+        return free, free[:0], free[:0], a[:0, :0]
     core = hit.any(axis=1).nonzero()[0]
-    if core.size:
-        basis_c, rows_c = _gauss_jordan(a[np.ix_(core, counts.nonzero()[0])], p)
-        core_rows = core[rows_c]
-        profile[core_rows] = True
+    basis, rows = _gauss_jordan(a[core][:, counts.nonzero()[0]], p)
+    return free, core, core[rows], basis
+
+
+def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """(E, rows) with a = E @ a[rows], from `_eliminate`'s parts: rows is
+    the row rank profile of `a` mod p (each row that is independent of the
+    rows above it) and E, of a's integer type, is in reduced column echelon
+    form: column k is zero above rows[k], and E[rows] is the identity.  The
+    contract makes (E, rows) unique, that of one Gauss-Jordan pass on `a`."""
+    a = _mod(a, p)
+    free, core, core_rows, basis_c = _eliminate(a, p)
+    profile = np.zeros(a.shape[0], dtype=bool)
+    profile[free] = profile[core_rows] = True
     rows = profile.nonzero()[0]
     column = np.cumsum(profile) - 1  # of E, at each row of the profile
-    basis = np.zeros((m, rows.size), dtype=a.dtype)
+    basis = np.zeros((a.shape[0], rows.size), dtype=a.dtype)
     basis[free, column[free]] = 1
-    if core.size:
-        basis[np.ix_(core, column[core_rows])] = basis_c
+    basis[np.ix_(core, column[core_rows])] = basis_c
     return basis, rows.tolist()
 
 
@@ -296,38 +300,44 @@ def _shift_block(n: int, p: int) -> np.ndarray:
 def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
     """[rank(N), rank(N^2), ...] down to the last non-zero power.
 
-    Computed on N restricted to its image: with N = C @ R, C = column_space
-    (N) and R = N[rows] its independent rows, N^(s+1) = C (R C)^s R, and C
-    and R have full rank, so rank(N^(s+1)) = rank((R C)^s).  The loop
-    keeps M, the action of N on the image of N^s, an r_s x r_s matrix with
-    rank(M^t) = r_(s+t).
+    The loop keeps M, the action of N on the image of N^s, an r_s x r_s
+    matrix with rank(M^t) = r_(s+t), and restricts it with no E: for R =
+    M[free + core_rows] from an elimination of M^j (the basis of im M^j
+    taken peeled rows first, a permutation similarity), M acts on im M^j
+    as M' = [R[:, free] | R[:, core] E_core], a gather alone with no core.
 
     It gallops along stretches where the rank falls by a constant amount
     (convexity): d_s = r_s - r_(s+1), the dimension of ker N within im
     N^s, never increases (for nilpotent N it counts the Jordan blocks of
     size > s), so rank(M^j) = r_s - j d with d = d_(s-1) proves
     r_(s+t) = r_s - t d for every t <= j.  A plain step (j = 1) eliminates
-    M.  Once it falls by the previous difference d, j = 2: M^j is taken by
-    squaring and eliminated once; a proof appends the j ranks and doubles
-    j, a miss halves it.  j never passes the room left in the stretch: at
-    most r_s / d powers, and fewer than j' once a jump of j' missed, a
-    bound that later proofs keep.  A single block J_n thus costs O(log n)
-    eliminations instead of n - 1.  Only M, M^j and one basis are alive at
-    a time.
+    M.  Once it falls by the previous difference d, j = 2; a proof appends
+    the j ranks and doubles j, a miss halves it.  j never passes the room
+    left in the stretch: at most r_s / d powers, and fewer than j' once a
+    jump of j' missed, a bound that later proofs keep.  M^j restricted by
+    the same parts is (M')^j (im M^j is M-invariant), so the next jump
+    squares it once; only a miss, or a jump cut below it by the room,
+    takes the power from M again.  A single block J_n thus costs O(log n)
+    eliminations instead of n - 1.  M, M' and the carried power are the
+    only matrices alive.
 
     A plain step that leaves the rank unchanged proves that N is not
     nilpotent and raises ValueError; a profile is thus never longer than
     the matrix, and `jordan_type` alone bounds it by the group order.
     """
     ranks: list[int] = []
-    mat = n_mat
+    mat = power = _mod(n_mat, p)  # power = mat^have
     # room: the powers by which the rank can still fall by d
-    r, d, jump, room = n_mat.shape[0], 0, 1, 0
+    r, d, jump, room, have = n_mat.shape[0], 0, 1, 0, 1
     while r:
         while jump > room and jump > 1:
             jump //= 2
-        basis = column_space(mat if jump == 1 else matpow_mod(mat, jump, p), p)
-        rank = basis.shape[1]
+        if have > jump:
+            power, have = mat, 1
+        while have < jump:
+            power, have = matmul_mod(power, power, p), 2 * have
+        parts = _eliminate(power, p)
+        rank = parts[0].size + parts[2].size
         if jump == 1:
             if rank == r:
                 raise ValueError(
@@ -351,11 +361,18 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
         if not rank:  # the profile is complete: no product to take
             break
         r = rank
-        # R: the rows of the leading 1s, taken before the product so that
-        # the previous matrix can be freed
-        mat = mat[(basis != 0).argmax(axis=0)]
-        mat = matmul_mod(mat, basis, p)
+        power = _on_image(power, parts, p)  # (M')^have
+        mat = power if have == 1 else _on_image(mat, parts, p)
     return ranks
+
+
+def _on_image(mat: np.ndarray, parts, p: int) -> np.ndarray:
+    """M' = [R[:, free] | R[:, core] E_core], R = mat[free + core_rows]."""
+    free, core, core_rows, basis = parts
+    if not core.size:
+        return mat[free][:, free]
+    r = mat[np.concatenate((free, core_rows))]
+    return np.hstack((r[:, free], matmul_mod(r[:, core], basis, p)))
 
 
 def jordan_type(m: MatrixModule) -> ModuleSum:
@@ -423,15 +440,20 @@ def _restricted_jordan(p: int, ell: int, i: int, n: int) -> tuple[int, ...]:
     return jordan_type(MatrixModule(GroupSpec(p, i), power)).parts
 
 
+def _restriction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:
+    """The parts of each Res_{D_i} J_n, n in `parts`, within `limit`."""
+    out: list[int] = []
+    for n in parts:
+        check_capacity(n, limit)
+        out.extend(_restricted_jordan(d.p, d.ell, i, n))
+    return out
+
+
 def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     """Restriction to D_i computed on explicit matrices, part by part."""
     sub = m.group.subgroup(i)
-    limit = capacity_limit(cap)
-    parts: list[int] = []
-    for n in m.parts:
-        check_capacity(n, limit)
-        parts.extend(_restricted_jordan(m.group.p, m.group.ell, sub.ell, n))
-    return ModuleSum._of(sub, parts)
+    return ModuleSum._of(sub, _restriction(m.group, sub.ell, m.parts,
+                                           capacity_limit(cap)))
 
 
 @lru_cache(maxsize=4096)
@@ -447,35 +469,38 @@ def _induced_jordan(p: int, ell: int, i: int, a: int) -> tuple[int, ...]:
     return jordan_type(MatrixModule(GroupSpec(p, ell), action)).parts
 
 
+def _induction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:
+    """The parts of each Ind_{D_i}^D J_a, a in `parts`, within `limit`."""
+    out: list[int] = []
+    for a in parts:
+        check_capacity(a * d.p ** (d.ell - i), limit)
+        out.extend(_induced_jordan(d.p, d.ell, i, a))
+    return out
+
+
 def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> ModuleSum:
     """Induction computed on the explicit block matrices, part by part."""
     _check_subgroup(m.group, to)
-    limit = capacity_limit(cap)
-    q = to.p ** (to.ell - m.group.ell)
-    parts: list[int] = []
-    for n in m.parts:
-        check_capacity(n * q, limit)
-        parts.extend(_induced_jordan(to.p, to.ell, m.group.ell, n))
-    return ModuleSum._of(to, parts)
+    return ModuleSum._of(to, _induction(to, m.group.ell, m.parts,
+                                        capacity_limit(cap)))
 
 
 def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     """Kernel of the minimal relatively D_i-projective cover, by matrices.
 
-    Per part J_n: `restrict_oracle` to D_i, `induce_oracle` of the distinct
+    Per part J_n: its restriction to D_i, the induction of the distinct
     restricted parts back to D, and the smallest induced part J_c with
     c >= n.  Induction over a direct sum is block diagonal, and the kernel
     of J_c ->> J_n is J_(c-n), the span of e_n..e_(c-1) in the lower-shift
     basis: both are structure, not closed forms.
     """
-    sub = m.group.subgroup(i)  # checks the index, of the zero module too
+    i = m.group.subgroup(i).ell  # checks the index, of the zero module too
     limit = capacity_limit(cap)  # and the cap
     out: list[int] = []
     for n in m.parts:
-        restricted = restrict_oracle(ModuleSum._of(m.group, (n,)), i, limit)
-        # each distinct restricted part once, largest first
-        distinct = ModuleSum._of(sub, dict.fromkeys(restricted.parts))
-        induced = induce_oracle(distinct, m.group, limit).parts
+        # each distinct restricted part once
+        restricted = dict.fromkeys(_restriction(m.group, i, (n,), limit))
+        induced = _induction(m.group, i, restricted, limit)
         cover = min((c for c in induced if c >= n), default=None)
         if cover is None:
             raise AssertionError("induced-restricted module admits no cover")

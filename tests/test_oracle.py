@@ -5,6 +5,7 @@ unipotent matrices over F_p and every structural answer is read off rank
 sequences, kernels and chain bases, never off the formulas being checked.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -144,8 +145,11 @@ def reference_rref(a, p):
         rows[r] = rows[r] * pow(int(rows[r, c]), p - 2, p) % p
         factors = rows[:, c].copy()
         factors[r] = 0
-        rows -= np.outer(factors, rows[r])
-        rows %= p
+        # only the rows with a non-zero in column c change, and the pivot
+        # row is zero left of c, so only in columns c:
+        live = np.flatnonzero(factors)
+        rows[live, c:] = (rows[live, c:]
+                          - np.outer(factors[live], rows[r, c:])) % p
         pivots.append(c)
     return rows[: len(pivots)], pivots
 
@@ -154,33 +158,11 @@ def reference_rank(a, p):
     return len(reference_rref(a, p)[1])
 
 
-def gauss_rank(a, p):
-    """Rank of `a` over F_p by Gaussian elimination, one pivot at a time,
-    with numpy row operations reduced after every pivot (exact: (p-1)^2 <
-    2^63), so that the power ranks of matrices of a few hundred rows stay
-    cheap."""
-    w = np.asarray(a, dtype=np.int64) % p
-    rank = 0
-    for c in range(w.shape[1]):
-        hit = np.flatnonzero(w[rank:, c])
-        if hit.size == 0:
-            continue
-        w[[rank, rank + hit[0]]] = w[[rank + hit[0], rank]]
-        w[rank] = w[rank] * pow(int(w[rank, c]), p - 2, p) % p
-        below = w[rank + 1 :]
-        below -= np.outer(below[:, c], w[rank])
-        below %= p
-        rank += 1
-        if rank == w.shape[0]:
-            break
-    return rank
-
-
 def reference_power_ranks(n_mat, p):
     """[rank(N), rank(N^2), ...] down to the first zero power, with the
     powers taken in int64 (exact: d * (p-1)^2 < 2^63 at test sizes)."""
     ranks, power = [], n_mat % p
-    while (r := gauss_rank(power, p)) > 0:
+    while (r := reference_rank(power, p)) > 0:
         ranks.append(r)
         power = (power @ n_mat) % p
     return ranks
@@ -312,11 +294,25 @@ class TestRankProfileGallop:
     constant amount; every rank it reports must still be the rank of the
     power, whatever the stretches look like."""
 
-    @given(kernel_inputs())
-    @settings(max_examples=20, deadline=None)
-    def test_gauss_rank_is_the_reference_rank(self, case):
-        p, a = case
-        assert gauss_rank(a, p) == reference_rank(a, p)
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_reference_rank_counts_the_row_space(self, p, m, n, seed):
+        # p^rank distinct combinations of the rows, counted by brute force
+        a = np.random.default_rng(seed).integers(-p, 2 * p, (m, n))
+        coeffs = np.array(list(itertools.product(range(p), repeat=m)),
+                          dtype=np.int64).reshape(p**m, m)
+        span = {tuple(row) for row in coeffs @ a % p}
+        assert len(span) == p ** reference_rank(a, p)
+
+    @given(st.lists(st.integers(1, 12), max_size=6))
+    def test_reference_power_ranks_of_shift_blocks(self, parts):
+        # N^s has rank sum(max(n - s, 0)) on the nilpotent shift blocks J_n
+        n_mat = realize(ModuleSum(GroupSpec(13, 1), parts)).action
+        n_mat -= np.eye(n_mat.shape[0], dtype=n_mat.dtype)
+        want = [sum(max(n - s, 0) for n in parts)
+                for s in range(1, max(parts, default=1))]
+        assert reference_power_ranks(n_mat, 13) == want
 
     @given(st.sampled_from(PRIMES), long_blocks(), st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
@@ -349,16 +345,16 @@ class TestRankProfileGallop:
 
     def test_single_block_takes_logarithmic_eliminations(self, monkeypatch):
         calls = []
-        echelon = oracle._echelon
+        eliminate = oracle._eliminate
 
         def counted(a, p):
             calls.append(a.shape)
-            return echelon(a, p)
+            return eliminate(a, p)
 
-        monkeypatch.setattr(oracle, "_echelon", counted)
+        monkeypatch.setattr(oracle, "_eliminate", counted)
         group = GroupSpec(5, 3)
         assert jordan_type(realize(ModuleSum(group, (125,)))).parts == (125,)
-        assert len(calls) <= 2 * math.ceil(math.log2(125)) + 4
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(125)) + 4
 
     @pytest.mark.parametrize("group, parts, most", [
         (GroupSpec(5, 3), (100, 50, 3), 24),
@@ -369,11 +365,11 @@ class TestRankProfileGallop:
         # no later jump of the stretch may reach j again (32 and 13
         # eliminations when a proof doubled back past the bound)
         calls = []
-        echelon = oracle._echelon
-        monkeypatch.setattr(oracle, "_echelon",
-                            lambda a, p: calls.append(a.shape) or echelon(a, p))
+        eliminate = oracle._eliminate
+        monkeypatch.setattr(oracle, "_eliminate",
+                            lambda a, p: calls.append(a.shape) or eliminate(a, p))
         assert jordan_type(realize(ModuleSum(group, parts))).parts == parts
-        assert len(calls) <= most
+        assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("group, parts", [
         (GroupSpec(3, 1), (1,)),
@@ -397,6 +393,68 @@ class TestRankProfileGallop:
         assert all(0 not in a + b for a, b in shapes), shapes
         if parts == (1,):
             assert shapes == []
+
+
+def record(monkeypatch, name, seen, what):
+    """Patch oracle.`name` to append what(args, result) to `seen`."""
+    kernel = getattr(oracle, name)
+
+    def recording(*args):
+        out = kernel(*args)
+        seen.append(what(args, out))
+        return out
+
+    monkeypatch.setattr(oracle, name, recording)
+
+
+class TestRestrictionFromParts:
+    """rank_profile restricts M to im M^j from `_eliminate`'s parts with no
+    E: a gather while the core is empty, else one product by E_core.  It
+    carries the power it has proven, so a jump that doubles squares once;
+    squarings are the products of a matrix by itself."""
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("p", [2, 3, 32749])
+    @pytest.mark.parametrize("parts", [[8, 8, 8], [30, 3], [12, 5, 5, 1]])
+    def test_cores_against_power_ranks(self, monkeypatch, p, dtype, parts):
+        cores, restrictions = [], []
+        record(monkeypatch, "_eliminate", cores, lambda args, out: out[1].size)
+        record(monkeypatch, "matmul_mod", restrictions,
+               lambda args, out: args[0] is not args[1])
+        n_mat = hidden_nilpotent(p, parts, seed=1)
+        assert rank_profile(n_mat.astype(dtype), p) == \
+            reference_power_ranks(n_mat, p)
+        assert any(cores) and any(restrictions)
+
+    def test_shift_block_takes_no_restriction_product(self, monkeypatch):
+        squarings = []
+        record(monkeypatch, "matmul_mod", squarings,
+               lambda args, out: args[0] is args[1])
+        shift = oracle._shift_block(200, 5)
+        np.fill_diagonal(shift, 0)
+        assert rank_profile(shift, 5) == list(range(199, 0, -1))
+        assert squarings and all(squarings)
+
+    @pytest.mark.parametrize("parts, hidden, jumps", [
+        ((256,), False, 7), ((64, 64, 64), False, 5), ((64, 64), True, 5)],
+        ids=["J_256", "3*J_64", "hidden 2*J_64"])
+    def test_one_squaring_per_jump(self, monkeypatch, parts, hidden, jumps):
+        # two plain steps fall by d = len(parts), then jumps of 2, 4, ...
+        # powers are each proven; recomputing M^j from M took 1 + 2 + ...
+        # + jumps squarings
+        p = 5 if hidden else 2
+        n_mat = hidden_nilpotent(p, list(parts), seed=0) if hidden else \
+            realize(ModuleSum(GroupSpec(2, 8), parts)).action - \
+            np.eye(sum(parts), dtype=np.int16)
+        eliminations, squarings = [], []
+        record(monkeypatch, "_eliminate", eliminations, lambda args, out: 1)
+        record(monkeypatch, "matmul_mod", squarings,
+               lambda args, out: args[0] is args[1])
+        assert rank_profile(n_mat, p) == [sum(max(n - s, 0) for n in parts)
+                                          for s in range(1, parts[0])]
+        assert len(eliminations) == 2 + jumps
+        assert sum(squarings) == jumps
+        assert all(squarings) != hidden  # a hidden basis has cores
 
 
 class TestExactnessGuards:
@@ -617,18 +675,18 @@ class TestSingletonPeel:
 
     def test_peel_engages(self, monkeypatch):
         gauss_jordan = oracle._gauss_jordan
-        echelon = oracle._echelon
+        eliminate = oracle._eliminate
         inputs, cores = [], []
 
-        def echelon_recording(a, p):
+        def eliminate_recording(a, p):
             inputs.append(a.shape)
-            return echelon(a, p)
+            return eliminate(a, p)
 
         def gauss_jordan_recording(a, p):
             cores.append((inputs[-1], a.shape))
             return gauss_jordan(a, p)
 
-        monkeypatch.setattr(oracle, "_echelon", echelon_recording)
+        monkeypatch.setattr(oracle, "_eliminate", eliminate_recording)
         monkeypatch.setattr(oracle, "_gauss_jordan", gauss_jordan_recording)
         # every column of the nilpotent shift is a singleton, and so is
         # every column of each power and restriction of it
@@ -665,14 +723,16 @@ class TestNarrowTypes:
     there: every kernel function returns the integer type it is given."""
 
     def test_rank_profile_loop_stays_int16(self, monkeypatch):
+        # every elimination input, and every product's operands and result
         seen = {}
-        for name in ("column_space", "matmul_mod"):
+        for name in ("_eliminate", "matmul_mod"):
             kernel = getattr(oracle, name)
 
             def recording(*args, kernel=kernel, name=name):
+                out = kernel(*args)
                 seen.setdefault(name, set()).update(
-                    x.dtype for x in args if isinstance(x, np.ndarray))
-                return kernel(*args)
+                    x.dtype for x in (*args, out) if isinstance(x, np.ndarray))
+                return out
 
             monkeypatch.setattr(oracle, name, recording)
         group = GroupSpec(5, 2)
@@ -683,7 +743,7 @@ class TestNarrowTypes:
         parts = jordan_type(MatrixModule(group, kron)).parts
         assert parts == (25,) * 23 + (1,)
         narrow = {np.dtype(np.int16)}
-        assert seen == {"column_space": narrow, "matmul_mod": narrow}
+        assert seen == {"_eliminate": narrow, "matmul_mod": narrow}
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     @pytest.mark.parametrize("p", [5, 29])

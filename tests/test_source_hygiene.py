@@ -14,9 +14,11 @@ dead code.
 No cache without a size bound: every `lru_cache` names a `maxsize`
 other than None and `functools.cache` is not used, so a long sweep holds a
 bounded number of results.  One caller per oracle kernel: each cached
-function of `oracle` is called from one function of that module, its own
-operation, so each kernel's matrices are checked against the capacity in
-one place and every other operation composes operations, not kernels.
+function of `oracle` is called from one function of that module, which
+checks the kernel's matrices against the capacity, so that happens in one
+place and every operation composes those functions, not kernels.  One
+elimination kernel: `_gauss_jordan` has one caller, `_eliminate`, and
+`rank_profile` reaches neither `column_space` nor `_echelon`.
 
 One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
@@ -141,18 +143,38 @@ def unbounded_caches(tree):
     return sorted(found)
 
 
-def kernel_callers(tree):
-    """{kernel: callers} for each cached top-level function of `tree`: the
-    top-level definitions (or "<module>") that call it by name."""
-    callers = {node.name: set() for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and any(map(cache_decorator, node.decorator_list))}
+def callers_of(tree, names):
+    """{name: callers} for each of `names`: the top-level definitions of
+    `tree` (or "<module>") that call it by name."""
+    callers = {name: set() for name in names}
     for top in tree.body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and \
                     (name := _dotted(node.func)) in callers:
                 callers[name].add(getattr(top, "name", "<module>"))
     return {name: sorted(found) for name, found in callers.items()}
+
+
+def kernel_callers(tree):
+    """callers_of each cached top-level function of `tree`."""
+    return callers_of(tree, [node.name for node in tree.body
+                             if isinstance(node, ast.FunctionDef)
+                             and any(map(cache_decorator, node.decorator_list))])
+
+
+def reached(tree, start):
+    """The top-level functions of `tree` that `start` calls by name,
+    directly or through others of them."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Call) and (name := _dotted(node.func)) \
+                    in defs and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
 
 
 OUTPUT = ("print", "sys.stdout", "sys.stderr")
@@ -433,6 +455,28 @@ def test_one_caller_per_oracle_kernel():
     assert callers, "no cached kernel found in oracle.py"
     assert {name: found for name, found in callers.items()
             if len(found) != 1} == {}
+
+
+def test_one_elimination_kernel():
+    tree = tree_of(PACKAGE / "oracle.py")
+    assert callers_of(tree, ["_gauss_jordan"]) == {
+        "_gauss_jordan": ["_eliminate"]}
+    assert {"column_space", "_echelon"} & reached(tree, "rank_profile") == set()
+    assert "_eliminate" in reached(tree, "rank_profile")
+
+
+def test_second_elimination_caller_is_seen():
+    tree = ast.parse("def _gauss_jordan(a): pass\n"
+                     "def _eliminate(a): return _gauss_jordan(a)\n"
+                     "def _echelon(a): return _eliminate(a)\n"
+                     "def column_space(a): return _echelon(a)[0]\n"
+                     "def _helper(a): return column_space(a)\n"
+                     "def rank_profile(a): return _helper(a), _eliminate(a)\n"
+                     "def other(a):\n    return _gauss_jordan(a)\n")
+    assert callers_of(tree, ["_gauss_jordan"]) == {
+        "_gauss_jordan": ["_eliminate", "other"]}
+    assert reached(tree, "rank_profile") == {
+        "_helper", "column_space", "_echelon", "_eliminate", "_gauss_jordan"}
 
 
 def test_kernel_callers_are_seen():
