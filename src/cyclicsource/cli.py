@@ -42,13 +42,14 @@ from .oracle import capacity_limit, check_capacity
 EXIT_OK = 0
 EXIT_RECORD_ERROR = 1
 EXIT_PARSE_ERROR = 2
+# json.dumps with these arguments would build an encoder for every record
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
     if fmt == "json-lines":
         for record in records:
-            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            out.write("\n")
+            out.write(_JSON.encode(record) + "\n")
         return
     for record in records:
         kind = record.get("record", "?")

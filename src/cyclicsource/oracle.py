@@ -19,11 +19,13 @@ bound, and a product, taken through float32 BLAS below 2^24, else float64
 BLAS below 2^53 (always, for the sizes admitted by the capacity check), is
 cast to the type of its bound and reduced there once.
 
-The one elimination routine, `_eliminate`, takes the rows of singleton
-columns as pivots in bulk before one Gauss-Jordan pass runs on the rest,
-with no matrix product, and returns the parts: `rank_profile` restricts M
-to im M^j from them as [R[:, free] | R[:, core] E_core], R = M[free +
-core_rows], with no E, and with no product when the core is empty.
+The rank path's elimination, `_eliminate`, takes the rows of singleton
+columns, then on a large core rounds of row singletons, as pivots in bulk
+before one Gauss-Jordan pass runs on the rest, and returns a row basis S,
+the other non-zero rows D and X with a[D] = X a[S]: `rank_profile`
+restricts M to im M^j as M' = M[S][:, S] + M[S][:, D] X, a gather alone
+when D is empty, the sum held in the type of 2(p - 1).  `_echelon` and
+`column_space` keep the greedy reduced-echelon contract by the plain pass.
 numpy loads at the oracle's first computation, not at import: `infer`,
 `tree` and `dade` never load it.
 """
@@ -90,6 +92,8 @@ def check_capacity(dim: int, cap: int | None = None) -> None:
 SMALL = 1024
 # Cells from which a pivot updates only the rows its column hits.
 SPARSE = 1 << 14
+# Core cells from which `_eliminate` takes row singletons.
+ROW_PEEL = 1 << 12
 
 
 def _int_type(bound: int) -> type:
@@ -156,18 +160,18 @@ def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
-    """The one elimination routine of the oracle, on entries in [0, p):
-    (free, core, core_rows, E_core).  The singleton peel that opens
-    structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
-    sparse linear systems over finite fields", CRYPTO 1990) takes free
-    pivots in bulk: a column that is non-zero in exactly one live row gives
-    that row a pivot with no fill, so each round peels the rows of every
-    such column, `free`, and takes their non-zeros off the column counts,
-    until no column is a singleton.  Peeled rows join no dependency (in one,
-    the first peeled row would be the only one to hit its column), so E is
-    unit columns at them; `_gauss_jordan` on the other non-zero rows,
-    `core`, and the columns they still hit gives the core's profile rows
-    and E_core.  No matrix product is taken."""
+    """(S, D, X) for entries in [0, p): the rows S of a row basis, the
+    other non-zero rows D, and a[D] = X a[S[-k:]] mod p, k = X.shape[1].
+
+    The singleton peel of structured Gaussian elimination (LaMacchia and
+    Odlyzko, CRYPTO 1990) takes in bulk rounds the row of each column that
+    is non-zero in one live row: a pivot with no fill, on which no other
+    row takes a coefficient, so S lists these rows first, outside X.  On a
+    core of ROW_PEEL cells or more, rounds of row singletons follow: a row
+    with one live non-zero pivots there (one row per column), so the live
+    part stays a submatrix of `a`.  `_gauss_jordan` runs on what is left;
+    X is its E at the dependent rows, completed by a backward substitution
+    over the row rounds, each with a diagonal pivot block, on D alone."""
     m = a.shape[0]
     hit = a != 0
     counts = hit.sum(axis=0)
@@ -180,28 +184,58 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
         profile |= fresh
     free = profile.nonzero()[0]
     if not counts.any():  # every non-zero row was peeled
-        return free, free[:0], free[:0], a[:0, :0]
+        return free, free[:0], a[:0, :0]
     core = hit.any(axis=1).nonzero()[0]
-    basis, rows = _gauss_jordan(a[core][:, counts.nonzero()[0]], p)
-    return free, core, core[rows], basis
+    rounds = []  # the pivot rows and columns of each round of row singletons
+    if core.size * np.count_nonzero(counts) >= ROW_PEEL:
+        lens = hit.sum(axis=1)
+        while (single := (lens == 1).nonzero()[0]).size:
+            cols = hit[single].argmax(axis=1)
+            owner = np.zeros_like(counts)
+            owner[cols] = single
+            won = owner[cols] == single
+            rows, cols = single[won], cols[won]
+            rounds.append((rows, cols))
+            lens -= hit[:, cols].sum(axis=1)
+            lens[rows] = -1
+            hit[:, cols] = False
+            counts[cols] = 0
+    left = (lens > 0).nonzero()[0] if rounds else core
+    basis, rows = _gauss_jordan(a[left][:, counts.nonzero()[0]], p)
+    dep = np.ones(left.size, dtype=bool)
+    dep[rows] = False
+    if not rounds:
+        return np.concatenate((free, core[rows])), core[dep], basis[dep]
+    pivots, dead = (np.concatenate(part) for part in zip(*rounds))
+    s = np.concatenate((free, pivots, left[rows]))
+    # the core's dependent rows, then the rows that row singletons cleared
+    d = np.concatenate((left[dep], core[lens[core] == 0]))
+    x = np.zeros((d.size, s.size - free.size), dtype=a.dtype)
+    if not d.size:
+        return s, d, x
+    x[: left.size - len(rows), pivots.size:] = basis[dep]
+    res = a[d][:, dead]  # less the core's share, cleared by unit pivot rows
+    if rows:
+        share = matmul_mod(x[:, pivots.size:], a[left[rows]][:, dead], p)
+        res = _mod(res - share, p)
+    vals, at = np.unique(a[pivots, dead], return_inverse=True)
+    inverse = np.array([pow(v, -1, p) for v in vals.tolist()],
+                       dtype=_int_type((p - 1) ** 2))[at]
+    unit = _mod(a[pivots][:, dead] * inverse[:, None], p).astype(a.dtype)
+    ends = np.cumsum([0] + [r.size for r, _ in rounds])
+    for lo, hi in zip(ends[-2:0:-1], ends[:1:-1]):
+        share = matmul_mod(res[:, lo:hi], unit[lo:hi, :lo], p)
+        res[:, :lo] = _mod(res[:, :lo] - share, p)
+    x[:, : pivots.size] = _mod(res * inverse, p)
+    return s, d, x
 
 
 def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """(E, rows) with a = E @ a[rows], from `_eliminate`'s parts: rows is
-    the row rank profile of `a` mod p (each row that is independent of the
-    rows above it) and E, of a's integer type, is in reduced column echelon
-    form: column k is zero above rows[k], and E[rows] is the identity.  The
-    contract makes (E, rows) unique, that of one Gauss-Jordan pass on `a`."""
-    a = _mod(a, p)
-    free, core, core_rows, basis_c = _eliminate(a, p)
-    profile = np.zeros(a.shape[0], dtype=bool)
-    profile[free] = profile[core_rows] = True
-    rows = profile.nonzero()[0]
-    column = np.cumsum(profile) - 1  # of E, at each row of the profile
-    basis = np.zeros((a.shape[0], rows.size), dtype=a.dtype)
-    basis[free, column[free]] = 1
-    basis[np.ix_(core, column[core_rows])] = basis_c
-    return basis, rows.tolist()
+    """(E, rows), a = E @ a[rows] mod p, by the plain pass: rows is the row
+    rank profile of `a` and E, of a's type, is in reduced column echelon
+    form (column k is zero above rows[k], E[rows] = I), a unique contract
+    that the row singletons of `_eliminate`, another basis, do not keep."""
+    return _gauss_jordan(_mod(a, p), p)
 
 
 def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -301,10 +335,10 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
     """[rank(N), rank(N^2), ...] down to the last non-zero power.
 
     The loop keeps M, the action of N on the image of N^s, an r_s x r_s
-    matrix with rank(M^t) = r_(s+t), and restricts it with no E: for R =
-    M[free + core_rows] from an elimination of M^j (the basis of im M^j
-    taken peeled rows first, a permutation similarity), M acts on im M^j
-    as M' = [R[:, free] | R[:, core] E_core], a gather alone with no core.
+    matrix with rank(M^t) = r_(s+t), and restricts it by the parts (S, D,
+    X) of an elimination of M^j: the rows S of M^j are a basis of im M^j
+    (rows act on the right, M^j M = M M^j), and a[D] = X a[S] gives
+    M' = M[S][:, S] + M[S][:, D] X, a gather alone when D is empty.
 
     It gallops along stretches where the rank falls by a constant amount
     (convexity): d_s = r_s - r_(s+1), the dimension of ker N within im
@@ -337,7 +371,7 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
         while have < jump:
             power, have = matmul_mod(power, power, p), 2 * have
         parts = _eliminate(power, p)
-        rank = parts[0].size + parts[2].size
+        rank = parts[0].size
         if jump == 1:
             if rank == r:
                 raise ValueError(
@@ -367,12 +401,17 @@ def rank_profile(n_mat: np.ndarray, p: int) -> list[int]:
 
 
 def _on_image(mat: np.ndarray, parts, p: int) -> np.ndarray:
-    """M' = [R[:, free] | R[:, core] E_core], R = mat[free + core_rows]."""
-    free, core, core_rows, basis = parts
-    if not core.size:
-        return mat[free][:, free]
-    r = mat[np.concatenate((free, core_rows))]
-    return np.hstack((r[:, free], matmul_mod(r[:, core], basis, p)))
+    """M' = M[S][:, S] + M[S][:, D] X, X on the last X.shape[1] rows of S:
+    one product of inner width |D|, summed in the type of 2(p - 1)."""
+    s, d, x = parts
+    r = mat[s]
+    out = r[:, s]
+    if d.size:
+        tail = out[:, s.size - x.shape[1]:]
+        wide = tail.astype(_int_type(2 * (p - 1)), copy=False)
+        wide += matmul_mod(r[:, d], x, p)
+        tail[...] = _mod(wide, p)
+    return out
 
 
 def jordan_type(m: MatrixModule) -> ModuleSum:

@@ -17,8 +17,10 @@ bounded number of results.  One caller per oracle kernel: each cached
 function of `oracle` is called from one function of that module, which
 checks the kernel's matrices against the capacity, so that happens in one
 place and every operation composes those functions, not kernels.  One
-elimination kernel: `_gauss_jordan` has one caller, `_eliminate`, and
-`rank_profile` reaches neither `column_space` nor `_echelon`.
+elimination kernel: `_gauss_jordan` is the one Gauss-Jordan loop, called
+by `_eliminate` on its core and by `_echelon`, whose greedy contract the
+row singletons of `_eliminate` do not keep, and `rank_profile` reaches
+neither `column_space` nor `_echelon`.
 
 One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
@@ -460,7 +462,7 @@ def test_one_caller_per_oracle_kernel():
 def test_one_elimination_kernel():
     tree = tree_of(PACKAGE / "oracle.py")
     assert callers_of(tree, ["_gauss_jordan"]) == {
-        "_gauss_jordan": ["_eliminate"]}
+        "_gauss_jordan": ["_echelon", "_eliminate"]}
     assert {"column_space", "_echelon"} & reached(tree, "rank_profile") == set()
     assert "_eliminate" in reached(tree, "rank_profile")
 
@@ -468,13 +470,13 @@ def test_one_elimination_kernel():
 def test_second_elimination_caller_is_seen():
     tree = ast.parse("def _gauss_jordan(a): pass\n"
                      "def _eliminate(a): return _gauss_jordan(a)\n"
-                     "def _echelon(a): return _eliminate(a)\n"
+                     "def _echelon(a): return _gauss_jordan(a)\n"
                      "def column_space(a): return _echelon(a)[0]\n"
                      "def _helper(a): return column_space(a)\n"
                      "def rank_profile(a): return _helper(a), _eliminate(a)\n"
                      "def other(a):\n    return _gauss_jordan(a)\n")
     assert callers_of(tree, ["_gauss_jordan"]) == {
-        "_gauss_jordan": ["_eliminate", "other"]}
+        "_gauss_jordan": ["_echelon", "_eliminate", "other"]}
     assert reached(tree, "rank_profile") == {
         "_helper", "column_space", "_echelon", "_eliminate", "_gauss_jordan"}
 
