@@ -170,12 +170,13 @@ def cmd_tree_compare(args) -> list[dict]:
            for v in trees.validate(by_label[label])]
     if bad:
         raise ValueError("invalid tree(s): " + "; ".join(bad))
+    planar = trees.planar_isomorphic(t1, t2)  # which implies similarity
     return [{
         "record": "comparison",
         "label": f"{args.a} vs {args.b}",
         "status": "ok",
-        "similar": trees.similar(t1, t2),
-        "planar_isomorphic": trees.planar_isomorphic(t1, t2),
+        "similar": planar or trees.similar(t1, t2),
+        "planar_isomorphic": planar,
     }]
 
 

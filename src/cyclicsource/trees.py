@@ -12,9 +12,12 @@ are oriented, so mirror images are similar but not planar-isomorphic.  Both
 are decided through canonical codes of the tree rooted at its center (a
 vertex or an edge), with the exceptional vertex marked in its key.  One
 leaf-stripping pass, `_strip`, is the tree test for `validate` too, and
-gives the center, both codes and both sign colourings.  A tree keeps that
-pass and its codes, which nest three deep (levels, keys, ranks), so
-comparing two never recurses deeper.
+gives the center, each vertex's parent and its slot in the vertex's cyclic
+order, both codes and both sign colourings.  A tree keeps that pass, and
+each code once it is asked for; a code nests three deep (levels, keys,
+ranks), so comparing two trees never recurses deeper.  The leaf level is
+ranked without keys, and `tree compare` asks for the unordered code only
+when the planar codes differ, since planar isomorphism implies similarity.
 """
 
 from __future__ import annotations
@@ -55,14 +58,18 @@ class BrauerTree:
         return sum(map(len, self.planar.values())) // 2
 
     @cached_property
-    def _stripped(self) -> tuple[list[list[str]], dict[str, str]]:
+    def _stripped(self) -> tuple[list[list[str]], dict[str, str],
+                                 dict[str, int]]:
         return _strip(self)  # made once; a refusal is not kept
 
+    # each code made once, when first asked for: `planar` is a copy
     @cached_property
-    def _codes(self) -> tuple:
-        """The (unordered, planar) codes, made once: `planar` is a copy."""
-        return tuple((self.multiplicity, self.exceptional is not None, code)
-                     for code in _rooted_codes(self))
+    def _unordered_code(self) -> tuple:
+        return _rooted_code(self, planar=False)
+
+    @cached_property
+    def _planar_code(self) -> tuple:
+        return _rooted_code(self, planar=True)
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,7 @@ def type_functions(t: BrauerTree) -> tuple[TypeFunction, TypeFunction]:
     flip, since trees are bipartite and connected), the first with
     vertices[0] at +1; ValueError if the graph is not a tree.  Read off
     `_strip`: a vertex takes the negated sign of its parent."""
-    levels, parent = t._stripped
+    levels, parent, _ = t._stripped
     signs = dict(zip(levels[-1], (1, -1)))  # the center, a vertex or an edge
     for level in reversed(levels[:-1]):
         for v in level:
@@ -179,26 +186,28 @@ def star(e: int, m: int, group: GroupSpec) -> BrauerTree:
 # the rooting pass and canonical codes
 
 
-def _strip(t: BrauerTree) -> tuple[list[list[str]], dict[str, str]]:
-    """(levels, parent) of `t` rooted at its center, from stripping leaves
-    round by round: each round is one height level, the leaves first, and a
-    stripped vertex's parent is its one neighbour not yet stripped.  The
-    last level is the center, one vertex or the two ends of an edge, which
-    are each other's parent.  The one tree test of this module: ValueError
-    unless the orders list each edge of a tree on `t.vertices` once at each
-    end and nothing else, so nothing is read off another graph.  O(E) time."""
+def _strip(t: BrauerTree) -> tuple[list[list[str]], dict[str, str],
+                                   dict[str, int]]:
+    """(levels, parent, slot) of `t` rooted at its center, from stripping
+    leaves round by round: each round is one height level, the leaves first,
+    and a stripped vertex's parent is its one neighbour not yet stripped,
+    found at `t.planar[v][slot[v]]`.  The last level is the center, one
+    vertex or the two ends of an edge, which are each other's parent.  The
+    one tree test of this module: ValueError unless the orders list each
+    edge of a tree on `t.vertices` once at each end and nothing else, so
+    nothing is read off another graph.  O(E) time."""
     degree = dict.fromkeys(t.vertices, 0)
     named = len(degree)  # then an order of no vertex adds one
     degree.update(zip(t.planar, map(len, t.planar.values())))
     leaves = [v for v, d in degree.items() if d <= 1]
-    levels, parent, live = [], {}, set(degree)
+    levels, parent, slot, live = [], {}, {}, set(degree)
     while len(live) > 2 and leaves:
         live.difference_update(leaves)
         above = []
         for v in leaves:
-            for w in t.planar.get(v, ()):
+            for k, w in enumerate(t.planar.get(v, ())):
                 if w in live:  # its one neighbour left
-                    parent[v] = w
+                    parent[v], slot[v] = w, k
                     degree[w] -= 1
                     if degree[w] == 1:
                         above.append(w)
@@ -219,7 +228,9 @@ def _strip(t: BrauerTree) -> tuple[list[list[str]], dict[str, str]]:
             or not len(t.vertices) == named == len(degree) \
             or sum(map(len, t.planar.values())) != 2 * len(degree) - 2:
         raise ValueError("not a tree: graph is disconnected or has a cycle")
-    return [*levels, leaves], parent
+    slot.update((v, t.planar[v].index(parent[v]))  # the central edge's ends
+                for v in leaves if v in parent)
+    return [*levels, leaves], parent, slot
 
 
 def _least_rotation(seq) -> int:
@@ -242,62 +253,62 @@ def _least_rotation(seq) -> int:
     return i
 
 
-def _rooted_codes(t: BrauerTree) -> tuple[tuple, tuple]:
-    """The (unordered, planar) canonical codes of `t` rooted at its center,
+def _rooted_code(t: BrauerTree, planar: bool) -> tuple:
+    """The planar or unordered canonical code of `t` rooted at its center,
     from the one pass of `_strip`.  AHU ranks (Aho, Hopcroft and Ullman,
     1974), from the leaves up: a vertex's key is its children's ranks,
     sorted (unordered) or in cyclic order after the parent (planar), led by
     -1 at the exceptional vertex.  Its rank is the key's place among the
     distinct keys of its level, in lexicographic order, offset by the number
-    of vertices below, since a vertex's children sit at several heights.  At
-    a single root the planar key is its least rotation; a central edge is a
-    top level of two keys, so it never matches its subdivision.  A code is
-    the tuple of the levels' sorted keys, three deep at any height.  The tree
-    can be rebuilt from it, so equal codes mean isomorphic trees, with the
-    exceptional vertices matched.  O(E log E) time."""
-    levels, parent = t._stripped
-    children = {v: t.planar.get(v, ()) for v in levels[-1]}
-    for v, up in parent.items():  # in cyclic order after the parent
-        order = t.planar[v]
-        idx = order.index(up)
-        children[v] = order[idx + 1:] + order[:idx]
-
-    codes, ranks = ([], []), ({}, {})  # (unordered, planar) each
-    ranked = 0
-    for level in levels:
+    of vertices below, since a vertex's children sit at several heights.
+    The first level is the leaves, whose keys are () or (-1,), so it is
+    ranked without keys.  At a single root the planar key is its least
+    rotation; a central edge is a top level of two keys, so it never matches
+    its subdivision.  A code is the tuple of the levels' sorted keys, three
+    deep at any height, after the multiplicity and whether a vertex is
+    exceptional.  The tree can be rebuilt from it, so equal codes mean
+    isomorphic trees, with the exceptional vertices matched.  O(E log E)."""
+    (levels, _, slot), orders = t._stripped, t.planar
+    leaves, marked = levels[0], t.exceptional in levels[0]
+    rank = dict.fromkeys(leaves, 0)
+    if marked:  # after (): a tree of two levels or more has two leaves
+        rank[t.exceptional] = 1
+    code = [((),) * (len(leaves) - marked) + ((-1,),) * marked]
+    ranked = len(leaves)
+    for level in levels[1:]:
+        root = level is levels[-1] and len(level) == 1
+        kids = [orders[level[0]]] if root else [  # in order after the parent
+            order[k + 1:] + order[:k] for order, k in zip(
+                map(orders.__getitem__, level), map(slot.__getitem__, level))]
         # keys taken in C: map(map, repeat(f), kids) gives map(f, ch) per ch
-        kids = list(map(children.__getitem__, level))
-        unordered = list(map(tuple, map(sorted, map(
-            map, repeat(ranks[0].__getitem__), kids))))
-        planar = list(map(tuple, map(map, repeat(ranks[1].__getitem__), kids)))
-        if level is levels[-1] and len(level) == 1:
+        ranks = map(map, repeat(rank.__getitem__), kids)
+        keys = list(map(tuple, ranks if planar else map(sorted, ranks)))
+        if root and planar:
             # the embedding fixes only the cyclic order at a single root
-            start = _least_rotation(planar[0])
-            planar[0] = planar[0][start:] + planar[0][:start]
+            start = _least_rotation(keys[0])
+            keys[0] = keys[0][start:] + keys[0][:start]
         if t.exceptional in level:
             idx = level.index(t.exceptional)
-            unordered[idx] = (-1, *unordered[idx])
-            planar[idx] = (-1, *planar[idx])
-        for code, rank, keys in zip(codes, ranks, (unordered, planar)):
-            ordered = sorted(keys)
-            code.append(tuple(ordered))
-            position = dict(zip(dict.fromkeys(ordered), count(ranked)))
-            rank.update(zip(level, map(position.__getitem__, keys)))
+            keys[idx] = (-1, *keys[idx])
+        ordered = sorted(keys)
+        code.append(tuple(ordered))
+        position = dict(zip(dict.fromkeys(ordered), count(ranked)))
+        rank.update(zip(level, map(position.__getitem__, keys)))
         ranked += len(level)
-    return tuple(codes[0]), tuple(codes[1])
+    return t.multiplicity, t.exceptional is not None, tuple(code)
 
 
 def canonical_code(t: BrauerTree):
     """Embedding-free canonical form, rooted at the center, a vertex or an
     edge, with the exceptional vertex marked.  Its nesting depth is fixed
-    (see `_rooted_codes`)."""
-    return t._codes[0]
+    (see `_rooted_code`)."""
+    return t._unordered_code
 
 
 def canonical_planar_code(t: BrauerTree):
     """Canonical form preserving the oriented embedding (rotations at the
     root allowed, reflections not), shaped like `canonical_code`."""
-    return t._codes[1]
+    return t._planar_code
 
 
 def similar(t1: BrauerTree, t2: BrauerTree) -> bool:

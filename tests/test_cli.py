@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, report formats, determinism."""
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from cyclicsource.cli import (
     main,
 )
 from cyclicsource.descriptors import parse_descriptor
+from cyclicsource.groups import is_prime
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -428,6 +432,108 @@ class TestTree:
             f"{t.label} swept for faults"))
         assert self._compare(capsys, tmp_path, first, second) == (True, True)
         assert sorted(calls) == ["a", "b"]
+
+    # the chiral tree r(a, b(b1), c(c1, c2)) over C_7, orders as listed
+    CHIRAL = [(0, 1), (0, 2), (0, 4), (2, 3), (4, 5), (4, 6)]
+    CHIRAL_NAMES = ["r", "a", "b", "b1", "c", "c1", "c2"]
+
+    def _count_unordered(self, monkeypatch):
+        # the trees whose unordered code is asked for, and built
+        asked, built = [], []
+        code, rooted = trees.canonical_code, trees._rooted_code
+
+        def counted(t, planar):
+            if not planar:
+                built.append(t.label)
+            return rooted(t, planar)
+
+        monkeypatch.setattr(trees, "canonical_code",
+                            lambda t: asked.append(t.label) or code(t))
+        monkeypatch.setattr(trees, "_rooted_code", counted)
+        return asked, built
+
+    def test_compare_planar_copy_builds_no_unordered_code(
+            self, capsys, tmp_path, monkeypatch):
+        # a relabelled copy with every order rotated: planar isomorphism
+        # decides both verdicts, since it implies similarity
+        first = self._record("a", self.CHIRAL, self.CHIRAL_NAMES, 7)
+        second = self._record("b", self.CHIRAL,
+                               [f"w{k}" for k in range(7)], 7)
+        second["planar"] = {v: ns[1:] + ns[:1]
+                            for v, ns in second["planar"].items()}
+        asked, built = self._count_unordered(monkeypatch)
+        assert self._compare(capsys, tmp_path, first, second) == (True, True)
+        assert asked == built == []
+
+    def test_compare_mirror_builds_one_unordered_code_per_tree(
+            self, capsys, tmp_path, monkeypatch):
+        first = self._record("a", self.CHIRAL, self.CHIRAL_NAMES, 7)
+        second = {**first, "label": "b", "planar": {
+            v: ns[::-1] for v, ns in first["planar"].items()}}
+        asked, built = self._count_unordered(monkeypatch)
+        assert self._compare(capsys, tmp_path, first, second) == (True, False)
+        assert sorted(asked) == sorted(built) == ["a", "b"]
+
+    def test_compare_verdicts_on_random_pairs(self, capsys, tmp_path):
+        # random trees of up to 40 vertices against a relabelled rotated
+        # copy, the mirror, a copy with a leaf moved, or a copy with the
+        # exceptional vertex moved: `tree compare` reports `similar` and
+        # `planar_isomorphic` as computed apart, and planar implies similar
+        rng = random.Random(2900)
+        seen = Counter()
+        for trial in range(240):
+            n = rng.randint(2, 40)
+            names = [f"v{k}" for k in range(n)]
+            adj = {v: [] for v in names}
+            for k in range(1, n):
+                up = names[rng.randrange(k)]
+                adj[up].append(names[k])
+                adj[names[k]].append(up)
+            for ns in adj.values():
+                rng.shuffle(ns)
+            e = n - 1
+            m = next(m for m in itertools.count(1 + (rng.random() < 0.5))
+                     if is_prime(e * m + 1))
+            exceptional = rng.choice(names) if m > 1 or rng.random() < 0.5 \
+                else None
+            first = {"label": "a", "p": e * m + 1, "ell": 1,
+                     "vertices": names, "planar": adj,
+                     "exceptional": exceptional, "multiplicity": m}
+            kind = rng.choice(["copy", "mirror", "leaf", "exceptional"])
+            planar = {v: list(ns) for v, ns in adj.items()}
+            if kind == "mirror":
+                planar = {v: ns[::-1] for v, ns in planar.items()}
+            elif kind == "leaf" and n > 2:
+                leaf = rng.choice([v for v, ns in planar.items()
+                                   if len(ns) == 1])
+                old = planar[leaf][0]
+                new = rng.choice([v for v in names if v != leaf])
+                planar[old].remove(leaf)
+                planar[new].insert(rng.randint(0, len(planar[new])), leaf)
+                planar[leaf] = [new]
+            elif kind == "exceptional" and exceptional is not None:
+                exceptional = rng.choice(names)
+            rename = dict(zip(names, rng.sample(names, n)))
+            shifts = {v: rng.randrange(max(1, len(ns)))
+                      for v, ns in planar.items()}
+            second = {**first, "label": "b",
+                      "vertices": [rename[v] for v in names],
+                      "planar": {rename[v]: [rename[w] for w in
+                                             ns[shifts[v]:] + ns[:shifts[v]]]
+                                 for v, ns in planar.items()},
+                      "exceptional": exceptional and rename[exceptional]}
+            verdict = self._compare(capsys, tmp_path, first, second)
+            doc = parse_descriptor(json.dumps(
+                {"version": 1, "trees": [first, second]}))
+            t1, t2 = doc.trees
+            assert verdict == (trees.similar(t1, t2),
+                               trees.planar_isomorphic(t1, t2)), trial
+            assert verdict != (False, True), trial
+            if kind == "copy":
+                assert verdict == (True, True), trial
+            seen[verdict] += 1
+        assert min(seen[(True, True)], seen[(True, False)],
+                   seen[(False, False)]) >= 20, seen
 
     def test_refused_tree_is_refused_again(self):
         # a refusal is not kept on the tree: after `validate` names the

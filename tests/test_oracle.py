@@ -852,8 +852,8 @@ def test_small_cores_take_no_row_rounds(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 5, 65521])
 def test_echelon_takes_no_product(monkeypatch, p):
-    # neither the peel nor the Gauss-Jordan pass multiplies matrices, on a
-    # dense core of many rows nor on rows that take every pivot's update
+    # the Gauss-Jordan pass multiplies no matrices, neither on a dense
+    # core of many rows nor on rows that take every pivot's update
     def refused(a, b, p):
         raise AssertionError("matmul_mod called")
 

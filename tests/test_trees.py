@@ -473,21 +473,67 @@ class TestCanonicalCodeProperties:
             type_functions(tree)
 
 
+def assert_slots(t, levels, parent, slot):
+    """Every vertex but a single root has a parent and a slot, and the slot
+    is the parent's place in the vertex's cyclic order."""
+    assert len(parent) == len(t.vertices) - (len(levels[-1]) == 1)
+    assert slot.keys() == parent.keys()
+    for v, up in parent.items():
+        assert t.planar[v][slot[v]] == up, v
+
+
 class TestStrip:
     def test_rounds_are_heights(self):
         # the path a-b-c-d-e with a leaf f at b: rooted at its center c,
         # the heights are a, e, f: 0; b, d: 1; c: 2
         planar = {"a": ("b",), "b": ("a", "c", "f"), "c": ("b", "d"),
                   "d": ("c", "e"), "e": ("d",), "f": ("b",)}
-        levels, parent = _strip(BrauerTree(tuple("abcdef"), planar, C7))
+        tree = BrauerTree(tuple("abcdef"), planar, C7)
+        levels, parent, slot = _strip(tree)
         assert [sorted(level) for level in levels] == [
             ["a", "e", "f"], ["b", "d"], ["c"]]
         assert parent == {"a": "b", "f": "b", "e": "d", "b": "c", "d": "c"}
+        assert slot == {"a": 0, "f": 0, "e": 0, "b": 1, "d": 0}
+        assert_slots(tree, levels, parent, slot)
 
     def test_central_edge_ends_are_each_others_parent(self):
-        levels, parent = _strip(path_tree(list("abcd"), C7))
+        tree = path_tree(list("abcd"), C7)
+        levels, parent, slot = _strip(tree)
         assert [sorted(level) for level in levels] == [["a", "d"], ["b", "c"]]
         assert parent == {"a": "b", "d": "c", "b": "c", "c": "b"}
+        assert slot == {"a": 0, "d": 0, "b": 1, "c": 0}
+        assert_slots(tree, levels, parent, slot)
+
+    @pytest.mark.parametrize("rotation", [0, 1, 2])
+    def test_slots_at_both_ends_of_a_central_edge(self, rotation):
+        # the edge b-c with two leaves at each end, every order rotated:
+        # each end's slot is the other end's place in its own order
+        planar = {"b": ("a1", "c", "a2"), "c": ("d1", "d2", "b"),
+                  "a1": ("b",), "a2": ("b",), "d1": ("c",), "d2": ("c",)}
+        planar = {v: ns[rotation % len(ns):] + ns[:rotation % len(ns)]
+                  for v, ns in planar.items()}
+        tree = BrauerTree(("b", "c", "a1", "a2", "d1", "d2"), planar, C7)
+        levels, parent, slot = _strip(tree)
+        assert sorted(levels[-1]) == ["b", "c"]
+        assert (parent["b"], parent["c"]) == ("c", "b")
+        assert_slots(tree, levels, parent, slot)
+
+    @pytest.mark.parametrize("tree", [
+        BrauerTree(("v",), {}, GroupSpec(2, 1)),
+        BrauerTree(("a", "b"), {"a": ("b",), "b": ("a",)}, C7),
+        path_tree(list("abc"), C7),
+        star(6, 1, C7),
+    ], ids=["one-vertex", "one-edge", "single-root", "star"])
+    def test_slots_of_small_trees(self, tree):
+        levels, parent, slot = _strip(tree)
+        assert_slots(tree, levels, parent, slot)
+
+    def test_slots_of_random_trees(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            tree = random_planar_tree(rng, rng.randint(1, 40), C7)
+            levels, parent, slot = _strip(tree)
+            assert_slots(tree, levels, parent, slot)
 
     @pytest.mark.parametrize("vertices, planar", [
         ("v0 v1 v2", {"v0": ("v2", "z"), "v1": ("v0",), "v2": ("v0",)}),
