@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import dade
 from .dade import DadeElement, OddPrimeRequiredError, SignVector
@@ -91,6 +92,7 @@ class WResult:
         return self.dade.is_zero
 
 
+@lru_cache(maxsize=256)  # the result is frozen, so records may share it
 def _trivial_result(group: GroupSpec, provenance: str) -> WResult:
     zero = dade.dade_zero(group)
     return WResult(zero, dade.psi(zero), provenance)
@@ -103,12 +105,11 @@ def _checked_values(b: BlockDescriptor) -> tuple[int, ...]:
         )
     if b.chi_values is None:
         raise CharacterValueError("no character values supplied")
-    for idx, v in enumerate(b.chi_values):
-        if v == 0:
-            raise CharacterValueError(
-                f"chi value at layer {idx + 1} is zero; a non-zero integer "
-                f"is required"
-            )
+    if 0 in b.chi_values:
+        raise CharacterValueError(
+            f"chi value at layer {b.chi_values.index(0) + 1} is zero; a "
+            f"non-zero integer is required"
+        )
     return b.chi_values
 
 
@@ -121,10 +122,9 @@ def infer_w(b: BlockDescriptor) -> WResult:
     bijection then yields the Dade element, whose leading bit is forced to 0.
     """
     values = _checked_values(b)
-    signs = [1 if v > 0 else -1 for v in values]
-    if signs[0] == -1:
-        signs = [-s for s in signs]
-    sv = SignVector(b.group, tuple(signs))
+    bottom = values[0] > 0
+    sv = SignVector(b.group, tuple([1 if (v > 0) == bottom else -1
+                                    for v in values]))
     element = dade.psi_inverse(sv)
     return WResult(dade=element, signs=sv, provenance=PROVENANCE_CHARACTER)
 

@@ -18,15 +18,19 @@ the library's ValueError or OverflowError for a record-level error.
 oracle capacity is `--oracle-cap` if given, else the oracle's default;
 nothing is read from the environment.
 Reports render as human-readable text or as one JSON object per line
-(`--format json-lines`), byte-deterministic for fixed input.
+(`--format json-lines`), byte-deterministic for fixed input.  A command
+runs with the cyclic garbage collector paused: its objects live until it
+ends, so collecting them would find nothing to free.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
+from functools import lru_cache
 
 from . import dade, trees, verify
 from .blocks import analyze
@@ -211,6 +215,7 @@ def cmd_dade_module(args) -> list[dict]:
              "jordan": dade.w_module(e)}]
 
 
+@lru_cache(maxsize=1)  # one parser per process: each parse makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclicsource",
@@ -268,22 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        result = args.func(args)
-    except CommandError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (ValueError, OverflowError) as exc:  # a record-level refusal
-        print(exc, file=sys.stderr)
-        return EXIT_RECORD_ERROR
-    if isinstance(result, str):
-        sys.stdout.write(result)
+        args = build_parser().parse_args(argv)
+        try:
+            result = args.func(args)
+        except CommandError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        except (ValueError, OverflowError) as exc:  # a record-level refusal
+            print(exc, file=sys.stderr)
+            return EXIT_RECORD_ERROR
+        if isinstance(result, str):
+            sys.stdout.write(result)
+            return EXIT_OK
+        _emit(result, args.format, sys.stdout)
+        if any(record["status"] == "error" for record in result):
+            return EXIT_RECORD_ERROR
         return EXIT_OK
-    _emit(result, args.format, sys.stdout)
-    if any(record["status"] == "error" for record in result):
-        return EXIT_RECORD_ERROR
-    return EXIT_OK
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -44,6 +44,9 @@ _BLOCK_FIELDS = {"chi_values": list, "is_principal": bool, "centralizer_equal": 
 _TREE_FIELDS = {"vertices": list, "planar": dict, "exceptional": str,
                 "multiplicity": int}
 _TOP_FIELDS = {"version", "blocks", "trees"}
+# the fields a record may carry, for the unknown-field check
+_BLOCK_KEYS = _BLOCK_FIELDS.keys() | {"label", "p", "ell"}
+_TREE_KEYS = _TREE_FIELDS.keys() | {"label", "p", "ell"}
 # the JSON kinds a field may be required to have, by the noun in messages
 _KIND_NOUNS = {int: "integer", str: "string", bool: "boolean",
                list: "array", dict: "object"}
@@ -79,26 +82,29 @@ class _Validator:
     def fail(self, path: str, message: str) -> None:
         self.issues.append(ParseIssue(path, message))
 
-    def require(self, value, kind: type, path: str):
+    def require(self, value, kind: type, path: str, name: str | None = None):
         """`value` if its type is exactly `kind` (so `true` is no integer),
-        else None after reporting it at `path`."""
+        else None after reporting it at `path`, or at its field `name`; the
+        field's path is built only then."""
         if type(value) is not kind:
-            self.fail(path, f"{_KIND_NOUNS[kind]} required")
+            self.fail(path if name is None else f"{path}.{name}",
+                      f"{_KIND_NOUNS[kind]} required")
             return None
         return value
 
-    def require_all(self, items: list, kind: type, path: str) -> bool:
-        """Whether every entry of the array `items` at `path` is of `kind`;
-        the first one that is not is reported, and only its path is built."""
+    def require_all(self, items: list, kind: type, path: str, name: str) -> bool:
+        """Whether every entry of the array `items` in the field `name` at
+        `path` is of `kind`; the first one that is not is reported, and only
+        its path is built."""
         for k, entry in enumerate(items):
             if type(entry) is not kind:
-                self.fail(f"{path}[{k}]", f"{_KIND_NOUNS[kind]} required")
+                self.fail(f"{path}.{name}[{k}]", f"{_KIND_NOUNS[kind]} required")
                 return False
         return True
 
     def group(self, record: dict, path: str) -> GroupSpec | None:
-        p = self.require(record.get("p"), int, f"{path}.p")
-        ell = self.require(record.get("ell"), int, f"{path}.ell")
+        p = self.require(record.get("p"), int, path, "p")
+        ell = self.require(record.get("ell"), int, path, "ell")
         if p is None or ell is None:
             return None
         outcome = self.groups.get((p, ell))
@@ -122,35 +128,35 @@ def _group_outcome(p: int, ell: int) -> GroupSpec | tuple[str, str]:
         return "p", str(exc)  # with ell >= 1, only p is left at fault
 
 
-def _open_record(v: _Validator, record, fields: dict,
+def _open_record(v: _Validator, record, keys: set,
                  path: str) -> tuple[GroupSpec, str] | None:
-    """The (group, label) of the record at `path`, after its unknown fields
-    are reported; None once a check fails."""
+    """The (group, label) of the record at `path`, after the fields not in
+    `keys` are reported; None once a check fails."""
     if v.require(record, dict, path) is None:
         return None
-    for key in sorted(set(record).difference(fields, ("label", "p", "ell"))):
+    for key in sorted(record.keys() - keys):
         v.fail(f"{path}.{key}", "unknown field")
     group = v.group(record, path)
     if group is None:
         return None
-    label = v.require(record.get("label", ""), str, f"{path}.label")
+    label = v.require(record.get("label", ""), str, path, "label")
     return None if label is None else (group, label)
 
 
 def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
-    opened = _open_record(v, record, _BLOCK_FIELDS, path)
+    opened = _open_record(v, record, _BLOCK_KEYS, path)
     if opened is None:
         return None
     group, label = opened
     values = {}
     for name, kind in _BLOCK_FIELDS.items():
         if name in record:
-            values[name] = v.require(record[name], kind, f"{path}.{name}")
+            values[name] = v.require(record[name], kind, path, name)
             if values[name] is None:
                 return None
     chi = values.get("chi_values")
     if chi is not None:
-        if not v.require_all(chi, int, f"{path}.chi_values"):
+        if not v.require_all(chi, int, path, "chi_values"):
             return None
         if len(chi) != group.ell:
             v.fail(f"{path}.chi_values", f"expected {group.ell} values, got {len(chi)}")
@@ -163,30 +169,30 @@ def _parse_block(v: _Validator, record, path: str) -> BlockDescriptor | None:
 
 
 def _parse_tree(v: _Validator, record, path: str) -> BrauerTree | None:
-    opened = _open_record(v, record, _TREE_FIELDS, path)
+    opened = _open_record(v, record, _TREE_KEYS, path)
     if opened is None:
         return None
     group, label = opened
-    vertices = v.require(record.get("vertices"), list, f"{path}.vertices")
-    if vertices is None or not v.require_all(vertices, str, f"{path}.vertices"):
+    vertices = v.require(record.get("vertices"), list, path, "vertices")
+    if vertices is None or not v.require_all(vertices, str, path, "vertices"):
         return None
-    planar = v.require(record.get("planar"), dict, f"{path}.planar")
+    planar = v.require(record.get("planar"), dict, path, "planar")
     if planar is None:
         return None
     orders = planar.values()
     if not (set(map(type, orders)) <= {list}
             and set(map(type, chain.from_iterable(orders))) <= {str}):
+        at = f"{path}.planar"
         for vertex, neighbours in planar.items():  # report the first failure
-            at = f"{path}.planar.{vertex}"
-            if v.require(neighbours, list, at) is None \
-                    or not v.require_all(neighbours, str, at):
+            if v.require(neighbours, list, at, vertex) is None \
+                    or not v.require_all(neighbours, str, at, vertex):
                 return None
     exceptional = record.get("exceptional")
     if exceptional is not None and \
-            v.require(exceptional, str, f"{path}.exceptional") is None:
+            v.require(exceptional, str, path, "exceptional") is None:
         return None
-    multiplicity = v.require(record.get("multiplicity", 1), int,
-                             f"{path}.multiplicity")
+    multiplicity = v.require(record.get("multiplicity", 1), int, path,
+                             "multiplicity")
     if multiplicity is None:
         return None
     return BrauerTree(vertices, planar, group, multiplicity, exceptional, label)
@@ -253,15 +259,15 @@ def parse_descriptor(text: str) -> DescriptorFile:
     if not isinstance(data, dict):
         raise DescriptorError([ParseIssue("$", "top-level object required")])
     v = _Validator()
-    for key in sorted(set(data) - _TOP_FIELDS):
+    for key in sorted(data.keys() - _TOP_FIELDS):
         v.fail(f"$.{key}", "unknown field")
-    version = v.require(data.get("version"), int, "$.version")
+    version = v.require(data.get("version"), int, "$", "version")
     if version is not None and version != FORMAT_VERSION:
         v.fail("$.version", f"unsupported version {version}")
     out = DescriptorFile()
     for name, parse, parsed in (("blocks", _parse_block, out.blocks),
                                 ("trees", _parse_tree, out.trees)):
-        raw = v.require(data.get(name, []), list, f"$.{name}") or []
+        raw = v.require(data.get(name, []), list, "$", name) or []
         for k, record in enumerate(raw):
             if (item := parse(v, record, f"$.{name}[{k}]")) is not None:
                 parsed.append(item)

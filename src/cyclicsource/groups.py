@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
-# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
-# (Sorenson and Webster, Math. Comp. 86, 2017).
+# Miller-Rabin with the first k primes as bases is exact below psi_k (OEIS
+# A014233; Jaeschke 1993, Sorenson and Webster 2017), so the number of bases
+# depends on the size of n: 3 below 25326001, all 13 below PRIME_LIMIT.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        PRIME_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -27,7 +33,7 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"p = {n} is too large: primality is decided "
                          f"below {PRIME_LIMIT}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    for a in _BASES:
+    for a in _BASES[:bisect_right(_PSI, n) + 1]:  # the least k with n < psi_k
         x = pow(a, (n - 1) >> s, n)
         if x == 1 or x == n - 1:
             continue

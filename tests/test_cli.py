@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report formats, determinism."""
 
+import gc
 import itertools
 import json
 import os
@@ -19,6 +20,7 @@ from cyclicsource.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_RECORD_ERROR,
+    build_parser,
     main,
 )
 from cyclicsource.descriptors import parse_descriptor
@@ -608,6 +610,60 @@ class TestDade:
                              operation, *alphas)
         assert code == EXIT_RECORD_ERROR and out == ""
         assert err == "alpha must be 2 bits, got '1'\n"
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused, and `main` hands
+    it back in the state it found it, whatever the exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, code", [
+        (("infer", fixture("good.json")), EXIT_OK),
+        (("infer", fixture("record_error_conflict.json")), EXIT_RECORD_ERROR),
+        (("infer", fixture("no_such_file.json")), EXIT_PARSE_ERROR),
+        (("tree", "compare", fixture("good.json"), "star", "nowhere"),
+         EXIT_RECORD_ERROR),
+    ])
+    def test_main_restores_the_collector(self, capsys, enabled, argv, code):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):  # argparse refusing the line
+                run(capsys, "infer")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv", [
+        ("infer", fixture("good.json")),
+        ("--format", "json-lines", "infer", fixture("good.json")),
+        ("tree", "compare", fixture("good.json"), "spine", "spine-mirror"),
+        ("tree", "compare", fixture("good.json"), "star", "star"),
+    ])
+    def test_commands_leave_no_cycles(self, capsys, argv):
+        # the premise of the pause: once the first call has filled the
+        # caches, a command leaves nothing for the collector to free
+        run(capsys, *argv)
+        gc.collect()
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert gc.collect() == 0
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_option_leaks_into_the_next_command(self, capsys):
+        code, out, err = run(capsys, "--format", "json-lines",
+                             "--oracle-cap", "4",
+                             "verify", "--p", "3", "--ell", "1")
+        assert code == EXIT_RECORD_ERROR
+        assert "oracle capacity exceeded" in err
+        code, out, err = run(capsys, "verify", "--p", "3", "--ell", "1")
+        assert (code, err) == (EXIT_OK, "")  # the default capacity
+        assert out.startswith("[suite] ")  # the human format
 
 
 class TestNumpyLoad:

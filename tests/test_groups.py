@@ -1,6 +1,8 @@
 """Cyclic p-group bookkeeping: the primality test behind GroupSpec, and
 the integer fields of GroupSpec and the records built on it."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -31,18 +33,53 @@ def sieve(limit):
     return flags
 
 
+# psi_k, the least strong pseudoprime to the first k prime bases, for
+# k = 1..12 (OEIS A014233, with the repeated values once)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_is_prime(n):
+    """Miller-Rabin on all 13 bases, exact below PRIME_LIMIT."""
+    if n < 2 or any(n % q == 0 for q in BASES):
+        return n in BASES
+    return all(strong_probable_prime(n, a) for a in BASES)
+
+
 class TestIsPrime:
     def test_agrees_with_sieve(self):
         flags = sieve(10**4)
         assert [n for n in range(10**4) if is_prime(n)] == \
             [n for n in range(10**4) if flags[n]]
 
-    @pytest.mark.parametrize("n", [561, 41041, 3825123056546413051,
-                                   318665857834031151167461])
+    @pytest.mark.parametrize("n", [561, 41041, *PSI[1:]])
     def test_pseudoprimes_rejected(self, n):
-        # Carmichael numbers, and strong pseudoprimes to the first 9 and
-        # to the first 12 prime bases
+        # Carmichael numbers, and psi_k, a strong pseudoprime to the first k
+        # bases: is_prime must take one base more when n = psi_k
         assert not is_prime(n)
+
+    @pytest.mark.parametrize("psi", PSI)
+    def test_agrees_with_all_bases_around_each_bound(self, psi):
+        # odd n within 10^4 of psi_k, where the number of bases changes
+        rng = random.Random(psi)
+        window = range(max(psi - 10**4, 0) | 1, psi + 10**4, 2)
+        for n in sorted(rng.sample(window, 1500)) + [psi - 2, psi, psi + 2]:
+            assert is_prime(n) == reference_is_prime(n), n
 
     def test_large_primes(self):
         assert is_prime(10**18 + 3)
