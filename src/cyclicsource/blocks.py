@@ -131,8 +131,10 @@ def infer_w(b: BlockDescriptor) -> WResult:
 
 def is_trivial_by_signs(b: BlockDescriptor) -> bool:
     """True iff all character values share one strict sign, i.e. the source
-    module is trivial."""
-    return infer_w(b).trivial
+    module is trivial; read off the signs alone, with the refusals of
+    `infer_w`."""
+    values = _checked_values(b)
+    return all(v > 0 for v in values) or all(v < 0 for v in values)
 
 
 def metadata_criteria(b: BlockDescriptor) -> WResult | None:

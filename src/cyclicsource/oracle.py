@@ -24,10 +24,13 @@ columns, then on a large core rounds of row singletons, as pivots in bulk
 before one Gauss-Jordan pass runs on the rest, and returns a row basis S,
 the other non-zero rows D and X with a[D] = X a[S]: `rank_profile`
 restricts M to im M^j as M' = M[S][:, S] + M[S][:, D] X, a gather alone
-when D is empty, the sum held in the type of 2(p - 1).  `_echelon` and
-`column_space` keep the greedy reduced-echelon contract by the plain pass.
-numpy loads at the oracle's first computation, not at import: `infer`,
-`tree` and `dade` never load it.
+when D is empty, the sum held in the type of 2(p - 1).  `_echelon` keeps
+the greedy reduced-echelon contract by the plain pass, for `column_space`
+and for `_tensor_pair`, which builds no Kronecker matrix: it walks the
+grading of J_r (x) J_s, one `_echelon` per degree on at most 2 min(r, s)
+x min(r, s) cells.  Its capacity check still counts the (n1 n2)^2 entries
+of the Kronecker matrix.  numpy loads at the oracle's first computation,
+not at import: `infer`, `tree` and `dade` never load it.
 """
 
 from __future__ import annotations
@@ -446,19 +449,54 @@ def jordan_type(m: MatrixModule) -> ModuleSum:
 
 @lru_cache(maxsize=4096)
 def _tensor_pair(p: int, ell: int, n1: int, n2: int) -> tuple[int, ...]:
-    """Jordan type of J_n1 (x) J_n2 on the Kronecker product of the blocks."""
-    # no name holds the product of the blocks: it is freed once stored
-    kron = MatrixModule(GroupSpec(p, ell),
-                        np.kron(_shift_block(n1, p), _shift_block(n2, p)))
-    return jordan_type(kron).parts
+    """Jordan type of J_n1 (x) J_n2, degree by degree.
+
+    J_r (x) J_s, r <= s, is A = k[x, y]/(x^r, y^s) with the generator
+    acting as (1 + x)(1 + y).  With y' = y(1 + x), a change of basis (1 + x
+    is a unit, so y'^s generates the ideal of y^s), A = k[x, y']/(x^r,
+    y'^s) and the nilpotent part is l = x + y', which maps A_k, the span
+    of the x^a y'^(k-a), into A_(k+1).  The walk keeps a basis of A_k in
+    the coordinates a, each row with the degree it was born at, oldest
+    first.  One elimination per degree reads the greedy row profile of its
+    images under l stacked over the identity of A_(k+1) (the elder rule):
+    an image that depends on older ones ends a Jordan block of length
+    k - birth + 1 (the row less those older rows is in ker l), and an
+    identity row in the profile is born at k + 1.  No input to `_echelon`
+    exceeds 2r x r.
+    """
+    r, s = sorted((n1, n2))
+    narrow, wide = _int_type(p - 1), _int_type(2 * (p - 1))
+    basis, born = np.ones((1, 1), dtype=narrow), [0]  # A_0 = k, born at 0
+    parts: list[int] = []
+    for k in range(r + s - 1):
+        # A_k holds a in lo..hi, A_(k+1) holds a in up..top; column a + 1
+        # of `full` holds a, and column 0 stays zero: no x-part reaches a = 0
+        lo, hi = max(0, k - s + 1), min(k, r - 1)
+        up, top = max(0, k - s + 2), min(k + 1, r - 1)
+        full = np.zeros((len(born), r + 1), dtype=wide)
+        full[:, lo + 1 : hi + 2] = basis
+        # x^a y'^b -> x^(a+1) y'^b + x^a y'^(b+1); the slices drop x^r, y'^s
+        images = full[:, up : top + 1] + full[:, up + 1 : top + 2]
+        stack = _mod(np.vstack((images, np.eye(top - up + 1, dtype=wide))),
+                     p).astype(narrow)
+        rows = _echelon(stack, p)[1]
+        kept = set(rows)
+        parts.extend(k - b + 1 for i, b in enumerate(born) if i not in kept)
+        born = [born[i] if i < len(born) else k + 1 for i in rows]
+        basis = stack[rows]
+    out = ModuleSum(GroupSpec(p, ell), tuple(parts))
+    if out.dim != n1 * n2:
+        raise AssertionError(f"Jordan type of dimension {out.dim}, not {n1 * n2}")
+    return out.parts
 
 
 def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> ModuleSum:
     """Jordan type of the tensor product with diagonal generator action.
 
-    No closed form is trusted here: each pair of parts goes through an
-    explicit Kronecker product and the rank-sequence decomposition, with
-    results cached per (p, ell, n1, n2).
+    No closed form is trusted here: each pair of parts is decomposed on
+    the grading of its tensor product, one elimination per degree, with
+    results cached per (p, ell, n1, n2).  The capacity is checked on the
+    (n1 n2)^2 entries of its Kronecker matrix, which is never built.
     """
     _check_group(a, b)
     limit = capacity_limit(cap)

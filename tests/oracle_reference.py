@@ -9,7 +9,11 @@ Jordan basis of its source, independently of the composite
 so they also exercise that kernel.
 
 `realize` builds the block-diagonal action of a Jordan-size multiset
-with numpy alone, as input to `oracle.jordan_type`.
+with numpy alone, as input to `oracle.jordan_type`.  `kronecker` builds
+J_n1 (x) J_n2 as the explicit Kronecker product of two shift blocks:
+decomposed by `oracle.jordan_type`, it is the dense reference for the
+graded kernel `oracle._tensor_pair`, and an input large enough to reach
+the row rounds of `oracle._eliminate`.
 
 `validate_by_sweep` is Brauer tree validation that decides tree-ness by a
 sweep of its own (per-vertex neighbour sets, mirror checks, a breadth-first
@@ -43,6 +47,13 @@ def realize(m: ModuleSum) -> MatrixModule:
     starts = np.cumsum(m.parts[:-1], dtype=np.int64)
     a[starts, starts - 1] = 0
     return MatrixModule(m.group, a)
+
+
+def kronecker(p: int, ell: int, n1: int, n2: int) -> MatrixModule:
+    """J_n1 (x) J_n2 over C_(p^ell), with the diagonal action: the
+    Kronecker product of the two shift blocks."""
+    return MatrixModule(GroupSpec(p, ell),
+                        np.kron(_shift_block(n1, p), _shift_block(n2, p)))
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:

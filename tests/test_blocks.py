@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclicsource import dade, modules
+from cyclicsource import blocks, dade, modules
 from cyclicsource.blocks import (
     PROVENANCE_C4,
     PROVENANCE_CHARACTER,
@@ -126,6 +126,26 @@ class TestInferW:
             min_size=group.ell, max_size=group.ell)))
         b = BlockDescriptor(group, chi_values=values)
         assert is_trivial_by_signs(b) == infer_w(b).trivial
+
+    @pytest.mark.parametrize("b, error", [
+        (BlockDescriptor(C9, chi_values=(0, 1)), CharacterValueError),
+        (BlockDescriptor(C4, chi_values=(1, 1)), OddPrimeRequiredError),
+        (BlockDescriptor(C9), CharacterValueError)],
+        ids=["zero", "p=2", "missing"])
+    def test_sign_test_keeps_the_refusals(self, b, error):
+        with pytest.raises(error):
+            infer_w(b)
+        with pytest.raises(error):
+            is_trivial_by_signs(b)
+
+    def test_sign_test_reads_the_signs_alone(self, monkeypatch):
+        # criterion 6 compares two readings, so the sign test infers nothing
+        def refused(b):
+            raise AssertionError("infer_w called")
+
+        monkeypatch.setattr(blocks, "infer_w", refused)
+        assert is_trivial_by_signs(BlockDescriptor(C27, chi_values=(-3, -1, -7)))
+        assert not is_trivial_by_signs(BlockDescriptor(C27, chi_values=(3, -1, 7)))
 
 
 class TestMetadataCriteria:

@@ -38,6 +38,7 @@ from cyclicsource.oracle import (
 )
 from oracle_reference import (
     jordan_chains,
+    kronecker,
     nullspace_mod,
     rank_mod,
     realize,
@@ -483,26 +484,28 @@ class TestRestrictionFromParts:
         assert all(squarings) != hidden  # a hidden basis has cores
 
     def test_tensor_square_takes_few_gauss_jordan_pivots(self, monkeypatch):
-        # J_24 (x) J_24 over C_25: row singletons leave the first elimination
-        # no core (299 rows with the column peel alone), and the eliminations
-        # together take at most 400 Gauss-Jordan pivots (1,435 then)
+        # J_24 (x) J_24 over C_25 on its Kronecker matrix: row singletons
+        # leave the first elimination no core (299 rows with the column peel
+        # alone), and the eliminations together take at most 400
+        # Gauss-Jordan pivots (1,435 then)
+        square = kronecker(5, 2, 24, 24)
         eliminations, passes = [], []
         record(monkeypatch, "_eliminate", eliminations, lambda args, out: 1)
         record(monkeypatch, "_gauss_jordan", passes,
                lambda args, out: (len(eliminations), len(args[0]), len(out[1])))
-        assert oracle._tensor_pair.__wrapped__(5, 2, 24, 24) == \
-            (25,) * 23 + (1,)
+        assert jordan_type(square).parts == (25,) * 23 + (1,)
         assert [rows for at, rows, _ in passes if at == 0] in ([], [0])
         assert 0 < sum(pivots for *_, pivots in passes) <= 400
 
     @pytest.mark.parametrize("p", [32749, 40009])
     def test_row_rounds_at_the_top_of_int16(self, monkeypatch, p):
         # J_24 (x) J_24 = J_47 + J_45 + ... + J_1 for p >= 47 (Clebsch-
-        # Gordan): the row rounds and their substitution run on residues
-        # whose sums pass 2^15, in int16 at 32749 and in int64 at 40009
+        # Gordan), here on its Kronecker matrix: the row rounds and their
+        # substitution run on residues whose sums pass 2^15, in int16 at
+        # 32749 and in int64 at 40009
+        square = kronecker(p, 1, 24, 24)
         substitutions = record_substitutions(monkeypatch)
-        assert oracle._tensor_pair.__wrapped__(p, 1, 24, 24) == \
-            tuple(range(47, 0, -2))
+        assert jordan_type(square).parts == tuple(range(47, 0, -2))
         assert {x.dtype for x in substitutions} == \
             {np.dtype(oracle._int_type(p - 1))}
 
@@ -831,8 +834,9 @@ class TestSingletonPeel:
         np.fill_diagonal(shift, 0)
         assert rank_profile(shift, 5) == list(range(199, 0, -1))
         assert inputs and not any(m for _, (m, _) in cores)
+        square = kronecker(5, 2, 24, 24)
         inputs.clear()
-        oracle._tensor_pair.__wrapped__(5, 2, 24, 24)
+        assert jordan_type(square).parts == (25,) * 23 + (1,)
         assert cores
         assert all(core[0] < shape[0] and core[1] < shape[1]
                    for shape, core in cores)
@@ -1071,6 +1075,46 @@ class TestTensor:
         ab = tensor_decompose(a, b)
         assert ab == tensor_decompose(b, a)
         assert ab.dim == a.dim * b.dim
+
+    @pytest.mark.parametrize("group, most", [
+        (GroupSpec(2, 4), None), (GroupSpec(5, 2), None),
+        (GroupSpec(3, 3), 256), (GroupSpec(7, 2), 256)],
+        ids=["C_16", "C_25", "C_27", "C_49"])
+    def test_graded_kernel_against_kronecker(self, group, most):
+        # every pair r <= s, or those with r s <= most, against the rank
+        # path on the Kronecker matrix
+        p, ell, q = group.p, group.ell, group.order
+        for r in range(1, q + 1):
+            for s in range(r, q + 1):
+                if most is None or r * s <= most:
+                    assert oracle._tensor_pair.__wrapped__(p, ell, r, s) == \
+                        jordan_type(kronecker(p, ell, r, s)).parts, (r, s)
+
+    def test_graded_kernel_at_the_top_of_int16(self):
+        # the basis is int16 at p = 32749, and the images sum two residues
+        # past 2^15.  J_3 (x) J_(p-1) = Omega(J_3) + 2 J_p, as J_(p-1) =
+        # Omega(J_1), and its projective parts need exact sums: with the
+        # images in int16 a part p + 1 came out
+        p = 32749
+        assert oracle._tensor_pair.__wrapped__(p, 1, 7, 30) == \
+            jordan_type(kronecker(p, 1, 7, 30)).parts
+        assert oracle._tensor_pair.__wrapped__(p, 1, 3, p - 1) == (p, p, p - 3)
+
+    def test_graded_kernel_builds_no_kronecker_matrix(self, monkeypatch):
+        # J_24 (x) J_24 over C_25: one elimination per degree 0..46, each of
+        # at most 2 min(r, s) rows and min(r, s) columns, and neither the
+        # rank path's elimination nor np.kron is called
+        def refused(*args):
+            raise AssertionError("called")
+
+        shapes = []
+        monkeypatch.setattr(oracle, "_eliminate", refused)
+        monkeypatch.setattr(oracle.np, "kron", refused)
+        record(monkeypatch, "_echelon", shapes, lambda args, out: args[0].shape)
+        assert oracle._tensor_pair.__wrapped__(5, 2, 24, 24) == \
+            (25,) * 23 + (1,)
+        assert len(shapes) == 47
+        assert all(m <= 48 and n <= 24 for m, n in shapes)
 
 
 class TestEndoPermutationAndCap:
