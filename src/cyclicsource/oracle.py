@@ -29,8 +29,13 @@ the greedy reduced-echelon contract by the plain pass, for `column_space`
 and for `_tensor_pair`, which builds no Kronecker matrix: it walks the
 grading of J_r (x) J_s, one `_echelon` per degree on at most 2 min(r, s)
 x min(r, s) cells.  Its capacity check still counts the (n1 n2)^2 entries
-of the Kronecker matrix.  numpy loads at the oracle's first computation,
-not at import: `infer`, `tree` and `dade` never load it.
+of the Kronecker matrix.  Restriction to D_i and induction from it take
+ell - i index-p steps, each read off one explicit matrix cached on (p, n):
+g^p on J_n, the p-th power of the shift block, or the induced block of J_a,
+of dimension p a.  Their capacity checks count the one-shot matrix, n^2 or
+(a p^(ell-i))^2 entries, which no step exceeds.  numpy loads at the
+oracle's first computation, not at import: `infer`, `tree` and `dade`
+never load it.
 """
 
 from __future__ import annotations
@@ -442,13 +447,14 @@ def jordan_type(m: MatrixModule) -> ModuleSum:
 
 
 # ---------------------------------------------------------------------------
-# oracle operations on ModuleSums: each builds one kind of matrix per part,
-# checks its capacity and asks its kernel, cached on (p, ell, ...), for the
-# Jordan type; the relative syzygy composes restriction and induction
+# oracle operations on ModuleSums: each checks the capacity per part and
+# asks its kernel, cached on p and part sizes alone, for Jordan types;
+# restriction and induction chain index-p steps, and the relative syzygy
+# composes the two
 
 
 @lru_cache(maxsize=4096)
-def _tensor_pair(p: int, ell: int, n1: int, n2: int) -> tuple[int, ...]:
+def _tensor_pair(p: int, n1: int, n2: int) -> tuple[int, ...]:
     """Jordan type of J_n1 (x) J_n2, degree by degree.
 
     J_r (x) J_s, r <= s, is A = k[x, y]/(x^r, y^s) with the generator
@@ -484,10 +490,10 @@ def _tensor_pair(p: int, ell: int, n1: int, n2: int) -> tuple[int, ...]:
         parts.extend(k - b + 1 for i, b in enumerate(born) if i not in kept)
         born = [born[i] if i < len(born) else k + 1 for i in rows]
         basis = stack[rows]
-    out = ModuleSum(GroupSpec(p, ell), tuple(parts))
-    if out.dim != n1 * n2:
-        raise AssertionError(f"Jordan type of dimension {out.dim}, not {n1 * n2}")
-    return out.parts
+    if sum(parts) != n1 * n2:
+        raise AssertionError(
+            f"Jordan type of dimension {sum(parts)}, not {n1 * n2}")
+    return tuple(sorted(parts, reverse=True))
 
 
 def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> ModuleSum:
@@ -495,7 +501,7 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
 
     No closed form is trusted here: each pair of parts is decomposed on
     the grading of its tensor product, one elimination per degree, with
-    results cached per (p, ell, n1, n2).  The capacity is checked on the
+    results cached per (p, n1, n2).  The capacity is checked on the
     (n1 n2)^2 entries of its Kronecker matrix, which is never built.
     """
     _check_group(a, b)
@@ -505,58 +511,89 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
         for n2 in b.parts:
             check_capacity(n1 * n2, limit)
             lo, hi = sorted((n1, n2))
-            parts.extend(_tensor_pair(a.group.p, a.group.ell, lo, hi))
+            parts.extend(_tensor_pair(a.group.p, lo, hi))
     return ModuleSum._of(a.group, parts)
 
 
+def _home(p: int, dim: int) -> GroupSpec:
+    """The least C_(p^e) of order >= dim, the group of a step kernel's
+    Jordan type."""
+    e = 0
+    while p ** e < dim:
+        e += 1
+    return GroupSpec(p, e)
+
+
+def _chain(step, steps: int, parts) -> list[int]:
+    """The parts of the sum of J_n, n in `parts`, after `steps` index-p
+    steps, where step(n) is the Jordan type of one step from J_n.  Both
+    restriction and induction are transitive and commute with direct sums,
+    so each step takes each distinct part once, with its multiplicity."""
+    counts: dict[int, int] = {}
+    for n in parts:
+        counts[n] = counts.get(n, 0) + 1
+    for _ in range(steps):
+        after: dict[int, int] = {}
+        for n, k in counts.items():
+            for c in step(n):
+                after[c] = after.get(c, 0) + k
+        counts = after
+    return [c for c, k in counts.items() for _ in range(k)]
+
+
 @lru_cache(maxsize=4096)
-def _restricted_jordan(p: int, ell: int, i: int, n: int) -> tuple[int, ...]:
-    """Jordan type of Res_{D_i} J_n: the generator of D_i acts as the
-    p^(ell-i)-th power of the shift block."""
-    power = matpow_mod(_shift_block(n, p), p ** (ell - i), p)
-    return jordan_type(MatrixModule(GroupSpec(p, i), power)).parts
+def _restricted_jordan(p: int, n: int) -> tuple[int, ...]:
+    """Jordan type of J_n restricted to its subgroup of index p: the
+    generator g^p acts as the p-th power of the shift block."""
+    power = matpow_mod(_shift_block(n, p), p, p)
+    return jordan_type(MatrixModule(_home(p, n), power)).parts
 
 
 def _restriction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:
-    """The parts of each Res_{D_i} J_n, n in `parts`, within `limit`."""
-    out: list[int] = []
+    """The parts of Res_{D_i} of the sum of J_n, n in `parts`, by ell - i
+    index-p steps; each J_n within `limit` as its own n x n block."""
     for n in parts:
         check_capacity(n, limit)
-        out.extend(_restricted_jordan(d.p, d.ell, i, n))
-    return out
+    return _chain(lambda n: _restricted_jordan(d.p, n), d.ell - i, parts)
 
 
 def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
-    """Restriction to D_i computed on explicit matrices, part by part."""
+    """Restriction to D_i computed on explicit matrices, one index-p step
+    at a time: the p-th power of each part's shift block, D_(i+1) to D_i.
+    Restricting to D itself takes no step and returns m's parts."""
     sub = m.group.subgroup(i)
     return ModuleSum._of(sub, _restriction(m.group, sub.ell, m.parts,
                                            capacity_limit(cap)))
 
 
 @lru_cache(maxsize=4096)
-def _induced_jordan(p: int, ell: int, i: int, a: int) -> tuple[int, ...]:
-    """Jordan type of Ind_{D_i}^D J_a on its explicit matrix.
+def _induced_jordan(p: int, a: int) -> tuple[int, ...]:
+    """Jordan type of J_a induced from a subgroup of index p, on its
+    explicit matrix.
 
-    Basis g^j (x) e_t with j < q = [D : D_i]; the generator shifts j and
-    wraps through the action of g^q, the generator of D_i, on J_a.
+    Basis g^j (x) e_t with j < p; the generator shifts j and wraps through
+    the action of g^p, the generator of the subgroup, on J_a.
     """
-    dim = a * p ** (ell - i)
+    dim = a * p
     action = np.eye(dim, k=-a, dtype=_int_type(p - 1))
     action[:a, dim - a :] = _shift_block(a, p)
-    return jordan_type(MatrixModule(GroupSpec(p, ell), action)).parts
+    return jordan_type(MatrixModule(_home(p, dim), action)).parts
 
 
 def _induction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:
-    """The parts of each Ind_{D_i}^D J_a, a in `parts`, within `limit`."""
-    out: list[int] = []
+    """The parts of Ind_{D_i}^D of the sum of J_a, a in `parts`, by ell - i
+    index-p steps; each J_a within `limit` as its one-shot induced block of
+    dimension a p^(ell-i), larger than any matrix a step builds."""
     for a in parts:
         check_capacity(a * d.p ** (d.ell - i), limit)
-        out.extend(_induced_jordan(d.p, d.ell, i, a))
-    return out
+    return _chain(lambda a: _induced_jordan(d.p, a), d.ell - i, parts)
 
 
 def induce_oracle(m: ModuleSum, to: GroupSpec, cap: int | None = None) -> ModuleSum:
-    """Induction computed on the explicit block matrices, part by part."""
+    """Induction computed on explicit block matrices, one index-p step at a
+    time, D_i to D_(i+1), each step's induced block of dimension p times
+    the part's.  Inducing from D itself takes no step and returns m's
+    parts."""
     _check_subgroup(m.group, to)
     return ModuleSum._of(to, _induction(to, m.group.ell, m.parts,
                                         capacity_limit(cap)))
@@ -566,10 +603,11 @@ def relative_heller_oracle(m: ModuleSum, i: int, cap: int | None = None) -> Modu
     """Kernel of the minimal relatively D_i-projective cover, by matrices.
 
     Per part J_n: its restriction to D_i, the induction of the distinct
-    restricted parts back to D, and the smallest induced part J_c with
-    c >= n.  Induction over a direct sum is block diagonal, and the kernel
-    of J_c ->> J_n is J_(c-n), the span of e_n..e_(c-1) in the lower-shift
-    basis: both are structure, not closed forms.
+    restricted parts back to D, each by ell - i index-p steps, and the
+    smallest induced part J_c with c >= n.  Induction over a direct sum is
+    block diagonal, and the kernel of J_c ->> J_n is J_(c-n), the span of
+    e_n..e_(c-1) in the lower-shift basis: both are structure, not closed
+    forms.
     """
     i = m.group.subgroup(i).ell  # checks the index, of the zero module too
     limit = capacity_limit(cap)  # and the cap

@@ -50,10 +50,12 @@ class SuiteResult:
 
     def against(self, witness: dict, closed, fn, *args) -> None:
         """Check a closed form against the oracle's fn(*args), with both in
-        the witness; a skipped case records nothing."""
+        the witness of a mismatch, formatted only then; a skipped case
+        records nothing."""
         by_oracle = self.oracle(fn, *args)
         if by_oracle is not None:
-            self.check(closed == by_oracle, {
+            ok = closed == by_oracle
+            self.check(ok, witness if ok else {
                 **witness, "closed": str(closed), "oracle": str(by_oracle)})
 
     def cap(self, m: ModuleSum, witness: dict) -> int | None:

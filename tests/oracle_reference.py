@@ -13,7 +13,11 @@ with numpy alone, as input to `oracle.jordan_type`.  `kronecker` builds
 J_n1 (x) J_n2 as the explicit Kronecker product of two shift blocks:
 decomposed by `oracle.jordan_type`, it is the dense reference for the
 graded kernel `oracle._tensor_pair`, and an input large enough to reach
-the row rounds of `oracle._eliminate`.
+the row rounds of `oracle._eliminate`.  `restricted` and `induced` take
+a restriction to D_i or an induction from it in one shot, on the
+p^(ell-i)-th power of the shift block or on the full induced block: the
+dense reference for the index-p steps that `oracle.restrict_oracle` and
+`oracle.induce_oracle` chain.
 
 `validate_by_sweep` is Brauer tree validation that decides tree-ness by a
 sweep of its own (per-vertex neighbour sets, mirror checks, a breadth-first
@@ -54,6 +58,26 @@ def kronecker(p: int, ell: int, n1: int, n2: int) -> MatrixModule:
     Kronecker product of the two shift blocks."""
     return MatrixModule(GroupSpec(p, ell),
                         np.kron(_shift_block(n1, p), _shift_block(n2, p)))
+
+
+def restricted(n: int, group: GroupSpec, i: int) -> ModuleSum:
+    """Res_{D_i} J_n in one shot: the generator of D_i acts on J_n as the
+    p^(ell-i)-th power of the shift block."""
+    p = group.p
+    power = matpow_mod(_shift_block(n, p), p ** (group.ell - i), p)
+    return jordan_type(MatrixModule(group.subgroup(i), power))
+
+
+def induced(a: int, group: GroupSpec, i: int) -> ModuleSum:
+    """Ind_{D_i}^D J_a in one shot, on its explicit block matrix.
+
+    Basis g^j (x) e_t with j < q = [D : D_i]; the generator shifts j and
+    wraps through the action of g^q, the generator of D_i, on J_a.
+    """
+    dim = a * group.p ** (group.ell - i)
+    action = np.eye(dim, k=-a, dtype=np.int64)
+    action[:a, dim - a :] = _shift_block(a, group.p)
+    return jordan_type(MatrixModule(group, action))
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cyclicsource
-from cyclicsource import modules, oracle
+from cyclicsource import modules, oracle, verify
 from cyclicsource.groups import GroupSpec
 from cyclicsource.modules import ModuleSum, NotCappedError, cap_part
 from cyclicsource.oracle import (
@@ -37,12 +37,14 @@ from cyclicsource.oracle import (
     tensor_decompose,
 )
 from oracle_reference import (
+    induced,
     jordan_chains,
     kronecker,
     nullspace_mod,
     rank_mod,
     realize,
     relative_heller_oracle_counit,
+    restricted,
 )
 
 C3 = GroupSpec(3, 1)
@@ -1055,6 +1057,57 @@ class TestCapacity:
             ModuleSum(C3, (1, 1, 1, 1, 1, 1))
 
 
+class TestIndexPSteps:
+    @pytest.mark.parametrize("group", [
+        GroupSpec(2, 5), GroupSpec(3, 3), GroupSpec(5, 2), GroupSpec(7, 2),
+        GroupSpec(11, 1), GroupSpec(2, 6)],
+        ids=["C_32", "C_27", "C_25", "C_49", "C_11", "C_64"])
+    def test_chained_steps_against_one_shot(self, group):
+        # ell - i index-p steps give the Jordan type of the one-shot matrix
+        for i in range(group.ell + 1):
+            sub = group.subgroup(i)
+            for n in range(1, group.order + 1):
+                assert restrict_oracle(ModuleSum(group, (n,)), i) == \
+                    restricted(n, group, i), (n, i)
+            for a in range(1, sub.order + 1):
+                assert induce_oracle(ModuleSum(sub, (a,)), group) == \
+                    induced(a, group, i), (a, i)
+
+    def test_a_sum_takes_each_distinct_part_once(self, monkeypatch):
+        # J_5 + J_5 + J_2 over C_9 down to D_0: one step each from J_5, J_2
+        # and the parts they restrict to, J_2 and J_1
+        asked = []
+        step = oracle._restricted_jordan.__wrapped__
+        monkeypatch.setattr(oracle, "_restricted_jordan",
+                            lambda p, n: asked.append(n) or step(p, n))
+        assert restrict_oracle(ModuleSum(C9, (5, 5, 2)), 0) == \
+            ModuleSum(C9.subgroup(0), (1,) * 12)
+        assert sorted(asked) == [1, 2, 2, 5]
+
+    def test_no_step_to_d_itself(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(oracle, "_restricted_jordan", refused)
+        monkeypatch.setattr(oracle, "_induced_jordan", refused)
+        m = ModuleSum(C9, (7, 4, 4))
+        assert restrict_oracle(m, 2) == m
+        assert induce_oracle(m, C9) == m
+
+    def test_one_kernel_per_part_size(self):
+        # one verify of the four suites on C_32 builds one step matrix per
+        # Jordan size: at most 32 restrictions and, from proper subgroups
+        # only, 16 inductions; kernels keyed on (i, n) would build 192 and 63
+        oracle._restricted_jordan.cache_clear()
+        oracle._induced_jordan.cache_clear()
+        results = verify.run_suites(GroupSpec(2, 5), [
+            "relative-heller", "restriction", "induction",
+            "operator-composition"])
+        assert all(r.passed for r in results)
+        assert oracle._restricted_jordan.cache_info().misses <= 32
+        assert oracle._induced_jordan.cache_info().misses <= 16
+
+
 class TestTensor:
     def test_worked_value(self):
         j2 = ModuleSum(C3, (2,))
@@ -1087,7 +1140,7 @@ class TestTensor:
         for r in range(1, q + 1):
             for s in range(r, q + 1):
                 if most is None or r * s <= most:
-                    assert oracle._tensor_pair.__wrapped__(p, ell, r, s) == \
+                    assert oracle._tensor_pair.__wrapped__(p, r, s) == \
                         jordan_type(kronecker(p, ell, r, s)).parts, (r, s)
 
     def test_graded_kernel_at_the_top_of_int16(self):
@@ -1096,9 +1149,9 @@ class TestTensor:
         # Omega(J_1), and its projective parts need exact sums: with the
         # images in int16 a part p + 1 came out
         p = 32749
-        assert oracle._tensor_pair.__wrapped__(p, 1, 7, 30) == \
+        assert oracle._tensor_pair.__wrapped__(p, 7, 30) == \
             jordan_type(kronecker(p, 1, 7, 30)).parts
-        assert oracle._tensor_pair.__wrapped__(p, 1, 3, p - 1) == (p, p, p - 3)
+        assert oracle._tensor_pair.__wrapped__(p, 3, p - 1) == (p, p, p - 3)
 
     def test_graded_kernel_builds_no_kronecker_matrix(self, monkeypatch):
         # J_24 (x) J_24 over C_25: one elimination per degree 0..46, each of
@@ -1111,7 +1164,7 @@ class TestTensor:
         monkeypatch.setattr(oracle, "_eliminate", refused)
         monkeypatch.setattr(oracle.np, "kron", refused)
         record(monkeypatch, "_echelon", shapes, lambda args, out: args[0].shape)
-        assert oracle._tensor_pair.__wrapped__(5, 2, 24, 24) == \
+        assert oracle._tensor_pair.__wrapped__(5, 24, 24) == \
             (25,) * 23 + (1,)
         assert len(shapes) == 47
         assert all(m <= 48 and n <= 24 for m, n in shapes)

@@ -79,6 +79,30 @@ class TestRunSuites:
         assert results[0].passed
 
 
+class TestWitness:
+    SUITES = ["relative-heller", "restriction", "induction"]
+
+    def test_passing_cases_format_no_module(self, monkeypatch):
+        calls = []
+        to_str = ModuleSum.__str__
+        monkeypatch.setattr(ModuleSum, "__str__",
+                            lambda m: calls.append(m) or to_str(m))
+        results = verify.run_suites(GroupSpec(3, 2), self.SUITES)
+        assert all(r.passed and r.cases for r in results)
+        assert calls == []
+
+    def test_a_mismatch_carries_both_answers(self, monkeypatch):
+        # an oracle that answers J_1 + J_1 to every induction
+        monkeypatch.setattr(verify.oracle, "induce_oracle",
+                            lambda m, to, cap: ModuleSum(to, (1, 1)))
+        result = verify.suite_induction(GroupSpec(3, 2))
+        assert result.cases == 13 and len(result.mismatches) == 13
+        assert result.mismatches[0] == {
+            "i": 0, "a": 1, "closed": "J_9", "oracle": "2*J_1"}
+        assert {"i": 2, "a": 2, "closed": "J_2", "oracle": "2*J_1"} in \
+            result.mismatches
+
+
 class TestCapacitySkips:
     @pytest.mark.parametrize("group", [GroupSpec(3, 2), GroupSpec(2, 3)])
     @pytest.mark.parametrize("cap", [1, 16, 81, 700])
