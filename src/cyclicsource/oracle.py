@@ -20,16 +20,16 @@ BLAS below 2^53 (always, for the sizes admitted by the capacity check), is
 cast to the type of its bound and reduced there once.
 
 The rank path's elimination, `_eliminate`, takes the rows of singleton
-columns, then on a large core rounds of row singletons, as pivots in bulk
-before one Gauss-Jordan pass runs on the rest, and returns a row basis S,
-the other non-zero rows D and X with a[D] = X a[S]: `rank_profile`
-restricts M to im M^j as M' = M[S][:, S] + M[S][:, D] X, a gather alone
-when D is empty, the sum held in the type of 2(p - 1).  `_echelon` keeps
-the greedy reduced-echelon contract by the plain pass, for `column_space`
-and for `_tensor_pair`, which builds no Kronecker matrix: it walks the
-grading of J_r (x) J_s, one `_echelon` per degree on at most 2 min(r, s)
-x min(r, s) cells.  Its capacity check still counts the (n1 n2)^2 entries
-of the Kronecker matrix.  Restriction to D_i and induction from it take
+columns as pivots in bulk before one Gauss-Jordan pass runs on the rest,
+and returns a row basis S, the other non-zero rows D and X with a[D] =
+X a[S]: `rank_profile` restricts M to im M^j as M' = M[S][:, S] +
+M[S][:, D] X, a gather alone when D is empty, the sum held in the type of
+2(p - 1).  `_echelon` keeps, by the plain pass, the reduced column
+echelon form that `column_space` returns; `_tensor_pair` takes it for
+speed, and builds no Kronecker matrix: it walks the grading of J_r (x)
+J_s, one `_echelon` per degree on at most 2 min(r, s) x min(r, s) cells.
+Its capacity check still counts the (n1 n2)^2 entries of the Kronecker
+matrix.  Restriction to D_i and induction from it take
 ell - i index-p steps, each read off one explicit matrix cached on (p, n):
 g^p on J_n, the p-th power of the shift block, or the induced block of J_a,
 of dimension p a.  Their capacity checks count the one-shot matrix, n^2 or
@@ -100,8 +100,6 @@ def check_capacity(dim: int, cap: int | None = None) -> None:
 SMALL = 1024
 # Cells from which a pivot updates only the rows its column hits.
 SPARSE = 1 << 14
-# Core cells from which `_eliminate` takes row singletons.
-ROW_PEEL = 1 << 12
 
 
 def _int_type(bound: int) -> type:
@@ -174,12 +172,11 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     The singleton peel of structured Gaussian elimination (LaMacchia and
     Odlyzko, CRYPTO 1990) takes in bulk rounds the row of each column that
     is non-zero in one live row: a pivot with no fill, on which no other
-    row takes a coefficient, so S lists these rows first, outside X.  On a
-    core of ROW_PEEL cells or more, rounds of row singletons follow: a row
-    with one live non-zero pivots there (one row per column), so the live
-    part stays a submatrix of `a`.  `_gauss_jordan` runs on what is left;
-    X is its E at the dependent rows, completed by a backward substitution
-    over the row rounds, each with a diagonal pivot block, on D alone."""
+    row takes a coefficient, so S lists these rows first, outside X.  Such
+    a row has a column that no row still live in its round hits, so no
+    linear dependency uses it, and S is, as a set, the greedy row profile
+    of `a`.  `_gauss_jordan` runs on the core left; X is its E at the
+    dependent rows."""
     m = a.shape[0]
     hit = a != 0
     counts = hit.sum(axis=0)
@@ -194,55 +191,17 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     if not counts.any():  # every non-zero row was peeled
         return free, free[:0], a[:0, :0]
     core = hit.any(axis=1).nonzero()[0]
-    rounds = []  # the pivot rows and columns of each round of row singletons
-    if core.size * np.count_nonzero(counts) >= ROW_PEEL:
-        lens = hit.sum(axis=1)
-        while (single := (lens == 1).nonzero()[0]).size:
-            cols = hit[single].argmax(axis=1)
-            owner = np.zeros_like(counts)
-            owner[cols] = single
-            won = owner[cols] == single
-            rows, cols = single[won], cols[won]
-            rounds.append((rows, cols))
-            lens -= hit[:, cols].sum(axis=1)
-            lens[rows] = -1
-            hit[:, cols] = False
-            counts[cols] = 0
-    left = (lens > 0).nonzero()[0] if rounds else core
-    basis, rows = _gauss_jordan(a[left][:, counts.nonzero()[0]], p)
-    dep = np.ones(left.size, dtype=bool)
+    basis, rows = _gauss_jordan(a[core][:, counts.nonzero()[0]], p)
+    dep = np.ones(core.size, dtype=bool)
     dep[rows] = False
-    if not rounds:
-        return np.concatenate((free, core[rows])), core[dep], basis[dep]
-    pivots, dead = (np.concatenate(part) for part in zip(*rounds))
-    s = np.concatenate((free, pivots, left[rows]))
-    # the core's dependent rows, then the rows that row singletons cleared
-    d = np.concatenate((left[dep], core[lens[core] == 0]))
-    x = np.zeros((d.size, s.size - free.size), dtype=a.dtype)
-    if not d.size:
-        return s, d, x
-    x[: left.size - len(rows), pivots.size:] = basis[dep]
-    res = a[d][:, dead]  # less the core's share, cleared by unit pivot rows
-    if rows:
-        share = matmul_mod(x[:, pivots.size:], a[left[rows]][:, dead], p)
-        res = _mod(res - share, p)
-    vals, at = np.unique(a[pivots, dead], return_inverse=True)
-    inverse = np.array([pow(v, -1, p) for v in vals.tolist()],
-                       dtype=_int_type((p - 1) ** 2))[at]
-    unit = _mod(a[pivots][:, dead] * inverse[:, None], p).astype(a.dtype)
-    ends = np.cumsum([0] + [r.size for r, _ in rounds])
-    for lo, hi in zip(ends[-2:0:-1], ends[:1:-1]):
-        share = matmul_mod(res[:, lo:hi], unit[lo:hi, :lo], p)
-        res[:, :lo] = _mod(res[:, :lo] - share, p)
-    x[:, : pivots.size] = _mod(res * inverse, p)
-    return s, d, x
+    return np.concatenate((free, core[rows])), core[dep], basis[dep]
 
 
 def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """(E, rows), a = E @ a[rows] mod p, by the plain pass: rows is the row
     rank profile of `a` and E, of a's type, is in reduced column echelon
-    form (column k is zero above rows[k], E[rows] = I), a unique contract
-    that the row singletons of `_eliminate`, another basis, do not keep."""
+    form (column k is zero above rows[k], E[rows] = I), the unique E that
+    `column_space` returns; `_eliminate` gives X on the core rows alone."""
     return _gauss_jordan(_mod(a, p), p)
 
 

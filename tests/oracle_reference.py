@@ -12,12 +12,12 @@ so they also exercise that kernel.
 with numpy alone, as input to `oracle.jordan_type`.  `kronecker` builds
 J_n1 (x) J_n2 as the explicit Kronecker product of two shift blocks:
 decomposed by `oracle.jordan_type`, it is the dense reference for the
-graded kernel `oracle._tensor_pair`, and an input large enough to reach
-the row rounds of `oracle._eliminate`.  `restricted` and `induced` take
-a restriction to D_i or an induction from it in one shot, on the
-p^(ell-i)-th power of the shift block or on the full induced block: the
-dense reference for the index-p steps that `oracle.restrict_oracle` and
-`oracle.induce_oracle` chain.
+graded kernel `oracle._tensor_pair`, and an input whose eliminations in
+`oracle._eliminate` leave a core after the column peel.  `restricted`
+and `induced` take a restriction to D_i or an induction from it in one
+shot, on the p^(ell-i)-th power of the shift block or on the full induced
+block: the dense reference for the index-p steps that
+`oracle.restrict_oracle` and `oracle.induce_oracle` chain.
 
 `validate_by_sweep` is Brauer tree validation that decides tree-ness by a
 sweep of its own (per-vertex neighbour sets, mirror checks, a breadth-first

@@ -410,30 +410,6 @@ def record(monkeypatch, name, seen, what):
     monkeypatch.setattr(oracle, name, recording)
 
 
-def record_substitutions(monkeypatch):
-    """Patch oracle so that the list returned gets the operands and result
-    of each product taken within `_eliminate`: its backward substitution."""
-    seen, inside = [], []
-    eliminate, product = oracle._eliminate, oracle.matmul_mod
-
-    def eliminating(a, p):
-        inside.append(a)
-        try:
-            return eliminate(a, p)
-        finally:
-            inside.pop()
-
-    def multiplying(a, b, p):
-        out = product(a, b, p)
-        if inside:
-            seen.extend((a, b, out))
-        return out
-
-    monkeypatch.setattr(oracle, "_eliminate", eliminating)
-    monkeypatch.setattr(oracle, "matmul_mod", multiplying)
-    return seen
-
-
 class TestRestrictionFromParts:
     """rank_profile restricts M to im M^j from `_eliminate`'s parts (S, D,
     X): a gather while D is empty, else one product by X, of inner width
@@ -485,31 +461,14 @@ class TestRestrictionFromParts:
         assert sum(squarings) == jumps
         assert all(squarings) != hidden  # a hidden basis has cores
 
-    def test_tensor_square_takes_few_gauss_jordan_pivots(self, monkeypatch):
-        # J_24 (x) J_24 over C_25 on its Kronecker matrix: row singletons
-        # leave the first elimination no core (299 rows with the column peel
-        # alone), and the eliminations together take at most 400
-        # Gauss-Jordan pivots (1,435 then)
-        square = kronecker(5, 2, 24, 24)
-        eliminations, passes = [], []
-        record(monkeypatch, "_eliminate", eliminations, lambda args, out: 1)
-        record(monkeypatch, "_gauss_jordan", passes,
-               lambda args, out: (len(eliminations), len(args[0]), len(out[1])))
-        assert jordan_type(square).parts == (25,) * 23 + (1,)
-        assert [rows for at, rows, _ in passes if at == 0] in ([], [0])
-        assert 0 < sum(pivots for *_, pivots in passes) <= 400
-
     @pytest.mark.parametrize("p", [32749, 40009])
-    def test_row_rounds_at_the_top_of_int16(self, monkeypatch, p):
+    def test_kronecker_square_at_the_top_of_int16(self, p):
         # J_24 (x) J_24 = J_47 + J_45 + ... + J_1 for p >= 47 (Clebsch-
-        # Gordan), here on its Kronecker matrix: the row rounds and their
-        # substitution run on residues whose sums pass 2^15, in int16 at
+        # Gordan), here on its Kronecker matrix: the eliminations and
+        # restrictions run on residues whose sums pass 2^15, in int16 at
         # 32749 and in int64 at 40009
         square = kronecker(p, 1, 24, 24)
-        substitutions = record_substitutions(monkeypatch)
         assert jordan_type(square).parts == tuple(range(47, 0, -2))
-        assert {x.dtype for x in substitutions} == \
-            {np.dtype(oracle._int_type(p - 1))}
 
 
 class TestExactnessGuards:
@@ -703,11 +662,10 @@ def column_peel_rows(a):
 
 
 def chained(rng, p, depth, dtype):
-    """A matrix whose rows fall to row singletons over about `depth`
-    rounds: lower triangular rows L (row t non-zero at columns t - 1 and t,
-    so that it waits for row t - 1), combinations of L's rows so that no
-    column is a singleton, a block beside them that is left for the core,
-    rows that combine both, and zero rows; rows and columns shuffled."""
+    """A matrix of a triangular chain of `depth` rows: lower triangular
+    rows L (row t non-zero at columns t - 1 and t), combinations of L's
+    rows so that no column is a singleton, a block beside them, rows that
+    combine both, and zero rows; rows and columns shuffled."""
     lower = np.tril(rng.integers(0, p, (depth, depth)), -2)
     lower[np.diag_indices(depth)] = rng.integers(1, p, depth)
     lower[np.arange(1, depth), np.arange(depth - 1)] = \
@@ -721,13 +679,12 @@ def chained(rng, p, depth, dtype):
 
 
 class TestSingletonPeel:
-    """`_eliminate` peels the rows of singleton columns, then takes rounds
-    of row singletons, before the Gauss-Jordan pass runs on the core.  Its
-    parts (S, D, X) must hold the contract on any input: S a basis of the
-    row space, D the other non-zero rows, a[D] = X a[S[-k:]] mod p, and the
-    rows before S[-k:] exactly the column-singleton rows, on which no row
-    of D takes a coefficient.  The contract tests set ROW_PEEL to 0, so
-    that the row rounds run on small matrices too."""
+    """`_eliminate` peels the rows of singleton columns before the
+    Gauss-Jordan pass runs on the core.  Its parts (S, D, X) must hold the
+    contract on any input: S a basis of the row space and, as a set, its
+    greedy row profile, D the other non-zero rows, a[D] = X a[S[-k:]] mod
+    p, and the rows before S[-k:] exactly the column-singleton rows, on
+    which no row of D takes a coefficient."""
 
     @staticmethod
     def assert_parts(a, p):
@@ -743,23 +700,26 @@ class TestSingletonPeel:
         assert np.array_equal(
             x.astype(np.int64) @ reduced[s[len(s) - k:]] % p, reduced[d])
         assert set(s[: len(s) - k]) == column_peel_rows(reduced)
+        # a peeled row has a column that no row still live in its round
+        # hits, so no dependency uses it: S is the greedy profile
+        assert set(s) == set(reference_echelon(reduced, p)[1])
 
     @pytest.mark.parametrize("p, dtype", [
         *[(p, dtype) for p in [2, 3, 5, 101, 32749]
           for dtype in [np.int16, np.int64]],
         (40009, np.int64)])  # 40009 does not fit int16
-    def test_random_sparse(self, monkeypatch, p, dtype):
-        monkeypatch.setattr(oracle, "ROW_PEEL", 0)
+    def test_random_sparse(self, p, dtype):
         rng = np.random.default_rng(p)
         # square, wide, and tall
         for m, n in [(120, 120), (40, 300), (300, 40)]:
             for density in [0.005, 0.02, 0.05, 0.2]:
                 self.assert_parts(sparse_matrix(rng, p, m, n, density, dtype), p)
+        for depth in [3, 12, 30]:
+            self.assert_parts(chained(rng, p, depth, dtype), p)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     @pytest.mark.parametrize("p", [2, 5, 32749])
-    def test_edge_cases(self, monkeypatch, p, dtype):
-        monkeypatch.setattr(oracle, "ROW_PEEL", 0)
+    def test_edge_cases(self, p, dtype):
         rng = np.random.default_rng(p)
         n = 70
         permutation = np.zeros((n, n), dtype=dtype)
@@ -768,51 +728,6 @@ class TestSingletonPeel:
                   np.zeros((0, 0), dtype=dtype), np.zeros((9, 7), dtype=dtype),
                   permutation,  # peeled whole
                   rng.integers(1, p, (n, n)).astype(dtype)]:  # no singleton
-            self.assert_parts(a, p)
-
-    @pytest.mark.parametrize("p, dtype", [(2, np.int16), (3, np.int16),
-                                          (32749, np.int16), (40009, np.int64)])
-    def test_row_singleton_chains(self, monkeypatch, p, dtype):
-        # the chains run over several rounds: row singletons take pivots
-        # that the Gauss-Jordan pass does not, and the substitution takes a
-        # product for each round after the first
-        monkeypatch.setattr(oracle, "ROW_PEEL", 0)
-        rng = np.random.default_rng(p)
-        for depth in [3, 12, 30]:
-            a = chained(rng, p, depth, dtype)
-            pivots, products = [], []
-            with monkeypatch.context() as patch:
-                record(patch, "_gauss_jordan", pivots,
-                       lambda args, out: len(out[1]))
-                record(patch, "matmul_mod", products, lambda args, out: 1)
-                x = oracle._eliminate(oracle._mod(a, p), p)[2]
-            self.assert_parts(a, p)
-            assert x.shape[1] - sum(pivots) >= depth - 2
-            assert len(products) >= depth // 2
-
-    @pytest.mark.parametrize("p", [2, 3, 7, 32749])
-    def test_disjoint_singletons_commute(self, monkeypatch, p):
-        # a column singleton (row 0, column 0) and a row singleton (row 1,
-        # column 1) that share no row or column: taking either by hand
-        # first leaves the same basis
-        monkeypatch.setattr(oracle, "ROW_PEEL", 0)
-        rng = np.random.default_rng(p)
-        for _ in range(20):
-            a = np.zeros((10, 10), dtype=np.int64)
-            a[2:, 2:] = rng.integers(1, p, (8, 8))  # no singleton
-            a[0, 0], a[1, 1] = rng.integers(1, p, 2)
-            a[0, 2:] = rng.integers(0, p, 8)
-            a[2:5, 1] = rng.integers(1, p, 3)  # column 1 is no singleton
-            rows, cols = rng.permutation(10), rng.permutation(10)
-            a = a[rows][:, cols]
-            r0, r1 = (int(np.flatnonzero(rows == t)[0]) for t in (0, 1))
-            c1 = int(np.flatnonzero(cols == 1)[0])
-            column_first, row_first = a.copy(), a.copy()
-            column_first[r0] = 0
-            row_first[r1], row_first[:, c1] = 0, 0
-            basis = set(oracle._eliminate(a, p)[0])
-            assert basis == set(oracle._eliminate(column_first, p)[0]) | {r0}
-            assert basis == set(oracle._eliminate(row_first, p)[0]) | {r1}
             self.assert_parts(a, p)
 
     def test_peel_engages(self, monkeypatch):
@@ -844,18 +759,6 @@ class TestSingletonPeel:
                    for shape, core in cores)
 
 
-def test_small_cores_take_no_row_rounds(monkeypatch):
-    # below ROW_PEEL core cells the pass gets the whole core, as with the
-    # column peel alone, and no product is taken
-    a = chained(np.random.default_rng(0), 5, 12, np.int16)
-    assert a.size < oracle.ROW_PEEL
-    pivots, products = [], []
-    record(monkeypatch, "_gauss_jordan", pivots, lambda args, out: len(out[1]))
-    record(monkeypatch, "matmul_mod", products, lambda args, out: 1)
-    x = oracle._eliminate(oracle._mod(a, 5), 5)[2]
-    assert pivots == [x.shape[1]] and x.shape[1] > 0 and not products
-
-
 @pytest.mark.parametrize("p", [2, 5, 65521])
 def test_echelon_takes_no_product(monkeypatch, p):
     # the Gauss-Jordan pass multiplies no matrices, neither on a dense
@@ -878,9 +781,7 @@ class TestNarrowTypes:
     there: every kernel function returns the integer type it is given."""
 
     def test_rank_profile_loop_stays_int16(self, monkeypatch):
-        # every elimination input and X, every product's operands and
-        # result, and those of the backward substitution on their own
-        substitutions = record_substitutions(monkeypatch)
+        # every elimination input and X, every product's operands and result
         seen = {}
         for name in ("_eliminate", "matmul_mod"):
             kernel = getattr(oracle, name)
@@ -902,8 +803,6 @@ class TestNarrowTypes:
         assert parts == (25,) * 23 + (1,)
         narrow = {np.dtype(np.int16)}
         assert seen == {"_eliminate": narrow, "matmul_mod": narrow}
-        assert substitutions
-        assert {x.dtype for x in substitutions} == narrow
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     @pytest.mark.parametrize("p", [5, 29])

@@ -18,9 +18,10 @@ function of `oracle` is called from one function of that module, which
 checks the kernel's matrices against the capacity, so that happens in one
 place and every operation composes those functions, not kernels.  One
 elimination kernel: `_gauss_jordan` is the one Gauss-Jordan loop, called
-by `_eliminate` on its core and by `_echelon`, whose greedy contract the
-row singletons of `_eliminate` do not keep, and `rank_profile` reaches
-neither `column_space` nor `_echelon`.
+by `_eliminate` on its core and by `_echelon`, which keeps the reduced
+column echelon form that `column_space` returns and which `_tensor_pair`
+takes for speed; `_eliminate` reaches no matrix product, and
+`rank_profile` reaches neither `column_space` nor `_echelon`.
 
 One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
@@ -465,6 +466,7 @@ def test_one_elimination_kernel():
         "_gauss_jordan": ["_echelon", "_eliminate"]}
     assert {"column_space", "_echelon"} & reached(tree, "rank_profile") == set()
     assert "_eliminate" in reached(tree, "rank_profile")
+    assert "matmul_mod" not in reached(tree, "_eliminate")
 
 
 def test_second_elimination_caller_is_seen():
