@@ -25,17 +25,17 @@ and returns a row basis S, the other non-zero rows D and X with a[D] =
 X a[S]: `rank_profile` restricts M to im M^j as M' = M[S][:, S] +
 M[S][:, D] X, a gather alone when D is empty, the sum held in the type of
 2(p - 1).  `_echelon` keeps, by the plain pass, the reduced column
-echelon form that `column_space` returns; `_tensor_pair` takes it for
-speed, and builds no Kronecker matrix: it walks the grading of J_r (x)
-J_s, one `_echelon` per degree on at most 2 min(r, s) x min(r, s) cells.
-Its capacity check still counts the (n1 n2)^2 entries of the Kronecker
-matrix.  Restriction to D_i and induction from it take
-ell - i index-p steps, each read off one explicit matrix cached on (p, n):
-g^p on J_n, the p-th power of the shift block, or the induced block of J_a,
-of dimension p a.  Their capacity checks count the one-shot matrix, n^2 or
-(a p^(ell-i))^2 entries, which no step exceeds.  numpy loads at the
-oracle's first computation, not at import: `infer`, `tree` and `dade`
-never load it.
+echelon form that `column_space` returns.  `_tensor_pair` builds no
+Kronecker matrix and runs no elimination: it walks the grading of J_r (x)
+J_s, r <= s, on an echelon basis of r x r cells, and reduces only the rows
+whose last entries collide.  Its capacity check still counts the
+(n1 n2)^2 entries of the Kronecker matrix.  Restriction to D_i and
+induction from it take ell - i index-p steps, each read off one explicit
+matrix cached on (p, n): g^p on J_n, the p-th power of the shift block, or
+the induced block of J_a, of dimension p a.  Their capacity checks count
+the one-shot matrix, n^2 or (a p^(ell-i))^2 entries, which no step
+exceeds.  numpy loads at the oracle's first computation, not at import:
+`infer`, `tree` and `dade` never load it.
 """
 
 from __future__ import annotations
@@ -412,6 +412,14 @@ def jordan_type(m: MatrixModule) -> ModuleSum:
 # composes the two
 
 
+def _reduce(row: np.ndarray, by: np.ndarray, c: int, p: int) -> np.ndarray:
+    """row less the multiple of `by` (by[c] != 0) that clears column c,
+    summed in the type of p (p - 1)."""
+    f = int(row[c]) * pow(int(by[c]), p - 2, p) % p
+    out = by.astype(_int_type(p * (p - 1))) * (p - f) + row
+    return _mod(out, p).astype(row.dtype, copy=False)
+
+
 @lru_cache(maxsize=4096)
 def _tensor_pair(p: int, n1: int, n2: int) -> tuple[int, ...]:
     """Jordan type of J_n1 (x) J_n2, degree by degree.
@@ -421,34 +429,50 @@ def _tensor_pair(p: int, n1: int, n2: int) -> tuple[int, ...]:
     is a unit, so y'^s generates the ideal of y^s), A = k[x, y']/(x^r,
     y'^s) and the nilpotent part is l = x + y', which maps A_k, the span
     of the x^a y'^(k-a), into A_(k+1).  The walk keeps a basis of A_k in
-    the coordinates a, each row with the degree it was born at, oldest
-    first.  One elimination per degree reads the greedy row profile of its
-    images under l stacked over the identity of A_(k+1) (the elder rule):
-    an image that depends on older ones ends a Jordan block of length
-    k - birth + 1 (the row less those older rows is in ker l), and an
-    identity row in the profile is born at k + 1.  No input to `_echelon`
-    exceeds 2r x r.
+    the coordinates a, in echelon form: row c is zero or ends at a = c,
+    and `age` orders the rows by birth degree, then c.  The elder rule
+    reads the greedy row profile of their images under l, oldest first; a
+    row may take multiples of older rows without changing it.  Row
+    c < r - 1 maps to row c + 1 of A_(k+1); only the image of row r - 1,
+    whose x-part is x^r = 0, ends elsewhere.  It is reduced by the row
+    holding its last column, the younger of the two giving way, until it
+    ends on a free column or vanishes: then it ends a Jordan block of
+    length k - birth + 1 (the row less older rows is in ker l).  The free
+    columns of A_(k+1) are born at k + 1, as unit rows.
     """
     r, s = sorted((n1, n2))
-    narrow, wide = _int_type(p - 1), _int_type(2 * (p - 1))
-    basis, born = np.ones((1, 1), dtype=narrow), [0]  # A_0 = k, born at 0
+    basis = np.zeros((r, r), dtype=_int_type(p - 1))
+    basis[0, 0] = 1  # A_0 = k, born at 0
+    age = [0] + [-1] * (r - 1)  # birth degree * r + column, -1 for no row
     parts: list[int] = []
     for k in range(r + s - 1):
-        # A_k holds a in lo..hi, A_(k+1) holds a in up..top; column a + 1
-        # of `full` holds a, and column 0 stays zero: no x-part reaches a = 0
-        lo, hi = max(0, k - s + 1), min(k, r - 1)
+        # x^a y'^b -> x^(a+1) y'^b + x^a y'^(b+1): row c + 1 holds the
+        # image of row c; the slices drop x^r, and the columns below up y'^s
         up, top = max(0, k - s + 2), min(k + 1, r - 1)
-        full = np.zeros((len(born), r + 1), dtype=wide)
-        full[:, lo + 1 : hi + 2] = basis
-        # x^a y'^b -> x^(a+1) y'^b + x^a y'^(b+1); the slices drop x^r, y'^s
-        images = full[:, up : top + 1] + full[:, up + 1 : top + 2]
-        stack = _mod(np.vstack((images, np.eye(top - up + 1, dtype=wide))),
-                     p).astype(narrow)
-        rows = _echelon(stack, p)[1]
-        kept = set(rows)
-        parts.extend(k - b + 1 for i, b in enumerate(born) if i not in kept)
-        born = [born[i] if i < len(born) else k + 1 for i in rows]
-        basis = stack[rows]
+        images = np.zeros((r + 1, r), dtype=_int_type(2 * (p - 1)))
+        images[1:] = basis
+        images[1:, 1:] += basis[:, :-1]
+        images[:, :up] = 0
+        images = _mod(images, p).astype(basis.dtype, copy=False)
+        basis, row = images[:r], images[r]
+        age.insert(0, -1)
+        elder = age.pop()
+        while elder >= 0:
+            held = row.nonzero()[0]
+            if not held.size:
+                parts.append(k - elder // r + 1)
+                break
+            c = int(held[-1])
+            if age[c] < 0:
+                basis[c], age[c] = row, elder
+                break
+            if age[c] > elder:
+                row, basis[c] = basis[c].copy(), row
+                elder, age[c] = age[c], elder
+            row = _reduce(row, basis[c], c, p)
+        for c in range(up, top + 1):
+            if age[c] < 0:
+                basis[c, c], age[c] = 1, (k + 1) * r + c
     if sum(parts) != n1 * n2:
         raise AssertionError(
             f"Jordan type of dimension {sum(parts)}, not {n1 * n2}")
@@ -459,9 +483,9 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
     """Jordan type of the tensor product with diagonal generator action.
 
     No closed form is trusted here: each pair of parts is decomposed on
-    the grading of its tensor product, one elimination per degree, with
-    results cached per (p, n1, n2).  The capacity is checked on the
-    (n1 n2)^2 entries of its Kronecker matrix, which is never built.
+    the grading of its tensor product, with results cached per (p, n1,
+    n2).  The capacity is checked on the (n1 n2)^2 entries of its
+    Kronecker matrix, which is never built.
     """
     _check_group(a, b)
     limit = capacity_limit(cap)

@@ -13,7 +13,10 @@ with numpy alone, as input to `oracle.jordan_type`.  `kronecker` builds
 J_n1 (x) J_n2 as the explicit Kronecker product of two shift blocks:
 decomposed by `oracle.jordan_type`, it is the dense reference for the
 graded kernel `oracle._tensor_pair`, and an input whose eliminations in
-`oracle._eliminate` leave a core after the column peel.  `restricted`
+`oracle._eliminate` leave a core after the column peel.
+`graded_tensor_walk` is the reference beyond that matrix's reach: the
+kernel's walk over the grading with one `_echelon` per degree in place of
+the echelon basis and its row reductions.  `restricted`
 and `induced` take a restriction to D_i or an induction from it in one
 shot, on the p^(ell-i)-th power of the shift block or on the full induced
 block: the dense reference for the index-p steps that
@@ -34,6 +37,8 @@ from cyclicsource.modules import ModuleSum
 from cyclicsource.oracle import (
     MatrixModule,
     _echelon,
+    _int_type,
+    _mod,
     _shift_block,
     check_capacity,
     jordan_type,
@@ -58,6 +63,45 @@ def kronecker(p: int, ell: int, n1: int, n2: int) -> MatrixModule:
     Kronecker product of the two shift blocks."""
     return MatrixModule(GroupSpec(p, ell),
                         np.kron(_shift_block(n1, p), _shift_block(n2, p)))
+
+
+def graded_tensor_walk(p: int, n1: int, n2: int) -> tuple[int, ...]:
+    """Jordan type of J_n1 (x) J_n2 by the elder rule, one elimination per
+    degree: the reference for the graded kernel `oracle._tensor_pair`.
+
+    The same walk over the grading of A = k[x, y']/(x^r, y'^s), r <= s,
+    with l = x + y' mapping A_k into A_(k+1), but with no echelon basis:
+    at each degree `_echelon` reads the greedy row profile of the images
+    under l stacked over the identity of A_(k+1).  An image that depends
+    on older ones ends a Jordan block of length k - birth + 1, and an
+    identity row in the profile is born at k + 1.  No input to `_echelon`
+    exceeds 2r x r, so it reaches pairs whose Kronecker matrix is out of
+    reach.
+    """
+    r, s = sorted((n1, n2))
+    narrow, wide = _int_type(p - 1), _int_type(2 * (p - 1))
+    basis, born = np.ones((1, 1), dtype=narrow), [0]  # A_0 = k, born at 0
+    parts: list[int] = []
+    for k in range(r + s - 1):
+        # A_k holds a in lo..hi, A_(k+1) holds a in up..top; column a + 1
+        # of `full` holds a, and column 0 stays zero: no x-part reaches a = 0
+        lo, hi = max(0, k - s + 1), min(k, r - 1)
+        up, top = max(0, k - s + 2), min(k + 1, r - 1)
+        full = np.zeros((len(born), r + 1), dtype=wide)
+        full[:, lo + 1 : hi + 2] = basis
+        # x^a y'^b -> x^(a+1) y'^b + x^a y'^(b+1); the slices drop x^r, y'^s
+        images = full[:, up : top + 1] + full[:, up + 1 : top + 2]
+        stack = _mod(np.vstack((images, np.eye(top - up + 1, dtype=wide))),
+                     p).astype(narrow)
+        rows = _echelon(stack, p)[1]
+        kept = set(rows)
+        parts.extend(k - b + 1 for i, b in enumerate(born) if i not in kept)
+        born = [born[i] if i < len(born) else k + 1 for i in rows]
+        basis = stack[rows]
+    if sum(parts) != n1 * n2:
+        raise AssertionError(
+            f"Jordan type of dimension {sum(parts)}, not {n1 * n2}")
+    return tuple(sorted(parts, reverse=True))
 
 
 def restricted(n: int, group: GroupSpec, i: int) -> ModuleSum:

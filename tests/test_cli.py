@@ -202,6 +202,20 @@ class TestVerify:
         assert [r["label"] for r in records] == ["dade-law"]
         assert records[0]["mismatches"] == 0
 
+    def test_group_law_on_c125_without_skips(self, capsys):
+        # with the cap raised to 2^28 every tensor pair of C_125 is
+        # decomposed, J_124 (x) J_124 included: at the default cap
+        # dade-law skips 32 of its 64 cases
+        code, out, _ = run(capsys, "--format", "json-lines",
+                           "--oracle-cap", str(2**28), "verify", "--p", "5",
+                           "--ell", "3", "--suite", "dade-law",
+                           "--suite", "classification")
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["label"], r["cases"], r["skipped"], r["mismatches"])
+                for r in records] == [("dade-law", 64, 0, 0),
+                                      ("classification", 25, 0, 0)]
+
     def test_capacity_exceeded(self, capsys):
         code, _, err = run(capsys, "verify", "--p", "3", "--ell", "9")
         assert code == EXIT_RECORD_ERROR

@@ -37,6 +37,7 @@ from cyclicsource.oracle import (
     tensor_decompose,
 )
 from oracle_reference import (
+    graded_tensor_walk,
     induced,
     jordan_chains,
     kronecker,
@@ -1052,21 +1053,39 @@ class TestTensor:
             jordan_type(kronecker(p, 1, 7, 30)).parts
         assert oracle._tensor_pair.__wrapped__(p, 3, p - 1) == (p, p, p - 3)
 
-    def test_graded_kernel_builds_no_kronecker_matrix(self, monkeypatch):
-        # J_24 (x) J_24 over C_25: one elimination per degree 0..46, each of
-        # at most 2 min(r, s) rows and min(r, s) columns, and neither the
-        # rank path's elimination nor np.kron is called
+    @pytest.mark.parametrize("group", [
+        GroupSpec(2, 6), GroupSpec(3, 4), GroupSpec(5, 3)],
+        ids=["C_64", "C_81", "C_125"])
+    def test_graded_kernel_against_the_walk(self, group):
+        # beyond the Kronecker matrix's reach: sizes next to the powers of
+        # p and at the top, every pair r <= s with r s < q^2 / 4 and
+        # J_(q-1) (x) J_(q-1), against the walk with one elimination per
+        # degree
+        p, q = group.p, group.order
+        sizes = sorted({2, q - p - 1, q - 1} | {
+            p ** e + d for e in range(1, group.ell) for d in (-1, 1)} - {1})
+        pairs = [(r, s) for r, s in
+                 itertools.combinations_with_replacement(sizes, 2)
+                 if 4 * r * s < q * q] + [(q - 1, q - 1)]
+        for r, s in pairs:
+            assert oracle._tensor_pair.__wrapped__(p, r, s) == \
+                graded_tensor_walk(p, r, s), (r, s)
+
+    def test_graded_kernel_runs_no_elimination(self, monkeypatch):
+        # J_24 (x) J_24 over C_25: no elimination, no product and no
+        # Kronecker matrix; only the image of row r - 1 and the rows it
+        # displaces are reduced, fewer times than there are degrees
         def refused(*args):
             raise AssertionError("called")
 
-        shapes = []
-        monkeypatch.setattr(oracle, "_eliminate", refused)
+        for name in ("_echelon", "_gauss_jordan", "_eliminate", "matmul_mod"):
+            monkeypatch.setattr(oracle, name, refused)
         monkeypatch.setattr(oracle.np, "kron", refused)
-        record(monkeypatch, "_echelon", shapes, lambda args, out: args[0].shape)
+        reductions = []
+        record(monkeypatch, "_reduce", reductions, lambda args, out: args[2])
         assert oracle._tensor_pair.__wrapped__(5, 24, 24) == \
             (25,) * 23 + (1,)
-        assert len(shapes) == 47
-        assert all(m <= 48 and n <= 24 for m, n in shapes)
+        assert len(reductions) <= 23
 
 
 class TestEndoPermutationAndCap:

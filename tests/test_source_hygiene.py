@@ -19,9 +19,10 @@ checks the kernel's matrices against the capacity, so that happens in one
 place and every operation composes those functions, not kernels.  One
 elimination kernel: `_gauss_jordan` is the one Gauss-Jordan loop, called
 by `_eliminate` on its core and by `_echelon`, which keeps the reduced
-column echelon form that `column_space` returns and which `_tensor_pair`
-takes for speed; `_eliminate` reaches no matrix product, and
-`rank_profile` reaches neither `column_space` nor `_echelon`.
+column echelon form that `column_space` returns; `_eliminate` reaches no
+matrix product, `rank_profile` reaches neither `column_space` nor
+`_echelon`, and the graded tensor kernel `_tensor_pair`, which reduces
+single rows, reaches no elimination and no matrix product.
 
 One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
@@ -460,6 +461,11 @@ def test_one_caller_per_oracle_kernel():
             if len(found) != 1} == {}
 
 
+# what the graded tensor kernel reaches none of
+ELIMINATION = {"_gauss_jordan", "_echelon", "_eliminate", "column_space",
+               "matmul_mod"}
+
+
 def test_one_elimination_kernel():
     tree = tree_of(PACKAGE / "oracle.py")
     assert callers_of(tree, ["_gauss_jordan"]) == {
@@ -467,6 +473,7 @@ def test_one_elimination_kernel():
     assert {"column_space", "_echelon"} & reached(tree, "rank_profile") == set()
     assert "_eliminate" in reached(tree, "rank_profile")
     assert "matmul_mod" not in reached(tree, "_eliminate")
+    assert ELIMINATION & reached(tree, "_tensor_pair") == set()
 
 
 def test_second_elimination_caller_is_seen():
@@ -481,6 +488,23 @@ def test_second_elimination_caller_is_seen():
         "_gauss_jordan": ["_echelon", "_eliminate", "other"]}
     assert reached(tree, "rank_profile") == {
         "_helper", "column_space", "_echelon", "_eliminate", "_gauss_jordan"}
+
+
+def test_elimination_in_the_tensor_kernel_is_seen():
+    # an elimination through a helper, and a product called directly
+    tree = ast.parse("from functools import lru_cache\n"
+                     "def _gauss_jordan(a): pass\n"
+                     "def _echelon(a): return _gauss_jordan(a)\n"
+                     "def matmul_mod(a, b): pass\n"
+                     "def _reduce(a): return a\n"
+                     "def _walk(a): return _echelon(a)\n"
+                     "@lru_cache(maxsize=8)\n"
+                     "def _tensor_pair(a):\n"
+                     "    return _reduce(a), _walk(a), matmul_mod(a, a)\n")
+    assert reached(tree, "_tensor_pair") == {
+        "_reduce", "_walk", "_echelon", "_gauss_jordan", "matmul_mod"}
+    assert ELIMINATION & reached(tree, "_tensor_pair") == {
+        "_echelon", "_gauss_jordan", "matmul_mod"}
 
 
 def test_kernel_callers_are_seen():
