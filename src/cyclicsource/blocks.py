@@ -12,12 +12,11 @@ enter as user-asserted metadata flags.  `verify.CERTIFIED` and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import dade
 from .dade import DadeElement, OddPrimeRequiredError, SignVector
-from .groups import GroupSpec
+from .groups import GroupSpec, _set, _Value
 
 PROVENANCE_CHARACTER = "character-values"
 PROVENANCE_PRINCIPAL = "principal-block"
@@ -33,55 +32,54 @@ class InconsistentDescriptorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(_Value):
     """Input data for one block: the defect group, the character values
     chi(u_1)..chi(u_ell) of a non-exceptional character at one element per
     layer, and optional group-theoretic metadata flags."""
 
-    group: GroupSpec
-    chi_values: tuple[int, ...] | None = None
-    is_principal: bool | None = None
-    centralizer_equal: bool | None = None
-    normalizer_equal: bool | None = None
-    inertial_index: int | None = None
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.group.ell < 1:
+    def __init__(self, group: GroupSpec,
+                 chi_values: tuple[int, ...] | None = None,
+                 is_principal: bool | None = None,
+                 centralizer_equal: bool | None = None,
+                 normalizer_equal: bool | None = None,
+                 inertial_index: int | None = None, label: str = "") -> None:
+        if group.ell < 1:
             raise ValueError("block defect group must be non-trivial")
-        if self.chi_values is not None:
-            values = tuple(map(operator.index, self.chi_values))
-            object.__setattr__(self, "chi_values", values)
-            if len(values) != self.group.ell:
-                raise ValueError(
-                    f"need {self.group.ell} character values, got {len(values)}"
-                )
-        if self.inertial_index is not None:
-            e = operator.index(self.inertial_index)
-            object.__setattr__(self, "inertial_index", e)
+        if chi_values is not None:
+            chi_values = tuple(map(operator.index, chi_values))
+            if len(chi_values) != group.ell:
+                raise ValueError(f"need {group.ell} character values, "
+                                 f"got {len(chi_values)}")
+        if inertial_index is not None:
+            e = inertial_index = operator.index(inertial_index)
             if e < 1:
                 raise ValueError("inertial index must be positive")
             # then e | p^ell - 1 as well, since p = 1 (mod e)
-            if (self.group.p - 1) % e != 0:
+            if (group.p - 1) % e != 0:
                 raise ValueError(
-                    f"inertial index {e} does not divide p - 1 = {self.group.p - 1}"
+                    f"inertial index {e} does not divide p - 1 = {group.p - 1}"
                 )
+        _set(self, "group", group)
+        _set(self, "chi_values", chi_values)
+        _set(self, "is_principal", is_principal)
+        _set(self, "centralizer_equal", centralizer_equal)
+        _set(self, "normalizer_equal", normalizer_equal)
+        _set(self, "inertial_index", inertial_index)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class WResult:
+class WResult(_Value):
     """The inferred source module: its Dade element, sign vector, and which
     criterion produced it; its Jordan size and triviality are read off the
     element."""
 
-    dade: DadeElement
-    signs: SignVector
-    provenance: str
-
-    def __post_init__(self) -> None:
-        if self.dade.alpha and self.dade.alpha[0] != 0:
+    def __init__(self, dade: DadeElement, signs: SignVector,
+                 provenance: str) -> None:
+        if dade.alpha and dade.alpha[0] != 0:
             raise ValueError("source module must have trivial bottom-layer action")
+        _set(self, "dade", dade)
+        _set(self, "signs", signs)
+        _set(self, "provenance", provenance)
 
     @property
     def jordan(self) -> int:

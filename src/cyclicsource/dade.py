@@ -20,10 +20,9 @@ bijection onto {+-1}^ell with an explicit inverse.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 
-from .groups import GroupSpec
+from .groups import GroupSpec, _set, _Value
 from .modules import ModuleSum, _check_group
 
 
@@ -31,26 +30,23 @@ class OddPrimeRequiredError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DadeElement:
+class DadeElement(_Value):
     """A class of the Dade group, named by its bit vector.  For p = 2 the
     bit alpha_{ell-1} is accepted but stored as 0, the canonical name of
     the class."""
 
-    group: GroupSpec
-    alpha: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        alpha = tuple(map(operator.index, self.alpha))
-        object.__setattr__(self, "alpha", alpha)
-        if len(alpha) != self.group.ell:
+    def __init__(self, group: GroupSpec, alpha: tuple[int, ...]) -> None:
+        alpha = tuple(map(operator.index, alpha))
+        if len(alpha) != group.ell:
             raise ValueError(
-                f"alpha must have length {self.group.ell}, got {len(alpha)}"
+                f"alpha must have length {group.ell}, got {len(alpha)}"
             )
         if any(a not in (0, 1) for a in alpha):
             raise ValueError(f"alpha entries must be bits, got {alpha}")
-        if self.group.p == 2 and alpha:
-            object.__setattr__(self, "alpha", alpha[:-1] + (0,))
+        if group.p == 2 and alpha:
+            alpha = alpha[:-1] + (0,)
+        _set(self, "group", group)
+        _set(self, "alpha", alpha)
 
     @property
     def is_zero(self) -> bool:
@@ -60,42 +56,37 @@ class DadeElement:
         return "".join(str(a) for a in self.alpha)
 
 
-@dataclass(frozen=True)
-class SignVector:
-    group: GroupSpec
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        signs = tuple(map(operator.index, self.signs))
-        object.__setattr__(self, "signs", signs)
-        if len(signs) != self.group.ell:
+class SignVector(_Value):
+    def __init__(self, group: GroupSpec, signs: tuple[int, ...]) -> None:
+        signs = tuple(map(operator.index, signs))
+        if len(signs) != group.ell:
             raise ValueError(
-                f"signs must have length {self.group.ell}, got {len(signs)}"
+                f"signs must have length {group.ell}, got {len(signs)}"
             )
         if any(s not in (1, -1) for s in signs):
             raise ValueError(f"sign entries must be +-1, got {signs}")
+        _set(self, "group", group)
+        _set(self, "signs", signs)
 
 
-@dataclass(frozen=True)
-class LiftCharacter:
+class LiftCharacter(_Value):
     """Character of the determinant-one lift of an indecomposable capped
     endo-permutation module: the degree plus one integer value per layer
     D_i \\ D_{i-1} (values are constant on layers)."""
 
-    group: GroupSpec
-    dim: int
-    layer_values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(map(operator.index, self.layer_values))
-        object.__setattr__(self, "dim", operator.index(self.dim))
-        object.__setattr__(self, "layer_values", values)
-        if len(values) != self.group.ell:
+    def __init__(self, group: GroupSpec, dim: int,
+                 layer_values: tuple[int, ...]) -> None:
+        values = tuple(map(operator.index, layer_values))
+        dim = operator.index(dim)
+        if len(values) != group.ell:
             raise ValueError(
-                f"need {self.group.ell} layer values, got {len(values)}"
+                f"need {group.ell} layer values, got {len(values)}"
             )
-        if self.dim <= 0 or any(v == 0 for v in values):
+        if dim <= 0 or any(v == 0 for v in values):
             raise ValueError("degree must be positive and layer values non-zero")
+        _set(self, "group", group)
+        _set(self, "dim", dim)
+        _set(self, "layer_values", values)
 
 
 def dade_zero(group: GroupSpec) -> DadeElement:

@@ -30,11 +30,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .blocks import BlockDescriptor
-from .groups import MAX_ORDER_DIGITS, GroupSpec, order_too_large
+from .groups import MAX_ORDER_DIGITS, GroupSpec, _Value, order_too_large
 from .trees import BrauerTree
 
 FORMAT_VERSION = 1
@@ -52,10 +51,10 @@ _KIND_NOUNS = {int: "integer", str: "string", bool: "boolean",
                list: "array", dict: "object"}
 
 
-@dataclass
-class ParseIssue:
-    path: str
-    message: str
+class ParseIssue(_Value, frozen=False):
+    def __init__(self, path: str, message: str) -> None:
+        self.path = path
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
@@ -67,10 +66,11 @@ class DescriptorError(ValueError):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-@dataclass
-class DescriptorFile:
-    blocks: list[BlockDescriptor] = field(default_factory=list)
-    trees: list[BrauerTree] = field(default_factory=list)
+class DescriptorFile(_Value, frozen=False):
+    def __init__(self, blocks: list[BlockDescriptor] | None = None,
+                 trees: list[BrauerTree] | None = None) -> None:
+        self.blocks = [] if blocks is None else blocks
+        self.trees = [] if trees is None else trees
 
 
 class _Validator:

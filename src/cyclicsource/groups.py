@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 
 
 # Miller-Rabin with the first k primes as bases is exact below psi_k (OEIS
@@ -65,26 +64,74 @@ def order_too_large(p: int, ell: int) -> bool:
     return p ** ell >= 10 ** MAX_ORDER_DIGITS
 
 
-@dataclass(frozen=True, order=True)
-class GroupSpec:
+_set = object.__setattr__  # how a frozen value's __init__ stores a field
+
+
+class _Value:
+    """The base of the package's value classes, in place of the dataclass
+    decorator, which with its import of `inspect` took much of every
+    command's start-up.
+
+    The fields are the parameters of the subclass's `__init__`, in order,
+    and give it the repr, equality and hash of a dataclass: `GroupSpec(p=3,
+    ell=2)`, equal to a value of the same class with equal fields, and the
+    hash of the field tuple.  `__eq__` and `__hash__` are compiled for each
+    class, as a dataclass's are: a generic one reads the fields half as
+    fast.  A value is frozen: its `__init__` stores each field with `_set`,
+    and assigning or deleting an attribute later raises AttributeError.  A
+    class made with `frozen=False` is mutable and has no hash.  Instances
+    keep their `__dict__`, where `cached_property` stores what it computes;
+    that is no field.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+        mine = "".join(f"self.{name}, " for name in cls._fields)
+        theirs = "".join(f"other.{name}, " for name in cls._fields)
+        methods = {}
+        exec(f"def __eq__(self, other):\n"
+             f"    if other.__class__ is self.__class__:\n"
+             f"        return ({mine}) == ({theirs})\n"
+             f"    return NotImplemented\n"
+             f"def __hash__(self):\n"
+             f"    return hash(({mine}))\n", {}, methods)
+        cls.__eq__ = methods["__eq__"]
+        cls.__hash__ = methods["__hash__"] if frozen else None
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroupSpec(_Value):
     """A cyclic group of order p^ell.
 
     ell = 0 (the trivial group) is allowed so that restriction to D_0 has
     a home; block-level consumers require ell >= 1.
     """
 
-    p: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        self.__dict__.update(p=operator.index(self.p), ell=operator.index(self.ell))
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.ell < 0:
-            raise ValueError(f"ell must be non-negative, got {self.ell}")
-        if order_too_large(self.p, self.ell):
+    def __init__(self, p: int, ell: int) -> None:
+        p, ell = operator.index(p), operator.index(ell)
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if ell < 0:
+            raise ValueError(f"ell must be non-negative, got {ell}")
+        if order_too_large(p, ell):
             raise ValueError(f"p^ell must have at most {MAX_ORDER_DIGITS} "
-                             f"digits, got p = {self.p}, ell = {self.ell}")
+                             f"digits, got p = {p}, ell = {ell}")
+        _set(self, "p", p)
+        _set(self, "ell", ell)
 
     @property
     def order(self) -> int:
@@ -95,7 +142,7 @@ class GroupSpec:
         i = operator.index(i)
         if not 0 <= i <= self.ell:
             raise ValueError(f"subgroup index {i} out of range 0..{self.ell}")
-        # built without __post_init__: p is prime and p^i <= p^ell
+        # built without the checks of __init__: p is prime, p^i <= p^ell
         sub = object.__new__(GroupSpec)
         sub.__dict__.update(p=self.p, ell=i)
         return sub

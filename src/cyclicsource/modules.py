@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .groups import GroupSpec
+from .groups import GroupSpec, _set, _Value
 
 
 class GroupMismatchError(ValueError):
@@ -25,30 +24,26 @@ class NotCappedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ModuleSum:
+class ModuleSum(_Value):
     """A finite multiset of Jordan sizes over a fixed cyclic p-group.
 
     parts are stored sorted in descending order; the zero module is the
     empty tuple.
     """
 
-    group: GroupSpec
-    parts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        parts = tuple(sorted(map(operator.index, self.parts), reverse=True))
-        object.__setattr__(self, "parts", parts)
-        bound = self.group.order
+    def __init__(self, group: GroupSpec, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(sorted(map(operator.index, parts), reverse=True))
+        bound = group.order
         for n in parts:
             if not 1 <= n <= bound:
-                raise ValueError(
-                    f"part {n} out of range 1..{bound} for {self.group}"
-                )
+                raise ValueError(f"part {n} out of range 1..{bound} for {group}")
+        _set(self, "group", group)
+        _set(self, "parts", parts)
 
     @classmethod
     def _of(cls, group: GroupSpec, parts) -> "ModuleSum":
-        """Built without __post_init__, from int parts computed in range."""
+        """Built without the checks of __init__, from int parts computed
+        in range."""
         m = object.__new__(cls)
         m.__dict__.update(group=group, parts=tuple(sorted(parts, reverse=True)))
         return m

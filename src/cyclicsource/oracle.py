@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import GroupSpec
@@ -269,15 +268,12 @@ def column_space(a: np.ndarray, p: int) -> np.ndarray:
 # matrix modules
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixModule:
-    """A module given by the explicit action of the generator of the group."""
+    """A module given by the explicit action of the generator of the group.
+    Frozen, and equal only to itself."""
 
-    group: GroupSpec
-    action: np.ndarray  # dim x dim over F_p
-
-    def __post_init__(self) -> None:
-        a, p = np.asarray(self.action), self.group.p
+    def __init__(self, group: GroupSpec, action: np.ndarray) -> None:
+        a, p = np.asarray(action), group.p
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError("generator action must be an integer matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -285,7 +281,17 @@ class MatrixModule:
         # reduced in the input's type, widened only to hold p, then narrowed
         a = _mod(a.astype(np.promote_types(a.dtype, np.min_scalar_type(p)),
                           copy=False), p).astype(_int_type(p - 1), copy=False)
-        object.__setattr__(self, "action", a)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "action", a)  # dim x dim over F_p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MatrixModule(group={self.group!r}, action={self.action!r})"
 
     @property
     def dim(self) -> int:

@@ -23,28 +23,25 @@ when the planar codes differ, since planar isomorphism implies similarity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, repeat
 
-from .groups import GroupSpec
+from .groups import GroupSpec, _set, _Value
 
 
-@dataclass(frozen=True)
-class BrauerTree:
-    vertices: tuple[str, ...]
-    planar: dict[str, tuple[str, ...]]  # vertex -> neighbours in cyclic order
-    defect: GroupSpec
-    multiplicity: int = 1
-    exceptional: str | None = None
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "multiplicity", operator.index(self.multiplicity))
-        object.__setattr__(
-            self, "planar", {v: tuple(ns) for v, ns in self.planar.items()}
-        )
+class BrauerTree(_Value):
+    def __init__(self, vertices: tuple[str, ...],
+                 planar: dict[str, tuple[str, ...]],  # vertex -> cyclic order
+                 defect: GroupSpec, multiplicity: int = 1,
+                 exceptional: str | None = None, label: str = "") -> None:
+        vertices = tuple(vertices)
+        multiplicity = operator.index(multiplicity)
+        _set(self, "vertices", vertices)
+        _set(self, "planar", {v: tuple(ns) for v, ns in planar.items()})
+        _set(self, "defect", defect)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "exceptional", exceptional)
+        _set(self, "label", label)
 
     @property
     def edges(self) -> frozenset[frozenset[str]]:
@@ -72,9 +69,9 @@ class BrauerTree:
         return _rooted_code(self, planar=True)
 
 
-@dataclass(frozen=True)
-class TypeFunction:
-    signs: dict[str, int] = field(default_factory=dict)  # vertex -> +-1
+class TypeFunction(_Value):
+    def __init__(self, signs: dict[str, int] | None = None) -> None:
+        _set(self, "signs", {} if signs is None else signs)  # vertex -> +-1
 
 
 def validate(t: BrauerTree) -> list[str]:

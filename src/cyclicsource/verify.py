@@ -14,21 +14,21 @@ forms that the suites hold to matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import dade, modules, oracle
 from .dade import DadeElement
-from .groups import GroupSpec
+from .groups import GroupSpec, _Value
 from .modules import ModuleSum
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int = 0
-    skipped: int = 0
-    mismatches: list[dict] = field(default_factory=list)
+class SuiteResult(_Value, frozen=False):
+    def __init__(self, name: str, cases: int = 0, skipped: int = 0,
+                 mismatches: list[dict] | None = None) -> None:
+        self.name = name
+        self.cases = cases
+        self.skipped = skipped
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def passed(self) -> bool:

@@ -683,45 +683,64 @@ class TestSharedParser:
 class TestNumpyLoad:
     """numpy loads at the oracle's first computation: the commands that
     build no matrix, and a verify refused before its first oracle call,
-    never run numpy's import.  Checked in a fresh process, since this one
-    has numpy loaded already."""
+    never run numpy's import.  Nor does start-up load `dataclasses`, or
+    `inspect` before numpy does.  Checked in a fresh process, since this
+    one has all three loaded already."""
 
     CHILD = textwrap.dedent("""
         import contextlib, io, json, sys
+        before = set(sys.modules)
         from cyclicsource.cli import main
+        new = [sorted(set(sys.modules) - before)]
         seen = []
         for argv in json.loads(sys.argv[1]):
+            before = set(sys.modules)
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             seen.append([code, "numpy._core" in sys.modules])
-        print(json.dumps(seen))
+            new.append(sorted(set(sys.modules) - before))
+        print(json.dumps({"seen": seen, "new": new}))
     """)
 
-    def test_only_the_oracle_loads_numpy(self):
-        good = fixture("good.json")
-        argvs = [
-            (["infer", good], EXIT_OK),
-            (["tree", "check", good], EXIT_OK),
-            (["tree", "compare", good, "spine", "spine-mirror"], EXIT_OK),
-            (["tree", "emit-star", "2", "1", "3", "1"], EXIT_OK),
-            (["dade", "--p", "3", "--ell", "2", "module", "10"], EXIT_OK),
-            (["verify", "--p", "4", "--ell", "1"], EXIT_PARSE_ERROR),
-            (["--oracle-cap", "0", "verify", "--p", "3", "--ell", "1"],
-             EXIT_PARSE_ERROR),
-            (["verify", "--p", "3", "--ell", "9"], EXIT_RECORD_ERROR),
-            (["verify", "--p", "3", "--ell", "2"], EXIT_OK),
-        ]
+    ARGVS = [
+        (["infer", fixture("good.json")], EXIT_OK),
+        (["tree", "check", fixture("good.json")], EXIT_OK),
+        (["tree", "compare", fixture("good.json"), "spine", "spine-mirror"],
+         EXIT_OK),
+        (["tree", "emit-star", "2", "1", "3", "1"], EXIT_OK),
+        (["dade", "--p", "3", "--ell", "2", "module", "10"], EXIT_OK),
+        (["verify", "--p", "4", "--ell", "1"], EXIT_PARSE_ERROR),
+        (["--oracle-cap", "0", "verify", "--p", "3", "--ell", "1"],
+         EXIT_PARSE_ERROR),
+        (["verify", "--p", "3", "--ell", "9"], EXIT_RECORD_ERROR),
+        (["verify", "--p", "3", "--ell", "2"], EXIT_OK),
+    ]
+
+    @pytest.fixture(scope="class")
+    def child(self):
+        """What the child saw of each command, and the modules newly loaded
+        by `import cyclicsource.cli` and then by each command."""
         # the child imports the package this process imported
         src = str(Path(cyclicsource.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD,
-             json.dumps([argv for argv, _ in argvs])],
+             json.dumps([argv for argv, _ in self.ARGVS])],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
-        assert [code for code, _ in seen] == [code for _, code in argvs]
+        return json.loads(proc.stdout)
+
+    def test_only_the_oracle_loads_numpy(self, child):
+        seen = child["seen"]
+        assert [code for code, _ in seen] == [code for _, code in self.ARGVS]
         # loaded by the last command only, the one verify that computes
         assert [loaded for _, loaded in seen] == [False] * 8 + [True]
+
+    def test_start_up_loads_neither_dataclasses_nor_inspect(self, child):
+        stages = ["import"] + [" ".join(argv) for argv, _ in self.ARGVS]
+        new = list(zip(stages, child["new"]))
+        assert [stage for stage, names in new if "dataclasses" in names] == []
+        # numpy imports inspect itself, so the last command may load it
+        assert [stage for stage, names in new[:-1] if "inspect" in names] == []

@@ -1,13 +1,15 @@
-"""Cyclic p-group bookkeeping: the primality test behind GroupSpec, and
-the integer fields of GroupSpec and the records built on it."""
+"""Cyclic p-group bookkeeping: the primality test behind GroupSpec, the
+integer fields of GroupSpec and the records built on it, and the value
+semantics those records share."""
 
+import inspect
 import random
 
 import numpy as np
 import pytest
 
 from cyclicsource import groups, modules, oracle
-from cyclicsource.blocks import BlockDescriptor
+from cyclicsource.blocks import BlockDescriptor, WResult
 from cyclicsource.dade import (
     DadeElement,
     LiftCharacter,
@@ -21,8 +23,10 @@ from cyclicsource.groups import (
     is_prime,
     order_too_large,
 )
+from cyclicsource.descriptors import DescriptorFile, ParseIssue
 from cyclicsource.modules import ModuleSum
-from cyclicsource.trees import star
+from cyclicsource.trees import BrauerTree, TypeFunction, star
+from cyclicsource.verify import SuiteResult
 
 
 def sieve(limit):
@@ -181,3 +185,78 @@ class TestIntegerFields:
             assert got == fn(m, 1) and list(map(type, got.parts)) == \
                 [int] * len(got.parts)
         assert modules.relative_heller(m, np.int64(1)).parts == (2**69 - 3,)
+
+
+def values():
+    """One value of each class on `groups._Value`, the frozen ones first."""
+    alpha, signs = DadeElement(C9, (0, 1)), SignVector(C9, (1, -1))
+    return [GroupSpec(3, 2), ModuleSum(C9, (1, 4)), alpha, signs,
+            LiftCharacter(C9, 4, (2, -1)),
+            BlockDescriptor(C9, (2, -1), inertial_index=2, label="b"),
+            WResult(alpha, signs, "character-values"), star(2, 4, C9),
+            TypeFunction({"c": 1}),
+            ParseIssue("$.p", "bad"), DescriptorFile(), SuiteResult("s")]
+
+
+def fields(value):
+    """The field tuple of `value`: the parameters of its class's __init__."""
+    return tuple(getattr(value, name)
+                 for name in inspect.signature(type(value)).parameters)
+
+
+FROZEN = 9  # the frozen values() come first
+
+
+class TestValueClasses:
+    """What the value classes kept of the dataclasses they were: the repr,
+    equality and hash of the field tuple, and frozen or mutable as they
+    were declared."""
+
+    def test_repr_names_each_field(self):
+        assert repr(C9) == "GroupSpec(p=3, ell=2)"
+        assert repr(ModuleSum(C9, (1, 4))) == \
+            "ModuleSum(group=GroupSpec(p=3, ell=2), parts=(4, 1))"
+        assert repr(SuiteResult("s")) == \
+            "SuiteResult(name='s', cases=0, skipped=0, mismatches=[])"
+        matrix = oracle.MatrixModule(C9, np.eye(1, dtype=np.int64))
+        assert repr(matrix) == ("MatrixModule(group=GroupSpec(p=3, ell=2), "
+                                "action=array([[1]], dtype=int16))")
+
+    def test_equal_by_class_and_fields(self):
+        for value, again in zip(values(), values()):
+            assert value is not again and value == again
+            assert not value != again and value != fields(value)
+        # a tree's cached codes are no field
+        tree = star(2, 4, C9)
+        assert tree._planar_code and tree == star(2, 4, C9)
+        assert repr(tree) == repr(star(2, 4, C9))
+
+    def test_frozen_values_hash_their_fields(self):
+        for value in values()[:FROZEN]:
+            if type(value) in (BrauerTree, TypeFunction):  # dict fields
+                with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                    hash(value)
+            else:
+                assert hash(value) == hash(fields(value))
+
+    def test_frozen_values_refuse_assignment(self):
+        matrix = oracle.MatrixModule(C9, np.eye(1, dtype=np.int64))
+        for value in values()[:FROZEN] + [matrix]:
+            name = next(iter(vars(value)))
+            with pytest.raises(AttributeError, match=f"assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"delete field '{name}'"):
+                delattr(value, name)
+        assert matrix != oracle.MatrixModule(C9, np.eye(1, dtype=np.int64))
+
+    def test_mutable_values_have_no_hash(self):
+        for value in values()[FROZEN:]:
+            name = next(iter(vars(value)))
+            setattr(value, name, "changed")
+            assert getattr(value, name) == "changed"
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(value)
+
+    def test_groups_are_not_ordered(self):
+        with pytest.raises(TypeError, match="not supported"):
+            GroupSpec(3, 1) < GroupSpec(3, 2)

@@ -28,9 +28,13 @@ One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
 oracle's every integer type is chosen in one place.
 
-No coercion in a constructor: no `__post_init__` calls the builtin `int`
-or `float` (nor maps it), which would turn 2.5 or "2" into an integer
-field; `operator.index` refuses whatever is not an integer.
+No coercion in a constructor: no `__init__` or `__post_init__` calls the
+builtin `int` or `float` (nor maps it), which would turn 2.5 or "2" into
+an integer field; `operator.index` refuses whatever is not an integer.
+
+No `dataclasses`: no module imports it, at any depth.  Every command
+imports the package, and `dataclasses` brings `inspect` with it (with
+`ast`, `dis` and `tokenize`); the value classes stand on `groups._Value`.
 
 Only `cli.main` writes output: `print`, `sys.stdout` and `sys.stderr`
 appear nowhere else in the package, and `sys.exit` only in a
@@ -326,13 +330,14 @@ def ledger_faults(functions, ledgers, uncertified, suites):
 COERCIONS = ("int", "float")
 
 
-def post_init_coercions(tree):
-    """(line, name) of each call of the builtin `int` or `float` in a
-    `__post_init__`, directly or as the function a `map` applies."""
+def constructor_coercions(tree):
+    """(line, name) of each call of the builtin `int` or `float` in an
+    `__init__` or a `__post_init__`, directly or as the function a `map`
+    applies."""
     found = []
     for init in ast.walk(tree):
         if not (isinstance(init, ast.FunctionDef)
-                and init.name == "__post_init__"):
+                and init.name in ("__init__", "__post_init__")):
             continue
         for node in ast.walk(init):
             if not isinstance(node, ast.Call):
@@ -343,6 +348,16 @@ def post_init_coercions(tree):
             if called in COERCIONS:
                 found.append((node.lineno, called))
     return sorted(found)
+
+
+def dataclass_imports(tree):
+    """The line of each import of `dataclasses`, or of a name from it, at
+    any depth."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "dataclasses"]
 
 
 def test_sources_found():
@@ -526,7 +541,21 @@ def test_kernel_callers_are_seen():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_coercion_in_post_init(path):
-    assert post_init_coercions(tree_of(path)) == []
+    assert constructor_coercions(tree_of(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert dataclass_imports(tree_of(path)) == []
+
+
+def test_dataclasses_import_is_seen():
+    tree = ast.parse("import dataclasses\nimport os, dataclasses as dc\n"
+                     "from dataclasses import dataclass, field\n"
+                     "import dataclasses_json\nfrom .dataclasses import x\n"
+                     "from . import dataclasses\n"
+                     "def f():\n    from dataclasses import replace\n")
+    assert sorted(dataclass_imports(tree)) == [1, 2, 3, 8]
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)
@@ -562,8 +591,11 @@ def test_coercion_in_post_init_is_seen():
                      "        self.c = tuple(map(operator.index, self.c))\n"
                      "        isinstance(self.c, int)\n"
                      "class B:\n    def scale(self):\n"
-                     "        return float(self.b)\n")
-    assert post_init_coercions(tree) == [(4, "int"), (5, "float")]
+                     "        return float(self.b)\n"
+                     "class C:\n    def __init__(self, n, m):\n"
+                     "        self.n, self.m = int(n), operator.index(m)\n")
+    assert constructor_coercions(tree) == [(4, "int"), (5, "float"),
+                                           (13, "int")]
 
 
 def ledger_trees():
