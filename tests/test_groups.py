@@ -16,6 +16,7 @@ from cyclicsource.dade import (
     SignVector,
     element_from_jordan,
 )
+from cyclicsource.descriptors import DescriptorFile, ParseIssue
 from cyclicsource.groups import (
     MAX_ORDER_DIGITS,
     PRIME_LIMIT,
@@ -23,7 +24,6 @@ from cyclicsource.groups import (
     is_prime,
     order_too_large,
 )
-from cyclicsource.descriptors import DescriptorFile, ParseIssue
 from cyclicsource.modules import ModuleSum
 from cyclicsource.trees import BrauerTree, TypeFunction, star
 from cyclicsource.verify import SuiteResult
