@@ -14,28 +14,29 @@ reduced mod p, and every kernel function returns the integer type it is
 given.  One rule, `_int_type`, names every integer type: int16 if it holds
 the bound at hand, else int64.  Every matrix the oracle builds is stored
 in `_int_type(p - 1)` from the start, so the rank profile below
-`jordan_type` stays in that type; the elimination works in the type of its
-bound, and a product, taken through float32 BLAS below 2^24, else float64
-BLAS below 2^53 (always, for the sizes admitted by the capacity check), is
-cast to the type of its bound and reduced there once.
+`_nilpotent_type` stays in that type; the elimination works in the type of
+its bound, and a product, taken through float32 BLAS below 2^24, else
+float64 BLAS below 2^53, is cast to the type of its bound and reduced
+there once.  `_exact_bound` states the 2^53 once, and the step kernels ask
+it of their dimension before they build a matrix.
 
 The rank path's elimination, `_eliminate`, takes the rows of singleton
 columns as pivots in bulk before one Gauss-Jordan pass runs on the rest,
 and returns a row basis S, the other non-zero rows D and X with a[D] =
 X a[S]: `rank_profile` restricts M to im M^j as M' = M[S][:, S] +
 M[S][:, D] X, a gather alone when D is empty, the sum held in the type of
-2(p - 1).  `_echelon` keeps, by the plain pass, the reduced column
-echelon form that `column_space` returns.  `_tensor_pair` builds no
-Kronecker matrix and runs no elimination: it walks the grading of J_r (x)
-J_s, r <= s, on an echelon basis of r x r cells, and reduces only the rows
-whose last entries collide.  Its capacity check still counts the
-(n1 n2)^2 entries of the Kronecker matrix.  Restriction to D_i and
-induction from it take ell - i index-p steps, each read off one explicit
-matrix cached on (p, n): g^p on J_n, the p-th power of the shift block, or
-the induced block of J_a, of dimension p a.  Their capacity checks count
-the one-shot matrix, n^2 or (a p^(ell-i))^2 entries, which no step
-exceeds.  numpy loads at the oracle's first computation, not at import:
-`infer`, `tree` and `dade` never load it.
+2(p - 1).  `column_space` keeps, by the plain pass, the reduced column
+echelon form.  `_tensor_pair` builds no Kronecker matrix and runs no
+elimination: it walks the grading of J_r (x) J_s, r <= s, on an echelon
+basis of r x r cells, and reduces only the rows whose last entries
+collide.  Its capacity check still counts the (n1 n2)^2 entries of the
+Kronecker matrix.  Restriction to D_i and induction from it take ell - i
+index-p steps, each read off one explicit nilpotent matrix cached on
+(p, n): N^p, for g^p = (I + N)^p on J_n, or the induced block of J_a, of
+dimension p a, less I.  Their capacity checks count the one-shot matrix,
+n^2 or (a p^(ell-i))^2 entries, which no step exceeds.  numpy loads at
+the oracle's first computation, not at import: `infer`, `tree` and `dade`
+never load it.
 """
 
 from __future__ import annotations
@@ -123,6 +124,16 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     return np.subtract(a, out, out=out)
 
 
+def _exact_bound(inner: int, p: int) -> int:
+    """inner (p - 1)^2, the bound of a dot product of `inner` residues mod
+    p; an OverflowError from 2^53 on, where float64 stops being exact."""
+    bound = inner * (p - 1) ** 2
+    if bound >= 2**53:
+        raise OverflowError(f"float64 product mod {p} with inner dimension "
+                            f"{inner} would exceed 2^53")
+    return bound
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product of two matrices with entries in [0, p), reduced mod p, in the
     integer type of the operands.
@@ -132,36 +143,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     `_int_type` of the bound and reduced there once, so with int16 operands
     and a bound below 2^15 no wider integer array is made.
     """
-    bound = a.shape[1] * (p - 1) ** 2
-    if bound >= 2**53:
-        raise OverflowError(
-            f"float64 product mod {p} with inner dimension {a.shape[1]} "
-            f"would exceed 2^53"
-        )
+    bound = _exact_bound(a.shape[1], p)
     real = np.float32 if bound < 2**24 else np.float64
     out = (a.astype(real) @ b.astype(real)).astype(_int_type(bound))
     return _mod(out, p).astype(np.result_type(a, b), copy=False)
-
-
-def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a^e mod p by repeated squaring, starting from the power of the lowest
-    set bit of e and with no squaring after the highest: a^(2^k) takes k
-    products.  The result has a's integer type; a negative e is a
-    ValueError."""
-    if e < 0:
-        raise ValueError(f"matrix power needs an exponent >= 0, got {e}")
-    base = _mod(np.asarray(a), p)
-    if e == 0:
-        return np.eye(base.shape[0], dtype=base.dtype)
-    while not e & 1:
-        base = matmul_mod(base, base, p)
-        e >>= 1
-    result = base
-    while e := e >> 1:
-        base = matmul_mod(base, base, p)
-        if e & 1:
-            result = matmul_mod(result, base, p)
-    return result
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
@@ -196,16 +181,10 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     return np.concatenate((free, core[rows])), core[dep], basis[dep]
 
 
-def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """(E, rows), a = E @ a[rows] mod p, by the plain pass: rows is the row
-    rank profile of `a` and E, of a's type, is in reduced column echelon
-    form (column k is zero above rows[k], E[rows] = I), the unique E that
-    `column_space` returns; `_eliminate` gives X on the core rows alone."""
-    return _gauss_jordan(_mod(a, p), p)
-
-
 def _gauss_jordan(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`_echelon`'s (E, rows) by one Gauss-Jordan pass, on any matrix.
+    """(E, rows), a = E @ a[rows] mod p, by one Gauss-Jordan pass: rows is
+    the row rank profile of `a` and E, of a's type, is in reduced column
+    echelon form (column k is zero above rows[k], E[rows] = I).
 
     Column operations sweep the rows in order: each pivot clears its row in
     every other column, so a pivot row ends as a unit row, with delayed
@@ -261,7 +240,7 @@ def column_space(a: np.ndarray, p: int) -> np.ndarray:
     """A basis (as columns) of the column space of `a` mod p, in reduced
     column echelon form: the first non-zero entry of column k is a 1, in
     the k-th independent row, and is the only non-zero entry of that row."""
-    return _echelon(a, p)[0]
+    return _gauss_jordan(_mod(a, p), p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,28 +366,35 @@ def _on_image(mat: np.ndarray, parts, p: int) -> np.ndarray:
     return out
 
 
+def _nilpotent_type(n_mat: np.ndarray, p: int) -> tuple[int, ...]:
+    """Jordan block sizes of a nilpotent matrix mod p, largest first, from
+    its rank profile; a ValueError unless the matrix is nilpotent."""
+    dim = n_mat.shape[0]
+    # ranks[s] - ranks[s+1] blocks have size > s, so the second difference
+    # counts the blocks of size exactly s+1
+    ranks = [dim] + rank_profile(n_mat, p) + [0, 0]
+    parts: list[int] = []
+    for s in reversed(range(len(ranks) - 2)):
+        parts.extend([s + 1] * (ranks[s] - 2 * ranks[s + 1] + ranks[s + 2]))
+    if sum(parts) != dim:
+        raise AssertionError(f"Jordan type of dimension {sum(parts)}, "
+                             f"not {dim}")
+    return tuple(parts)
+
+
 def jordan_type(m: MatrixModule) -> ModuleSum:
     """Jordan block sizes of the generator action, from the rank sequence;
     a ValueError unless the action is unipotent of order dividing p^ell."""
-    dim, p = m.dim, m.group.p
+    p = m.group.p
     # the rank profile keeps the stored type, so every matrix below is narrow
     n_mat = m.action.copy()
     np.fill_diagonal(n_mat, (n_mat.diagonal() - 1) % p)
     try:
-        # ranks[s] - ranks[s+1] blocks have size > s, so the second
-        # difference counts the blocks of size exactly s+1
-        ranks = [dim] + rank_profile(n_mat, p) + [0, 0]
-        parts: list[int] = []
-        for s in range(len(ranks) - 2):
-            parts.extend([s + 1] * (ranks[s] - 2 * ranks[s + 1] + ranks[s + 2]))
-        out = ModuleSum(m.group, tuple(parts))
+        return ModuleSum(m.group, _nilpotent_type(n_mat, p))
     except ValueError as exc:
         raise ValueError(
             "generator action is not unipotent of p-power order"
         ) from exc
-    if out.dim != dim:
-        raise AssertionError(f"Jordan type of dimension {out.dim}, not {dim}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +490,6 @@ def tensor_decompose(a: ModuleSum, b: ModuleSum, cap: int | None = None) -> Modu
     return ModuleSum._of(a.group, parts)
 
 
-def _home(p: int, dim: int) -> GroupSpec:
-    """The least C_(p^e) of order >= dim, the group of a step kernel's
-    Jordan type."""
-    e = 0
-    while p ** e < dim:
-        e += 1
-    return GroupSpec(p, e)
-
-
 def _chain(step, steps: int, parts) -> list[int]:
     """The parts of the sum of J_n, n in `parts`, after `steps` index-p
     steps, where step(n) is the Jordan type of one step from J_n.  Both
@@ -532,10 +509,11 @@ def _chain(step, steps: int, parts) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _restricted_jordan(p: int, n: int) -> tuple[int, ...]:
-    """Jordan type of J_n restricted to its subgroup of index p: the
-    generator g^p acts as the p-th power of the shift block."""
-    power = matpow_mod(_shift_block(n, p), p, p)
-    return jordan_type(MatrixModule(_home(p, n), power)).parts
+    """Jordan type of J_n restricted to its subgroup of index p: g^p acts
+    as (I + N)^p = I + N^p, N the lower shift, as C(p, k) = 0 mod p for
+    0 < k < p, an identity of matrices; the type is read off N^p."""
+    _exact_bound(n, p)
+    return _nilpotent_type(np.eye(n, k=-p, dtype=_int_type(p - 1)), p)
 
 
 def _restriction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:
@@ -548,8 +526,8 @@ def _restriction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:
 
 def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
     """Restriction to D_i computed on explicit matrices, one index-p step
-    at a time: the p-th power of each part's shift block, D_(i+1) to D_i.
-    Restricting to D itself takes no step and returns m's parts."""
+    at a time, D_(i+1) to D_i: on each part, the nilpotent part N^p of
+    g^p.  Restricting to D itself takes no step and returns m's parts."""
     sub = m.group.subgroup(i)
     return ModuleSum._of(sub, _restriction(m.group, sub.ell, m.parts,
                                            capacity_limit(cap)))
@@ -557,16 +535,16 @@ def restrict_oracle(m: ModuleSum, i: int, cap: int | None = None) -> ModuleSum:
 
 @lru_cache(maxsize=4096)
 def _induced_jordan(p: int, a: int) -> tuple[int, ...]:
-    """Jordan type of J_a induced from a subgroup of index p, on its
-    explicit matrix.
-
-    Basis g^j (x) e_t with j < p; the generator shifts j and wraps through
-    the action of g^p, the generator of the subgroup, on J_a.
-    """
+    """Jordan type of J_a induced from a subgroup of index p: on the basis
+    g^j (x) e_t, j < p, the generator shifts j and wraps through the action
+    of g^p, the generator of the subgroup, on J_a.  The wrap block misses
+    the diagonal, set to p - 1 for the nilpotent part."""
     dim = a * p
-    action = np.eye(dim, k=-a, dtype=_int_type(p - 1))
-    action[:a, dim - a :] = _shift_block(a, p)
-    return jordan_type(MatrixModule(_home(p, dim), action)).parts
+    _exact_bound(dim, p)
+    n_mat = np.eye(dim, k=-a, dtype=_int_type(p - 1))
+    n_mat[:a, dim - a :] = _shift_block(a, p)
+    np.fill_diagonal(n_mat, p - 1)
+    return _nilpotent_type(n_mat, p)
 
 
 def _induction(d: GroupSpec, i: int, parts, limit: int) -> list[int]:

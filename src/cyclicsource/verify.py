@@ -174,7 +174,7 @@ def suite_relative_heller(group: GroupSpec, cap: int | None = None) -> SuiteResu
 
 
 def suite_restriction(group: GroupSpec, cap: int | None = None) -> SuiteResult:
-    """Closed-form restriction against the matrix-power oracle, plus the
+    """Closed-form restriction against the oracle's step matrices, plus the
     cap-chain property along subgroup chains for the classified modules."""
     result = _sweep("restriction", group, modules.restrict,
                     oracle.restrict_oracle, cap)

@@ -15,12 +15,14 @@ decomposed by `oracle.jordan_type`, it is the dense reference for the
 graded kernel `oracle._tensor_pair`, and an input whose eliminations in
 `oracle._eliminate` leave a core after the column peel.
 `graded_tensor_walk` is the reference beyond that matrix's reach: the
-kernel's walk over the grading with one `_echelon` per degree in place of
-the echelon basis and its row reductions.  `restricted`
+kernel's walk over the grading with one `_gauss_jordan` pass per degree in
+place of the echelon basis and its row reductions.  `restricted`
 and `induced` take a restriction to D_i or an induction from it in one
 shot, on the p^(ell-i)-th power of the shift block or on the full induced
 block: the dense reference for the index-p steps that
-`oracle.restrict_oracle` and `oracle.induce_oracle` chain.
+`oracle.restrict_oracle` and `oracle.induce_oracle` chain.  `matpow_mod`,
+the power by repeated squaring, is the reference for a restriction step's
+matrix I + N^p, and builds the one-shot power of `restricted`.
 
 `validate_by_sweep` is Brauer tree validation that decides tree-ness by a
 sweep of its own (per-vertex neighbour sets, mirror checks, a breadth-first
@@ -32,20 +34,42 @@ from __future__ import annotations
 
 import numpy as np
 
+from cyclicsource import oracle
 from cyclicsource.groups import GroupSpec
 from cyclicsource.modules import ModuleSum
 from cyclicsource.oracle import (
     MatrixModule,
-    _echelon,
+    _gauss_jordan,
     _int_type,
     _mod,
     _shift_block,
     check_capacity,
     jordan_type,
     matmul_mod,
-    matpow_mod,
 )
 from cyclicsource.trees import BrauerTree
+
+
+def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p by repeated squaring, starting from the power of the lowest
+    set bit of e and with no squaring after the highest: a^(2^k) takes k
+    products.  Each is `oracle.matmul_mod` looked up at the call, so that a
+    test which patches it sees them.  The result has a's integer type; a
+    negative e is a ValueError."""
+    if e < 0:
+        raise ValueError(f"matrix power needs an exponent >= 0, got {e}")
+    base = _mod(np.asarray(a), p)
+    if e == 0:
+        return np.eye(base.shape[0], dtype=base.dtype)
+    while not e & 1:
+        base = oracle.matmul_mod(base, base, p)
+        e >>= 1
+    result = base
+    while e := e >> 1:
+        base = oracle.matmul_mod(base, base, p)
+        if e & 1:
+            result = oracle.matmul_mod(result, base, p)
+    return result
 
 
 def realize(m: ModuleSum) -> MatrixModule:
@@ -71,10 +95,10 @@ def graded_tensor_walk(p: int, n1: int, n2: int) -> tuple[int, ...]:
 
     The same walk over the grading of A = k[x, y']/(x^r, y'^s), r <= s,
     with l = x + y' mapping A_k into A_(k+1), but with no echelon basis:
-    at each degree `_echelon` reads the greedy row profile of the images
-    under l stacked over the identity of A_(k+1).  An image that depends
-    on older ones ends a Jordan block of length k - birth + 1, and an
-    identity row in the profile is born at k + 1.  No input to `_echelon`
+    at each degree `_gauss_jordan` reads the greedy row profile of the
+    images under l stacked over the identity of A_(k+1).  An image that
+    depends on older ones ends a Jordan block of length k - birth + 1, and
+    an identity row in the profile is born at k + 1.  No elimination input
     exceeds 2r x r, so it reaches pairs whose Kronecker matrix is out of
     reach.
     """
@@ -93,7 +117,7 @@ def graded_tensor_walk(p: int, n1: int, n2: int) -> tuple[int, ...]:
         images = full[:, up : top + 1] + full[:, up + 1 : top + 2]
         stack = _mod(np.vstack((images, np.eye(top - up + 1, dtype=wide))),
                      p).astype(narrow)
-        rows = _echelon(stack, p)[1]
+        rows = _gauss_jordan(stack, p)[1]
         kept = set(rows)
         parts.extend(k - b + 1 for i, b in enumerate(born) if i not in kept)
         born = [born[i] if i < len(born) else k + 1 for i in rows]
@@ -125,7 +149,7 @@ def induced(a: int, group: GroupSpec, i: int) -> ModuleSum:
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
-    return len(_echelon(a, p)[1])
+    return len(_gauss_jordan(_mod(a, p), p)[1])
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -136,7 +160,7 @@ def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     the nullspace with respect to this basis can be read off those rows.
     """
     # a = a[:, pivots] @ coeffs.T, with coeffs[pivots] the identity
-    coeffs, pivots = _echelon(a.T, p)
+    coeffs, pivots = _gauss_jordan(_mod(a.T, p), p)
     n = a.shape[1]
     free = sorted(set(range(n)) - set(pivots))
     basis = np.zeros((n, len(free)), dtype=np.int64)
@@ -171,7 +195,7 @@ def jordan_chains(n_mat: np.ndarray, p: int) -> list[list[np.ndarray]]:
         below = kernels[s - 2].T if s >= 2 else images[:0]
         stack = np.vstack([below, images, kernels[s - 1].T])
         covered = below.shape[0] + images.shape[0]
-        new = [stack[q] for q in _echelon(stack, p)[1] if q >= covered]
+        new = [stack[q] for q in _gauss_jordan(stack, p)[1] if q >= covered]
         tops.extend((v, s) for v in new)
         images = np.vstack([images, *new])
         images = matmul_mod(images, n_mat.T, p)
@@ -237,7 +261,7 @@ def relative_heller_oracle_counit(n: int, i: int, group: GroupSpec,
             return ModuleSum(group, ())
         # action of the generator on the kernel, in the coordinates read off
         # the identity rows of the echelon basis
-        coords, rows = _echelon(kernel_vecs, p)
+        coords, rows = _gauss_jordan(kernel_vecs, p)
         image = matmul_mod(big, coords, p)
         action = image[rows]
         if not np.array_equal(matmul_mod(coords, action, p), image):

@@ -227,18 +227,24 @@ class TestVerify:
         assert code == EXIT_RECORD_ERROR
         assert "oracle capacity exceeded" in err
 
-    @pytest.mark.parametrize("suite", ["restriction", "relative-heller"])
-    def test_exactness_refusal_is_one_line(self, capsys, suite):
+    @pytest.mark.parametrize("suite, inner", [
+        ("restriction", 1), ("relative-heller", 1), ("induction", 100000007),
+        ("operator-composition", 1)],
+        ids=["restriction", "relative-heller", "induction",
+             "operator-composition"])
+    def test_exactness_refusal_is_one_line(self, capsys, suite, inner):
         # a prime whose products the oracle cannot take exactly stops the
         # sweep with one line and exit 1, as the capacity check does, and
-        # is not counted as a skip
+        # is not counted as a skip; each step kernel refuses its dimension
+        # before it builds a matrix: J_1 for a restriction, the induced
+        # block of J_1 from D_0, of dimension p, for an induction
         code, out, err = run(capsys, "--oracle-cap", str(2 * 10**16),
                              "verify", "--p", "100000007", "--ell", "1",
                              "--suite", suite)
         assert code == EXIT_RECORD_ERROR
         assert out == ""
         assert err == ("float64 product mod 100000007 with inner dimension "
-                       "1 would exceed 2^53\n")
+                       f"{inner} would exceed 2^53\n")
 
     # env: a CYCLICSOURCE_ORACLE_CAP set around the flag; it is not read
     @pytest.mark.parametrize("env, flag, message", [

@@ -30,7 +30,6 @@ from cyclicsource.oracle import (
     is_endo_permutation,
     jordan_type,
     matmul_mod,
-    matpow_mod,
     rank_profile,
     relative_heller_oracle,
     restrict_oracle,
@@ -41,6 +40,7 @@ from oracle_reference import (
     induced,
     jordan_chains,
     kronecker,
+    matpow_mod,
     nullspace_mod,
     rank_mod,
     realize,
@@ -526,7 +526,8 @@ class TestLazyImport:
 
 
 def reference_echelon(a, p):
-    """_echelon's (E, rows) from the reference RREF of a.T."""
+    """`_gauss_jordan`'s (E, rows) of a mod p, from the reference RREF of
+    a.T."""
     rref_t, rows = reference_rref(a.T, p)
     return np.array(rref_t, dtype=np.int64).reshape(len(rows), a.shape[0]).T, rows
 
@@ -563,7 +564,7 @@ class TestKernelWidths:
         rng = np.random.default_rng(m * p + k)
         a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
         a += p * rng.integers(-3, 4, (m, n))  # unreduced and negative
-        basis, rows = oracle._echelon(a, p)
+        basis, rows = oracle._gauss_jordan(oracle._mod(a, p), p)
         want, want_rows = reference_echelon(a, p)
         assert basis.dtype == np.int64 and rows == want_rows
         assert np.array_equal(basis, want)
@@ -572,7 +573,7 @@ class TestKernelWidths:
     @pytest.mark.parametrize("p", [2, 23, 61, 181, 65521])
     def test_tall_matrix_rows_below_grow(self, p):
         a = panel_pivots(p, 1024, 8, seed=p)
-        basis, rows = oracle._echelon(a, p)
+        basis, rows = oracle._gauss_jordan(oracle._mod(a, p), p)
         want, want_rows = reference_echelon(a, p)
         assert rows == want_rows == [k * 64 for k in range(8)]
         assert np.array_equal(basis, want)
@@ -633,7 +634,7 @@ class TestKernelWidths:
         a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
         a[rng.random(a.shape) < 0.9] = 0  # sparse rows and columns
         a += p * rng.integers(-3, 4, (m, n))
-        basis, rows = oracle._echelon(a, p)
+        basis, rows = oracle._gauss_jordan(oracle._mod(a, p), p)
         assert len(cores) == 1 and cores[0] >= oracle.SPARSE
         want, want_rows = reference_echelon(a, p)
         assert rows == want_rows
@@ -771,7 +772,7 @@ def test_echelon_takes_no_product(monkeypatch, p):
     rng = np.random.default_rng(p)
     dense = rng.integers(0, p, (300, 40)) @ rng.integers(0, p, (40, 300)) % p
     for a in [dense, panel_pivots(p, 1024, 8, seed=p)]:
-        basis, rows = oracle._echelon(a, p)
+        basis, rows = oracle._gauss_jordan(oracle._mod(a, p), p)
         want, want_rows = reference_echelon(a, p)
         assert rows == want_rows
         assert np.array_equal(basis, want)
@@ -815,7 +816,7 @@ class TestNarrowTypes:
         for e in (0, 1, 3):
             assert matpow_mod(a, e, p).dtype == dtype
         assert column_space(a, p).dtype == dtype
-        assert oracle._echelon(a, p)[0].dtype == dtype
+        assert oracle._gauss_jordan(oracle._mod(a, p), p)[0].dtype == dtype
         want = matmul_mod(a.astype(np.int64), b.astype(np.int64), p)
         assert np.array_equal(matmul_mod(a, b, p), want)
         assert np.array_equal(column_space(a, p),
@@ -973,6 +974,24 @@ class TestIndexPSteps:
                 assert induce_oracle(ModuleSum(sub, (a,)), group) == \
                     induced(a, group, i), (a, i)
 
+    @pytest.mark.parametrize("p, sizes", [
+        (2, range(1, 65)), (3, range(1, 82)), (5, range(1, 126)),
+        (5, [1, 2, 3, 4, 5, 6, 124, 125, 126, 625])],
+        ids=["C_64", "C_81", "C_125", "C_625"])
+    def test_restriction_step_is_the_power_by_squaring(self, monkeypatch, p,
+                                                       sizes):
+        # the step hands N^p to the rank path (held back here, off the
+        # cache): I + N^p is (I + N)^p, the p-th power of the shift block,
+        # as matpow_mod takes it by squaring
+        steps = []
+        monkeypatch.setattr(oracle, "_nilpotent_type",
+                            lambda n_mat, p: steps.append(n_mat) or ())
+        for n in sizes:
+            oracle._restricted_jordan.__wrapped__(p, n)
+            step = steps.pop() + np.eye(n, dtype=np.int64)
+            power = matpow_mod(oracle._shift_block(n, p), p, p)
+            assert np.array_equal(step, power), n
+
     def test_a_sum_takes_each_distinct_part_once(self, monkeypatch):
         # J_5 + J_5 + J_2 over C_9 down to D_0: one step each from J_5, J_2
         # and the parts they restrict to, J_2 and J_1
@@ -1078,7 +1097,8 @@ class TestTensor:
         def refused(*args):
             raise AssertionError("called")
 
-        for name in ("_echelon", "_gauss_jordan", "_eliminate", "matmul_mod"):
+        for name in ("column_space", "_gauss_jordan", "_eliminate",
+                     "matmul_mod"):
             monkeypatch.setattr(oracle, name, refused)
         monkeypatch.setattr(oracle.np, "kron", refused)
         reductions = []

@@ -18,11 +18,13 @@ function of `oracle` is called from one function of that module, which
 checks the kernel's matrices against the capacity, so that happens in one
 place and every operation composes those functions, not kernels.  One
 elimination kernel: `_gauss_jordan` is the one Gauss-Jordan loop, called
-by `_eliminate` on its core and by `_echelon`, which keeps the reduced
-column echelon form that `column_space` returns; `_eliminate` reaches no
-matrix product, `rank_profile` reaches neither `column_space` nor
-`_echelon`, and the graded tensor kernel `_tensor_pair`, which reduces
-single rows, reaches no elimination and no matrix product.
+by `_eliminate` on its core and by `column_space`, which keeps its reduced
+column echelon form; `_eliminate` reaches no matrix product,
+`rank_profile` reaches no `column_space`, and the graded tensor kernel
+`_tensor_pair`, which reduces single rows, reaches no elimination and no
+matrix product.  Only the rank path multiplies: `matmul_mod` is called by
+`rank_profile` and `_on_image` alone, so the step kernels of restriction
+and induction build their matrices and take no product.
 
 One integer-type rule: only the function `_int_type` names np.int16,
 np.int32 or np.int64 (bare, through numpy, or as a dtype string), so the
@@ -477,49 +479,53 @@ def test_one_caller_per_oracle_kernel():
 
 
 # what the graded tensor kernel reaches none of
-ELIMINATION = {"_gauss_jordan", "_echelon", "_eliminate", "column_space",
-               "matmul_mod"}
+ELIMINATION = {"_gauss_jordan", "_eliminate", "column_space", "matmul_mod"}
 
 
 def test_one_elimination_kernel():
     tree = tree_of(PACKAGE / "oracle.py")
     assert callers_of(tree, ["_gauss_jordan"]) == {
-        "_gauss_jordan": ["_echelon", "_eliminate"]}
-    assert {"column_space", "_echelon"} & reached(tree, "rank_profile") == set()
+        "_gauss_jordan": ["_eliminate", "column_space"]}
+    assert "column_space" not in reached(tree, "rank_profile")
     assert "_eliminate" in reached(tree, "rank_profile")
     assert "matmul_mod" not in reached(tree, "_eliminate")
     assert ELIMINATION & reached(tree, "_tensor_pair") == set()
 
 
+def test_only_the_rank_path_multiplies():
+    tree = tree_of(PACKAGE / "oracle.py")
+    assert callers_of(tree, ["matmul_mod"]) == {
+        "matmul_mod": ["_on_image", "rank_profile"]}
+
+
 def test_second_elimination_caller_is_seen():
     tree = ast.parse("def _gauss_jordan(a): pass\n"
                      "def _eliminate(a): return _gauss_jordan(a)\n"
-                     "def _echelon(a): return _gauss_jordan(a)\n"
-                     "def column_space(a): return _echelon(a)[0]\n"
+                     "def column_space(a): return _gauss_jordan(a)[0]\n"
                      "def _helper(a): return column_space(a)\n"
                      "def rank_profile(a): return _helper(a), _eliminate(a)\n"
                      "def other(a):\n    return _gauss_jordan(a)\n")
     assert callers_of(tree, ["_gauss_jordan"]) == {
-        "_gauss_jordan": ["_echelon", "_eliminate", "other"]}
+        "_gauss_jordan": ["_eliminate", "column_space", "other"]}
     assert reached(tree, "rank_profile") == {
-        "_helper", "column_space", "_echelon", "_eliminate", "_gauss_jordan"}
+        "_helper", "column_space", "_eliminate", "_gauss_jordan"}
 
 
 def test_elimination_in_the_tensor_kernel_is_seen():
     # an elimination through a helper, and a product called directly
     tree = ast.parse("from functools import lru_cache\n"
                      "def _gauss_jordan(a): pass\n"
-                     "def _echelon(a): return _gauss_jordan(a)\n"
+                     "def column_space(a): return _gauss_jordan(a)[0]\n"
                      "def matmul_mod(a, b): pass\n"
                      "def _reduce(a): return a\n"
-                     "def _walk(a): return _echelon(a)\n"
+                     "def _walk(a): return column_space(a)\n"
                      "@lru_cache(maxsize=8)\n"
                      "def _tensor_pair(a):\n"
                      "    return _reduce(a), _walk(a), matmul_mod(a, a)\n")
     assert reached(tree, "_tensor_pair") == {
-        "_reduce", "_walk", "_echelon", "_gauss_jordan", "matmul_mod"}
+        "_reduce", "_walk", "column_space", "_gauss_jordan", "matmul_mod"}
     assert ELIMINATION & reached(tree, "_tensor_pair") == {
-        "_echelon", "_gauss_jordan", "matmul_mod"}
+        "column_space", "_gauss_jordan", "matmul_mod"}
 
 
 def test_kernel_callers_are_seen():
